@@ -22,24 +22,6 @@ class MismatchError(ValueError):
     """Comparison inputs of unequal (or zero) sample counts."""
 
 
-@dataclass(frozen=True)
-class BleLatencySample:
-    """One command latency: residual wait to the next connection event plus
-    the transfer itself."""
-
-    wait_us: float
-    transfer_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.wait_us + self.transfer_us
-
-
-def sample_latency(ble_config: BleConfig, rng: RngStream) -> BleLatencySample:
-    wait = float(rng.uniform(0.0, ble_config.connection_interval_us))
-    return BleLatencySample(wait_us=wait, transfer_us=ble_config.transfer_time_us)
-
-
 def sample_latencies(ble_config: BleConfig, n: int, rng: RngStream) -> np.ndarray:
     """Vector of n total latencies drawn from one stream."""
     if n < 1:

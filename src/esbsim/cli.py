@@ -121,15 +121,19 @@ def _intervals(args):
     return sweep.REPORT_INTERVALS
 
 
-def _write_summaries(records, args, out: Path) -> None:
-    summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
-    report = sweep.render_report(records, intervals=_intervals(args))
-    (out / "summary.txt").write_text(report)
+def _write_summary_json(summaries, out: Path) -> None:
     payload = {
         name: {key: stats.to_dict() for key, stats in intervals.items()}
         for name, intervals in summaries.items()
     }
     (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_summaries(records, args, out: Path) -> None:
+    summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
+    report = sweep.render_report(records, summaries)
+    (out / "summary.txt").write_text(report)
+    _write_summary_json(summaries, out)
     print(report)
 
 
@@ -226,14 +230,9 @@ def _cmd_report(args) -> int:
         raise ConfigError("report needs --file pointing at a results CSV")
     records = sweep.read_results(args.file)
     summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
-    print(sweep.render_report(records, intervals=_intervals(args)))
+    print(sweep.render_report(records, summaries))
     if args.out != ".":
-        out = _out_dir(args)
-        payload = {
-            name: {key: stats.to_dict() for key, stats in intervals.items()}
-            for name, intervals in summaries.items()
-        }
-        (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _write_summary_json(summaries, _out_dir(args))
     return 0
 
 
@@ -256,10 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"esbsim: error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ParseError, analytics.DomainError, analytics.InfeasibleError) as exc:
-        print(f"esbsim: error: {exc}", file=sys.stderr)
-        return 1
-    except SchemaError as exc:
+    except (ConfigError, ParseError, SchemaError, analytics.DomainError, analytics.InfeasibleError) as exc:
         print(f"esbsim: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -104,9 +104,10 @@ class EsbConfig:
 def validate(config: EsbConfig) -> EsbConfig:
     """Return the config unchanged iff every invariant holds.
 
-    Raises RangeError naming the offending field, or ScheduleError when the
-    retransmission delay is shorter than one frame's on-air time (copies
-    would overlap on air).
+    Raises RangeError naming the offending field, or ScheduleError when
+    start-to-start copies are spaced closer than one frame's on-air time
+    (copies would overlap on air).  With end-to-start spacing the delay is a
+    gap after each frame, so any non-negative delay fits.
     """
     if not TX_POWER_MIN_DBM <= config.tx_power_dbm <= TX_POWER_MAX_DBM:
         raise RangeError("tx_power_dbm", config.tx_power_dbm, TX_POWER_MIN_DBM, TX_POWER_MAX_DBM)
@@ -120,7 +121,7 @@ def validate(config: EsbConfig) -> EsbConfig:
     from . import airtime
 
     frame_us = airtime.on_air_time_us(config)
-    if config.retransmit_delay_us < frame_us:
+    if config.copy_spacing is CopySpacing.START_TO_START and config.retransmit_delay_us < frame_us:
         raise ScheduleError(
             f"retransmit_delay_us={config.retransmit_delay_us} shorter than "
             f"one frame on air ({frame_us} us); copies would overlap"
@@ -154,15 +155,12 @@ class ChannelModel:
 
     p_loss: float = 0.0
     p_corrupt: float = 0.0
-    independent_copies: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p_loss <= 1.0:
             raise RangeError("p_loss", self.p_loss, 0.0, 1.0)
         if not 0.0 <= self.p_corrupt <= 1.0:
             raise RangeError("p_corrupt", self.p_corrupt, 0.0, 1.0)
-        if not self.independent_copies:
-            raise ConfigError("only independent per-copy channel draws are modeled")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Deterministic discrete-event core.
+"""Integer-tick clock arithmetic and keyed random streams.
 
-The virtual clock counts integer tenths of microseconds ("ticks") so that
+Simulated time counts integer tenths of microseconds ("ticks") so that
 timestamp arithmetic and comparisons are exact at the 0.1 us resolution the
 rest of the toolkit is built around.  Randomness comes from counter-based
 Philox streams keyed by (seed, stream id), which makes every draw reproducible
@@ -10,9 +10,7 @@ and lets independent attempts run on parallel workers without coordinating.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import struct
-from typing import Any, Callable
 
 import numpy as np
 
@@ -37,67 +35,6 @@ def us_to_ticks(value_us: float) -> int:
 
 def ticks_to_us(ticks: int) -> float:
     return ticks / TICKS_PER_US
-
-
-class TimeTravelError(RuntimeError):
-    """Raised when an event is scheduled before the current clock."""
-
-
-class Event:
-    """One queued occurrence: popped in (time_ticks, seq) order."""
-
-    __slots__ = ("time_ticks", "seq", "kind", "node_id", "data")
-
-    def __init__(self, time_ticks: int, kind: str, node_id: int = 0, data: Any = None):
-        self.time_ticks = time_ticks
-        self.seq = -1  # assigned by the engine on schedule()
-        self.kind = kind
-        self.node_id = node_id
-        self.data = data
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Event(t={self.time_ticks}, seq={self.seq}, kind={self.kind!r}, node={self.node_id})"
-
-
-class Engine:
-    """Single-threaded event queue with a monotonic integer-tick clock.
-
-    Equal-timestamp events run in insertion order (stable FIFO tie-break).
-    One engine instance drives one attempt or one node pair; parallelism
-    happens across engines, never inside one.
-    """
-
-    def __init__(self, start_ticks: int = 0):
-        self.now_ticks = start_ticks
-        self._queue: list[tuple[int, int, Event]] = []
-        self._seq = 0
-        self._handlers: dict[str, Callable[[Engine, Event], None]] = {}
-
-    def on(self, kind: str, handler: Callable[[Engine, Event], None]) -> None:
-        self._handlers[kind] = handler
-
-    def schedule(self, event: Event) -> Event:
-        if event.time_ticks < self.now_ticks:
-            raise TimeTravelError(
-                f"cannot schedule {event.kind!r} at t={event.time_ticks} ticks; clock is {self.now_ticks}"
-            )
-        event.seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._queue, (event.time_ticks, event.seq, event))
-        return event
-
-    def schedule_after(self, delay_ticks: int, kind: str, node_id: int = 0, data: Any = None) -> Event:
-        return self.schedule(Event(self.now_ticks + delay_ticks, kind, node_id, data))
-
-    def run_until_idle(self) -> int:
-        """Process every queued event; returns the final clock in ticks."""
-        while self._queue:
-            time_ticks, _, event = heapq.heappop(self._queue)
-            self.now_ticks = time_ticks
-            handler = self._handlers.get(event.kind)
-            if handler is not None:
-                handler(self, event)
-        return self.now_ticks
 
 
 def _stream_key(seed: int, namespace: tuple[int, ...]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""TX/RX node state machines over the eight-probe pipeline.
+"""The broadcast attempt timeline over the eight-probe pipeline.
 
 A broadcast attempt walks the instrumented stages D0..D7: command issued on
 the sender's application core (D0), handed over IPC to the radio core
@@ -7,7 +7,9 @@ first command in the receiver's radio library (D4), its event handler (D5),
 and back up over IPC to the receiver's application core (D6, D7).  Copies are
 sent unconditionally (no acknowledgements), each independently subject to
 loss and corruption; the receiver deduplicates extra copies so the
-application sees one delivery per attempt.
+application sees one delivery per attempt.  The chain is fixed, so an attempt
+is straight-line arithmetic on its draws: seven stage delays plus the choice
+of the first surviving copy.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .engine import (
     PURPOSE_ESCAPE,
     PURPOSE_JITTER,
     PURPOSE_LOSS,
-    Engine,
-    Event,
     RngStream,
     ticks_to_us,
     us_to_ticks,
@@ -171,80 +171,14 @@ class TransmissionRecord:
         return ticks_to_us(b - a)
 
 
-class FifoOverflowError(RuntimeError):
-    pass
-
-
-class TxFifo:
-    """Transmit-side payload queue; dequeue order is strictly FIFO."""
-
-    def __init__(self, capacity: int = 8):
-        self.capacity = capacity
-        self._items: list[object] = []
-
-    def push(self, payload: object) -> None:
-        if len(self._items) >= self.capacity:
-            raise FifoOverflowError(f"TX FIFO full (capacity {self.capacity})")
-        self._items.append(payload)
-
-    def pop(self) -> object:
-        return self._items.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 def copy_offsets_ticks(config: EsbConfig) -> list[int]:
-    """Start-time offsets of every copy relative to the first, in ticks."""
+    """Start-time offsets of every copy relative to the first, in ticks.
+    Copies are unconditional: no acknowledgements exist in broadcast mode, so
+    every copy is sent even after a successful delivery."""
     delay = us_to_ticks(config.retransmit_delay_us)
     if config.copy_spacing is CopySpacing.END_TO_START:
         delay += airtime.on_air_ticks(config)
     return [k * delay for k in range(config.copies)]
-
-
-def schedule_copies(config: EsbConfig, t_d3_us: float = 0.0) -> list[float]:
-    """Start times of all copies for an attempt whose radio handoff is at
-    `t_d3_us`.  Copies are unconditional: no acknowledgements exist in
-    broadcast mode, so every copy is sent even after a successful delivery."""
-    base = us_to_ticks(t_d3_us)
-    return [ticks_to_us(base + off) for off in copy_offsets_ticks(config)]
-
-
-@dataclass(frozen=True)
-class DedupResult:
-    kept: int
-    suppressed: int
-    delivered_duplicates: int
-
-
-def dedup(
-    copies: Sequence[int],
-    crc_mode: CrcMode,
-    escape_prob: float = DEFAULT_DEDUP_ESCAPE_PROB,
-    rng: RngStream | None = None,
-) -> DedupResult:
-    """Receiver-side duplicate suppression over the copies of one attempt
-    that reached the application filter.
-
-    Exactly one copy (the earliest) surfaces.  With CRC enabled the remaining
-    copies are recognized and suppressed reliably; with CRC disabled each one
-    escapes suppression with `escape_prob` and reaches the application as a
-    duplicate delivery.
-    """
-    if not copies:
-        raise ValueError("dedup requires at least one delivered copy")
-    kept = min(copies)
-    suppressed = 0
-    escaped = 0
-    for _ in range(len(copies) - 1):
-        if crc_mode is CrcMode.OFF and escape_prob > 0.0:
-            if rng is None:
-                raise ValueError("dedup with a non-zero escape probability needs an rng")
-            if rng.bernoulli(escape_prob):
-                escaped += 1
-                continue
-        suppressed += 1
-    return DedupResult(kept=kept, suppressed=suppressed, delivered_duplicates=escaped)
 
 
 class AttemptStreams:
@@ -282,164 +216,55 @@ def _stage_jitter_us(pipeline: PipelineModel, streams: AttemptStreams) -> list[f
     return [float(d) * s for d, s in zip(draws, pipeline.jitter_sigma_us)]
 
 
-class _Attempt:
-    """Event handlers for one attempt; shared by the TX and RX node roles."""
-
-    TX_NODE = 0
-    RX_NODE = 1
-
-    def __init__(
-        self,
-        config: EsbConfig,
-        channel: ChannelModel,
-        pipeline: PipelineModel,
-        streams: AttemptStreams,
-        stage_totals_us: tuple[float, ...],
-        on_air: int,
-        offsets: list[int],
-    ):
-        self.config = config
-        self.pipeline = pipeline
-        self.on_air = on_air
-        self.offsets = offsets
-        copies = config.copies
-        self.lost = streams.loss.bernoulli(channel.p_loss, copies)
-        self.corrupted = streams.corrupt.bernoulli(channel.p_corrupt, copies)
-        self.escaped = streams.escape.bernoulli(pipeline.dedup_escape_prob, copies)
-        jitter = _stage_jitter_us(pipeline, streams)
-        # floor of one tick: jitter never drives a stage negative, and probe
-        # timestamps stay strictly increasing
-        self.stage_ticks = [
-            max(1, us_to_ticks(base + j)) for base, j in zip(stage_totals_us, jitter)
-        ]
-        self.fifo = TxFifo()
-        self.probes: list[int | None] = [None] * len(PROBES)
-        self.delivered_copy: int | None = None
-        self.delivered_corrupted = False
-        self.suppressed = 0
-        self.escapes_delivered = 0
-
-    def install(self, engine: Engine) -> None:
-        engine.on("cmd", self.on_cmd)
-        engine.on("d1", self.on_d1)
-        engine.on("d2", self.on_d2)
-        engine.on("d3", self.on_d3)
-        engine.on("copy-rx", self.on_copy_rx)
-        engine.on("d4", self.on_d4)
-        engine.on("d5", self.on_d5)
-        engine.on("d6", self.on_d6)
-        engine.on("d7", self.on_d7)
-
-    # --- transmitter side ---------------------------------------------------
-
-    def on_cmd(self, engine: Engine, event: Event) -> None:
-        self.probes[0] = engine.now_ticks
-        engine.schedule_after(self.stage_ticks[0], "d1", self.TX_NODE)
-
-    def on_d1(self, engine: Engine, event: Event) -> None:
-        self.probes[1] = engine.now_ticks
-        engine.schedule_after(self.stage_ticks[1], "d2", self.TX_NODE)
-
-    def on_d2(self, engine: Engine, event: Event) -> None:
-        self.probes[2] = engine.now_ticks
-        self.fifo.push("payload")  # written to the TX FIFO at D2
-        engine.schedule_after(self.stage_ticks[2], "d3", self.TX_NODE)
-
-    def on_d3(self, engine: Engine, event: Event) -> None:
-        self.probes[3] = engine.now_ticks
-        self.fifo.pop()  # dequeued per tx_mode policy; timing lives in modifiers
-        for k, offset in enumerate(self.offsets):
-            # the receiver sees copy k one on-air time after its start
-            engine.schedule(
-                Event(engine.now_ticks + offset + self.on_air, "copy-rx", self.RX_NODE, k)
-            )
-
-    # --- receiver side -------------------------------------------------------
-
-    def on_copy_rx(self, engine: Engine, event: Event) -> None:
-        k: int = event.data
-        if self.lost[k]:
-            return
-        crc_on = self.config.crc_mode is not CrcMode.OFF
-        if crc_on and self.corrupted[k]:
-            return  # CRC rejects the copy; it neither delivers nor counts
-        if self.delivered_copy is None:
-            self.delivered_copy = k
-            self.delivered_corrupted = bool(self.corrupted[k])
-            engine.schedule_after(self.stage_ticks[3], "d4", self.RX_NODE)
-        elif not crc_on and self.escaped[k]:
-            self.escapes_delivered += 1
-        else:
-            self.suppressed += 1
-
-    def on_d4(self, engine: Engine, event: Event) -> None:
-        self.probes[4] = engine.now_ticks
-        engine.schedule_after(self.stage_ticks[4], "d5", self.RX_NODE)
-
-    def on_d5(self, engine: Engine, event: Event) -> None:
-        self.probes[5] = engine.now_ticks
-        engine.schedule_after(self.stage_ticks[5], "d6", self.RX_NODE)
-
-    def on_d6(self, engine: Engine, event: Event) -> None:
-        self.probes[6] = engine.now_ticks
-        engine.schedule_after(self.stage_ticks[6], "d7", self.RX_NODE)
-
-    def on_d7(self, engine: Engine, event: Event) -> None:
-        self.probes[7] = engine.now_ticks
-
-
 def transmit(
-    config: EsbConfig,
+    streams: AttemptStreams,
+    start_ticks: int,
     channel: ChannelModel,
     pipeline: PipelineModel,
-    streams: AttemptStreams,
-    *,
-    start_ticks: int = 0,
-    config_name: str = "",
-    round_index: int = 0,
-    attempt: int = 0,
-    engine: Engine | None = None,
-    _stage_totals_us: tuple[float, ...] | None = None,
-    _on_air: int | None = None,
-    _offsets: list[int] | None = None,
-) -> TransmissionRecord:
-    """Run one broadcast attempt and return its record.
+    crc_on: bool,
+    stage_totals_us: Sequence[float],
+    on_air: int,
+    offsets: Sequence[int],
+) -> tuple[list[int | None], int | None, Outcome, int, int]:
+    """Draw one attempt and lay out its D0..D7 timeline.
 
-    Expects a validated config.  The command is issued at `start_ticks`; all
-    probe timestamps in the record are absolute.  A lost attempt is a normal
-    outcome, not an error.  Pass an engine to inspect the clock afterwards;
-    it idles only after the whole copy train is off the air, which can be
-    well past D7.
+    Every argument after `start_ticks` is a per-series constant.  The first
+    copy that is neither lost nor rejected by CRC delivers; every later
+    surviving copy is either suppressed or, with CRC off, may escape as a
+    duplicate.  Returns the probe ticks (None where never reached), the
+    delivered copy, the outcome and the suppressed and escaped counts.
     """
-    totals = _stage_totals_us if _stage_totals_us is not None else pipeline.stage_totals_us(config)
-    on_air = _on_air if _on_air is not None else airtime.on_air_ticks(config)
-    offsets = _offsets if _offsets is not None else copy_offsets_ticks(config)
+    copies = len(offsets)
+    lost = streams.loss.bernoulli(channel.p_loss, copies).tolist()
+    corrupted = streams.corrupt.bernoulli(channel.p_corrupt, copies).tolist()
+    escaped = streams.escape.bernoulli(pipeline.dedup_escape_prob, copies).tolist()
+    jitter = _stage_jitter_us(pipeline, streams)
+    # floor of one tick: jitter never drives a stage negative, and probe
+    # timestamps stay strictly increasing
+    ticks = [max(1, us_to_ticks(base + j)) for base, j in zip(stage_totals_us, jitter)]
 
-    attempt_state = _Attempt(config, channel, pipeline, streams, totals, on_air, offsets)
-    if engine is None:
-        engine = Engine(start_ticks)
-    attempt_state.install(engine)
-    engine.schedule(Event(start_ticks, "cmd", _Attempt.TX_NODE))
-    engine.run_until_idle()
-
-    if attempt_state.delivered_copy is None:
-        outcome = Outcome.LOST
-    elif attempt_state.delivered_corrupted:
-        outcome = Outcome.DELIVERED_CORRUPTED
-    else:
-        outcome = Outcome.DELIVERED
-    return TransmissionRecord(
-        config_name=config_name,
-        config_hash=config.digest(),
-        round_index=round_index,
-        attempt=attempt,
-        seed=streams.seed,
-        probes_ticks=tuple(attempt_state.probes),
-        delivered_copy=attempt_state.delivered_copy,
-        outcome=outcome,
-        duplicates_suppressed=attempt_state.suppressed,
-        duplicates_delivered=attempt_state.escapes_delivered,
-    )
+    probes: list[int | None] = [start_ticks]
+    for stage in ticks[:3]:
+        probes.append(probes[-1] + stage)  # D1..D3 on the transmit side
+    delivered = None
+    suppressed = duplicates = 0
+    for k in range(copies):
+        if lost[k] or (crc_on and corrupted[k]):
+            continue  # lost on air, or rejected by CRC: neither delivers nor counts
+        if delivered is None:
+            delivered = k
+        elif not crc_on and escaped[k]:
+            duplicates += 1
+        else:
+            suppressed += 1
+    if delivered is None:
+        return probes + [None] * 4, None, Outcome.LOST, suppressed, duplicates
+    # the receiver sees copy k one on-air time after its start, then D4..D7
+    probes.append(probes[3] + offsets[delivered] + on_air + ticks[3])
+    for stage in ticks[4:]:
+        probes.append(probes[-1] + stage)
+    outcome = Outcome.DELIVERED_CORRUPTED if corrupted[delivered] else Outcome.DELIVERED
+    return probes, delivered, outcome, suppressed, duplicates
 
 
 DEFAULT_ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
@@ -476,24 +301,28 @@ def run_attempt_series(
             f"({ticks_to_us(offsets[-1] + on_air)} us)"
         )
     totals = pipeline.stage_totals_us(config)
+    crc_on = config.crc_mode is not CrcMode.OFF
+    config_hash = config.digest()
     streams = AttemptStreams(seed, namespace=namespace)
     records = []
     for i in range(n):
         attempt = start_attempt + i
         streams.rekey(round_index, attempt)
+        probes, delivered, outcome, suppressed, duplicates = transmit(
+            streams, attempt * spacing, channel, pipeline, crc_on, totals, on_air, offsets
+        )
         records.append(
-            transmit(
-                config,
-                channel,
-                pipeline,
-                streams,
-                start_ticks=attempt * spacing,
+            TransmissionRecord(
                 config_name=config_name,
+                config_hash=config_hash,
                 round_index=round_index,
                 attempt=attempt,
-                _stage_totals_us=totals,
-                _on_air=on_air,
-                _offsets=offsets,
+                seed=seed,
+                probes_ticks=tuple(probes),
+                delivered_copy=delivered,
+                outcome=outcome,
+                duplicates_suppressed=suppressed,
+                duplicates_delivered=duplicates,
             )
         )
     return records

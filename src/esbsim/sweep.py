@@ -360,7 +360,7 @@ def render_results_csv(records: Sequence[TransmissionRecord]) -> str:
     out.write(f"# rng={RNG_ALGORITHM}\n")
     seeds = sorted({r.seed for r in records})
     if seeds:
-        out.write(f"# seed={seeds[0]}\n")
+        out.write(f"# seed={','.join(map(str, seeds))}\n")
     seen: dict[str, str] = {}
     for record in records:
         if record.config_name not in seen:
@@ -391,16 +391,22 @@ def write_results(records: Sequence[TransmissionRecord], path) -> None:
 
 
 def parse_results_csv(text: str) -> list[TransmissionRecord]:
+    """Records of a results CSV written with this format and RNG scheme."""
     hashes: dict[str, str] = {}
+    comments = []
     rows = []
     for line in text.splitlines():
         if line.startswith("#"):
+            comments.append(line)
             parts = line[1:].split()
             if len(parts) == 3 and parts[0] == "config" and parts[2].startswith("hash="):
                 hashes[parts[1]] = parts[2].removeprefix("hash=")
             continue
         if line.strip():
             rows.append(line)
+    for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
+        if expected not in comments:
+            raise SchemaError(f"results file lacks the {expected!r} header line")
     if not rows:
         raise SchemaError("no header row in results file")
     reader = csv.reader(rows)
@@ -460,14 +466,14 @@ def summarize_by_config(
 
 def render_report(
     records: Sequence[TransmissionRecord],
-    intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS,
+    summaries: Mapping[str, Mapping[str, SummaryStats]],
 ) -> str:
-    """Human-readable summary: per-config interval statistics plus packet
-    accounting.  p99 is an extension beyond the mean/median/SD the reference
-    protocol reports; lost attempts are excluded from latency statistics and
-    shown as a separate count."""
+    """Human-readable summary: per-config interval statistics (as computed by
+    `summarize_by_config` over `records`) plus packet accounting.  p99 is an
+    extension beyond the mean/median/SD the reference protocol reports; lost
+    attempts are excluded from latency statistics and shown as a separate
+    count."""
     lines = []
-    summaries = summarize_by_config(records, intervals=intervals)
     by_config: dict[str, list[TransmissionRecord]] = {}
     for record in records:
         by_config.setdefault(record.config_name, []).append(record)

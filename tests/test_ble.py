@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from esbsim.ble import (
-    BleLatencySample,
     MismatchError,
     compare,
     render_comparison,
     sample_latencies,
-    sample_latency,
     summarize_ble,
 )
 from esbsim.config import BleConfig
@@ -21,15 +19,15 @@ def _rng(seed=1):
 class TestSampling:
     def test_sample_stays_inside_one_interval(self):
         cfg = BleConfig(connection_interval_us=7500.0, transfer_time_us=50.0)
-        rng = _rng()
-        for _ in range(2000):
-            sample = sample_latency(cfg, rng)
-            assert 0.0 <= sample.wait_us < 7500.0
-            assert 50.0 <= sample.total_us < 7550.0
+        totals = sample_latencies(cfg, 2000, _rng())
+        waits = totals - 50.0
+        assert ((0.0 <= waits) & (waits < 7500.0)).all()
+        assert ((50.0 <= totals) & (totals < 7550.0)).all()
 
     def test_total_is_wait_plus_transfer(self):
-        assert BleLatencySample(wait_us=0.0, transfer_us=0.0).total_us == 0.0
-        assert BleLatencySample(wait_us=100.0, transfer_us=36.5).total_us == 136.5
+        waits = sample_latencies(BleConfig(transfer_time_us=0.0), 100, _rng(4))
+        totals = sample_latencies(BleConfig(transfer_time_us=36.5), 100, _rng(4))
+        assert (totals == waits + 36.5).all()
 
     def test_empirical_mean_is_half_an_interval(self):
         # uniform mean ci/2; 3 sigma of the sample mean ~ 20.5 us at n=1e5
@@ -40,8 +38,8 @@ class TestSampling:
     def test_vector_and_scalar_paths_share_the_stream(self):
         cfg = BleConfig()
         vec = sample_latencies(cfg, 5, _rng(3))
-        scalars = [sample_latency(cfg, _rng(3).rekey((0, 0, PURPOSE_BLE_WAIT))).total_us]
-        assert vec[0] == pytest.approx(scalars[0])
+        single = sample_latencies(cfg, 1, _rng(3).rekey((0, 0, PURPOSE_BLE_WAIT)))
+        assert vec[0] == pytest.approx(single[0])
 
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,15 @@ def test_simulate_then_report_reproduces_the_summary(exp_file, tmp_path, capsys)
     assert first.strip() == second.strip()
 
 
+def test_report_of_a_foreign_rng_file_is_a_validation_error(exp_file, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--file", str(exp_file), "--attempts", "5", "--out", str(out)]) == 0
+    results = out / "results.csv"
+    results.write_text(results.read_text().replace("# rng=philox4x64", "# rng=mt19937"))
+    assert main(["report", "--file", str(results)]) == 1
+    assert "rng=philox4x64" in capsys.readouterr().err
+
+
 def test_sweep_uses_calibrated_pipeline_file(exp_file, tmp_path):
     cal = tmp_path / "cal"
     assert main(["calibrate", "--targets", "486.30,293.07,185.86", "--out", str(cal)]) == 0

@@ -6,7 +6,6 @@ from esbsim.config import (
     BitrateMode,
     BleConfig,
     ChannelModel,
-    ConfigError,
     CrcMode,
     EsbConfig,
     PayloadMode,
@@ -90,10 +89,6 @@ class TestChannelModel:
             ChannelModel(p_loss=1.5)
         with pytest.raises(RangeError):
             ChannelModel(p_corrupt=-0.1)
-
-    def test_only_independent_copies_supported(self):
-        with pytest.raises(ConfigError):
-            ChannelModel(independent_copies=False)
 
 
 class TestBleConfig:

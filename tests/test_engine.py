@@ -1,12 +1,9 @@
 import pytest
 
 from esbsim.engine import (
-    Engine,
-    Event,
     PURPOSE_JITTER,
     PURPOSE_LOSS,
     RngStream,
-    TimeTravelError,
     ticks_to_us,
     us_to_ticks,
 )
@@ -18,54 +15,6 @@ def test_tick_conversion_is_exact_on_the_grid():
     assert ticks_to_us(4863) == 486.3
     for ticks in (0, 1, 7, 4350, 8700, 60000):
         assert us_to_ticks(ticks_to_us(ticks)) == ticks
-
-
-def test_events_pop_in_time_then_insertion_order():
-    engine = Engine()
-    seen = []
-    engine.on("a", lambda eng, ev: seen.append(ev.data))
-    engine.schedule(Event(10, "a", data="late"))
-    engine.schedule(Event(5, "a", data="first"))
-    engine.schedule(Event(5, "a", data="second"))
-    final = engine.run_until_idle()
-    assert seen == ["first", "second", "late"]
-    assert final == 10
-
-
-def test_schedule_at_current_clock_runs_next():
-    engine = Engine()
-    seen = []
-
-    def handler(eng, ev):
-        seen.append(ev.data)
-        if ev.data == "now":
-            eng.schedule(Event(eng.now_ticks, "k", data="chained"))
-
-    engine.on("k", handler)
-    engine.schedule(Event(3, "k", data="now"))
-    engine.schedule(Event(3, "k", data="peer"))
-    engine.run_until_idle()
-    # the chained event shares the timestamp but was inserted after "peer"
-    assert seen == ["now", "peer", "chained"]
-
-
-def test_scheduling_in_the_past_raises():
-    engine = Engine()
-    engine.on("k", lambda eng, ev: None)
-    engine.schedule(Event(5, "k"))
-    engine.run_until_idle()
-    with pytest.raises(TimeTravelError):
-        engine.schedule(Event(4, "k"))
-
-
-def test_idle_engine_returns_zero():
-    assert Engine().run_until_idle() == 0
-
-
-def test_unhandled_kinds_are_ignored():
-    engine = Engine()
-    engine.schedule(Event(2, "nobody-listens"))
-    assert engine.run_until_idle() == 2
 
 
 class TestRngStream:

@@ -2,6 +2,7 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esbsim import airtime
 from esbsim.analytics import (
@@ -16,17 +17,13 @@ from esbsim.config import (
     PayloadMode,
     ScheduleError,
     olcfg_preset,
+    validate,
 )
-from esbsim.engine import Engine
 from esbsim.link import (
     AttemptStreams,
-    FifoOverflowError,
     Outcome,
-    TxFifo,
-    dedup,
+    copy_offsets_ticks,
     run_attempt_series,
-    schedule_copies,
-    transmit,
 )
 
 LOSSLESS = ChannelModel()
@@ -42,50 +39,68 @@ def quiet_pipeline(pipeline):
     return pipeline.zero_jitter()
 
 
+def one_attempt(config, channel, pipeline, seed):
+    """Attempt (0, 0) of a series: it draws from AttemptStreams(seed)."""
+    return run_attempt_series(config, channel, pipeline, 1, seed=seed)[0]
+
+
 class TestScheduleCopies:
     def test_three_copies_at_the_configured_delay(self):
-        assert schedule_copies(olcfg_preset(), 0.0) == [0.0, 435.0, 870.0]
+        assert copy_offsets_ticks(olcfg_preset()) == [0, 4350, 8700]
 
     def test_no_retransmissions(self):
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0)
-        assert schedule_copies(cfg, 100.0) == [100.0]
+        assert copy_offsets_ticks(cfg) == [0]
 
     @pytest.mark.parametrize("n", range(16))
     def test_copy_count_is_retransmits_plus_one(self, n):
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=n)
-        assert len(schedule_copies(cfg, 0.0)) == n + 1
+        assert len(copy_offsets_ticks(cfg)) == n + 1
 
     def test_end_to_start_spacing_adds_the_frame_time(self):
         cfg = dataclasses.replace(olcfg_preset(), copy_spacing=CopySpacing.END_TO_START)
-        assert schedule_copies(cfg, 0.0) == [0.0, 471.5, 943.0]  # 435 + 36.5 on air
+        assert copy_offsets_ticks(cfg) == [0, 4715, 9430]  # 435 + 36.5 on air
+
+    def test_end_to_start_gap_shorter_than_a_frame(self, quiet_pipeline):
+        # the delay is a gap after each frame, so copies cannot overlap
+        cfg = dataclasses.replace(
+            olcfg_preset(), copy_spacing=CopySpacing.END_TO_START, retransmit_delay_us=10.0
+        )
+        assert validate(cfg) == cfg
+        on_air = airtime.on_air_ticks(cfg)
+        step = on_air + 100
+        assert copy_offsets_ticks(cfg) == [0, step, 2 * step]
+        overhead = round(quiet_pipeline.radio_overhead_us * 10)
+        records = run_attempt_series(cfg, ChannelModel(p_loss=0.5), quiet_pipeline, 200, seed=12)
+        delivered = [r for r in records if r.delivered_copy is not None]
+        assert {r.delivered_copy for r in delivered} == {0, 1, 2}
+        for r in delivered:
+            gap = r.probes_ticks[4] - r.probes_ticks[3]
+            assert gap == r.delivered_copy * step + on_air + overhead
 
 
 class TestTransmit:
     def test_calibrated_quiet_run_reproduces_the_reference_latency(self, quiet_pipeline):
-        rec = transmit(olcfg_preset(), LOSSLESS, quiet_pipeline, AttemptStreams(1))
+        rec = one_attempt(olcfg_preset(), LOSSLESS, quiet_pipeline, 1)
         assert rec.interval_us("d0", "d7") == 486.3
         assert rec.outcome is Outcome.DELIVERED
         assert rec.delivered_copy == 0
 
     def test_all_copies_lost(self, quiet_pipeline):
-        rec = transmit(
-            olcfg_preset(), ChannelModel(p_loss=1.0), quiet_pipeline, AttemptStreams(1)
-        )
+        rec = one_attempt(olcfg_preset(), ChannelModel(p_loss=1.0), quiet_pipeline, 1)
         assert rec.outcome is Outcome.LOST
         assert rec.delivered_copy is None
         assert rec.probes_ticks[4:] == (None,) * 4  # d4..d7 never fire
         assert None not in rec.probes_ticks[:4]  # the transmit side still ran
 
     def test_delivery_via_first_retransmission_shifts_d4_by_the_delay(self, quiet_pipeline):
-        baseline = transmit(olcfg_preset(), LOSSLESS, quiet_pipeline, AttemptStreams(1))
+        baseline = one_attempt(olcfg_preset(), LOSSLESS, quiet_pipeline, 1)
         # find a seed whose loss draws kill copy 0 and keep copy 1
         channel = ChannelModel(p_loss=0.5)
         for seed in range(1000):
-            streams = AttemptStreams(seed)
-            lost = streams.loss.bernoulli(channel.p_loss, 3)
+            lost = AttemptStreams(seed).loss.bernoulli(channel.p_loss, 3)
             if lost[0] and not lost[1]:
-                streams.rekey(0, 0)
-                rec = transmit(olcfg_preset(), channel, quiet_pipeline, streams)
+                rec = one_attempt(olcfg_preset(), channel, quiet_pipeline, seed)
                 break
         else:
             pytest.fail("no suitable loss pattern found")
@@ -94,24 +109,18 @@ class TestTransmit:
         assert shift == 435.0
 
     def test_probe_chain_is_strictly_increasing(self, pipeline):
-        streams = AttemptStreams(3)
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.1)
         cfg = dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.CRC16)
-        for attempt in range(300):
-            streams.rekey(0, attempt)
-            rec = transmit(cfg, channel, pipeline, streams, attempt=attempt)
+        for rec in run_attempt_series(cfg, channel, pipeline, 300, seed=3):
             present = [t for t in rec.probes_ticks if t is not None]
             assert all(a < b for a, b in zip(present, present[1:]))
 
     def test_air_interval_identity(self, quiet_pipeline):
         # d4 - d3 = copy offset + on-air time + radio overhead, exactly
-        streams = AttemptStreams(11)
         channel = ChannelModel(p_loss=0.45)
         on_air = airtime.on_air_ticks(olcfg_preset())
         overhead = round(quiet_pipeline.radio_overhead_us * 10)
-        for attempt in range(500):
-            streams.rekey(0, attempt)
-            rec = transmit(olcfg_preset(), channel, quiet_pipeline, streams)
+        for rec in run_attempt_series(olcfg_preset(), channel, quiet_pipeline, 500, seed=11):
             if rec.delivered_copy is None:
                 continue
             gap = rec.probes_ticks[4] - rec.probes_ticks[3]
@@ -119,66 +128,55 @@ class TestTransmit:
 
     def test_crc_rejects_corrupted_copies_entirely(self, quiet_pipeline):
         cfg = dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.CRC16)
-        rec = transmit(cfg, ChannelModel(p_corrupt=1.0), quiet_pipeline, AttemptStreams(5))
+        rec = one_attempt(cfg, ChannelModel(p_corrupt=1.0), quiet_pipeline, 5)
         assert rec.outcome is Outcome.LOST
 
     def test_crc_off_delivers_corrupted_payloads(self, quiet_pipeline):
-        rec = transmit(
-            olcfg_preset(), ChannelModel(p_corrupt=1.0), quiet_pipeline, AttemptStreams(5)
-        )
+        rec = one_attempt(olcfg_preset(), ChannelModel(p_corrupt=1.0), quiet_pipeline, 5)
         assert rec.outcome is Outcome.DELIVERED_CORRUPTED
         assert rec.delivered_copy == 0
-
-    def test_engine_idles_only_after_the_whole_copy_train(self, quiet_pipeline):
-        engine = Engine()
-        rec = transmit(
-            olcfg_preset(), LOSSLESS, quiet_pipeline, AttemptStreams(1), engine=engine
-        )
-        final = engine.run_until_idle()  # already idle; returns the clock
-        assert final >= rec.probes_ticks[7]
-        # last copy leaves the air at d3 + 2*delay + on-air
-        assert final == rec.probes_ticks[3] + 2 * 4350 + airtime.on_air_ticks(olcfg_preset())
 
     def test_standard_payload_mode_pays_its_modifier(self, quiet_pipeline):
         mods = dict(quiet_pipeline.modifiers_us)
         mods[("payload", "standard")] = 7.27
         pipe = dataclasses.replace(quiet_pipeline, modifiers_us=mods)
-        optimized = transmit(olcfg_preset(), LOSSLESS, pipe, AttemptStreams(1))
+        optimized = one_attempt(olcfg_preset(), LOSSLESS, pipe, 1)
         standard_cfg = dataclasses.replace(olcfg_preset(), payload_mode=PayloadMode.STANDARD)
-        standard = transmit(standard_cfg, LOSSLESS, pipe, AttemptStreams(1))
+        standard = one_attempt(standard_cfg, LOSSLESS, pipe, 1)
         gap = standard.interval_us("d0", "d7") - optimized.interval_us("d0", "d7")
         assert gap == pytest.approx(7.3, abs=0.051)  # tick-rounded
 
 
 class TestDedup:
-    def test_crc_on_suppresses_every_duplicate(self):
-        result = dedup([0, 1, 2], CrcMode.CRC16)
-        assert result.kept == 0
-        assert result.suppressed == 2
-        assert result.delivered_duplicates == 0
+    """Every copy survives a lossless channel, so copy 0 delivers and the
+    other copies are duplicates for the receiver to handle."""
 
-    def test_single_copy_has_nothing_to_suppress(self):
-        result = dedup([1], CrcMode.OFF)
-        assert result.kept == 1
-        assert result.suppressed == 0
+    def _series(self, pipeline, escape_prob, **changes):
+        cfg = dataclasses.replace(olcfg_preset(), **changes)
+        pipe = dataclasses.replace(pipeline, dedup_escape_prob=escape_prob)
+        records = run_attempt_series(cfg, LOSSLESS, pipe, 20, seed=1)
+        assert all(r.delivered_copy == 0 for r in records)
+        return records
 
-    def test_crc_off_with_certain_escape(self):
-        result = dedup([0, 1, 2], CrcMode.OFF, escape_prob=1.0, rng=AttemptStreams(1).escape)
-        assert result.delivered_duplicates == 2
-        assert result.suppressed == 0
+    def test_crc_on_suppresses_every_duplicate(self, quiet_pipeline):
+        for r in self._series(quiet_pipeline, 1.0, crc_mode=CrcMode.CRC16):
+            assert r.duplicates_suppressed == 2
+            assert r.duplicates_delivered == 0
 
-    def test_crc_off_with_no_escape(self):
-        result = dedup([0, 1, 2], CrcMode.OFF, escape_prob=0.0)
-        assert result.delivered_duplicates == 0
-        assert result.suppressed == 2
+    def test_single_copy_has_nothing_to_suppress(self, quiet_pipeline):
+        for r in self._series(quiet_pipeline, 1.0, retransmit_count=0):
+            assert r.duplicates_suppressed == 0
+            assert r.duplicates_delivered == 0
 
-    def test_escape_needs_an_rng(self):
-        with pytest.raises(ValueError):
-            dedup([0, 1], CrcMode.OFF, escape_prob=0.5)
+    def test_crc_off_with_certain_escape(self, quiet_pipeline):
+        for r in self._series(quiet_pipeline, 1.0):
+            assert r.duplicates_delivered == 2
+            assert r.duplicates_suppressed == 0
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            dedup([], CrcMode.OFF)
+    def test_crc_off_with_no_escape(self, quiet_pipeline):
+        for r in self._series(quiet_pipeline, 0.0):
+            assert r.duplicates_delivered == 0
+            assert r.duplicates_suppressed == 2
 
     def test_reference_escape_rate_yields_about_one_duplicate(self, quiet_pipeline):
         # at the reference channel, 750 attempts offer ~917 duplicate
@@ -287,15 +285,59 @@ class TestRunAttemptSeries:
             assert (r.probes_ticks[7] is None) == lost
 
 
-class TestTxFifo:
-    def test_fifo_order(self):
-        fifo = TxFifo(capacity=4)
-        for item in "abc":
-            fifo.push(item)
-        assert [fifo.pop(), fifo.pop(), fifo.pop()] == ["a", "b", "c"]
+class TestTimelineProperties:
+    """The attempt rule, checked against loss and corruption bits re-drawn
+    from each attempt's own streams."""
 
-    def test_overflow(self):
-        fifo = TxFifo(capacity=1)
-        fifo.push("a")
-        with pytest.raises(FifoOverflowError):
-            fifo.push("b")
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        round_index=st.integers(0, 3),
+        crc=st.sampled_from(CrcMode),
+        retransmits=st.integers(0, 3),
+        p_loss=st.floats(0.0, 1.0),
+        p_corrupt=st.floats(0.0, 1.0),
+        spacing=st.sampled_from(CopySpacing),
+        jitter=st.sampled_from(("off", "normal", "uniform")),
+        n=st.integers(2, 8),
+        data=st.data(),
+    )
+    def test_first_surviving_copy_delivers(
+        self, pipeline, seed, round_index, crc, retransmits, p_loss, p_corrupt, spacing, jitter, n, data
+    ):
+        cfg = dataclasses.replace(
+            olcfg_preset(), crc_mode=crc, retransmit_count=retransmits, copy_spacing=spacing
+        )
+        channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
+        pipe = dataclasses.replace(pipeline, jitter_family=jitter, dedup_escape_prob=0.5)
+
+        def series(count, start=0):
+            return run_attempt_series(
+                cfg, channel, pipe, count, seed=seed, round_index=round_index, start_attempt=start
+            )
+
+        records = series(n)
+        crc_on = crc is not CrcMode.OFF
+        streams = AttemptStreams(seed)
+        for rec in records:
+            streams.rekey(round_index, rec.attempt)
+            lost = streams.loss.bernoulli(p_loss, cfg.copies)
+            corrupted = streams.corrupt.bernoulli(p_corrupt, cfg.copies)
+            surviving = [
+                k for k in range(cfg.copies) if not lost[k] and not (crc_on and corrupted[k])
+            ]
+            assert rec.delivered_copy == (surviving[0] if surviving else None)
+            assert rec.duplicates_suppressed + rec.duplicates_delivered == max(len(surviving) - 1, 0)
+            if crc_on:
+                assert rec.duplicates_delivered == 0
+            present = [t for t in rec.probes_ticks if t is not None]
+            assert all(a < b for a, b in zip(present, present[1:]))
+            assert None not in rec.probes_ticks[:4]
+            rx = rec.probes_ticks[4:]
+            if rec.outcome is Outcome.LOST:
+                assert rx == (None,) * 4
+            else:
+                assert None not in rx
+
+        split = data.draw(st.integers(1, n - 1))
+        assert series(split) + series(n - split, split) == records

@@ -260,21 +260,48 @@ class TestPersistence:
             olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=9, config_name="olcfg"
         )
         text = render_results_csv(records)
-        assert "# seed=9" in text
+        assert "# seed=9\n" in text
         assert f"# config olcfg hash={olcfg_preset().digest()}" in text
         assert "# rng=" in text
+
+    def test_every_seed_in_the_provenance_header(self, quiet_pipeline):
+        records = [
+            *run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9, config_name="a"),
+            *run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=3, config_name="b"),
+        ]
+        text = render_results_csv(records)
+        assert "# seed=3,9\n" in text
+        assert parse_results_csv(text) == records
+
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [
+            ("# esbsim-results-v1\n", "# esbsim-results-v9\n"),
+            ("# esbsim-results-v1\n", ""),
+            ("# rng=philox4x64\n", "# rng=mt19937\n"),
+            ("# rng=philox4x64\n", ""),
+        ],
+    )
+    def test_foreign_format_or_rng_rejected(self, quiet_pipeline, line, replacement):
+        records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9)
+        text = render_results_csv(records)
+        assert line in text
+        with pytest.raises(SchemaError):
+            parse_results_csv(text.replace(line, replacement))
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
             parse_results_csv("")
         with pytest.raises(SchemaError):
             parse_results_csv("a,b,c\n1,2,3\n")
+        with pytest.raises(SchemaError):
+            parse_results_csv("# esbsim-results-v1\n# rng=philox4x64\na,b,c\n1,2,3\n")
 
     def test_report_three_row_interval_table(self, quiet_pipeline):
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(), quiet_pipeline, 20, seed=10, config_name="olcfg"
         )
-        text = render_report(records)
+        text = render_report(records, summarize_by_config(records))
         for label in ("d0-d7", "d2-d5", "d3-d4"):
             assert label in text
 
