@@ -3,8 +3,15 @@
 Simulated time counts integer tenths of microseconds ("ticks") so that
 timestamp arithmetic and comparisons are exact at the 0.1 us resolution the
 rest of the toolkit is built around.  Randomness comes from counter-based
-Philox streams keyed by (seed, stream id), which makes every draw reproducible
-and lets independent attempts run on parallel workers without coordinating.
+Philox generators (Salmon et al., SC'11) keyed by (seed, namespace), which
+makes every draw reproducible and lets independent attempts run on parallel
+workers without coordinating.
+
+The attempt kernel draws a whole series at once with `block_uniforms`: per
+(round, purpose) each attempt owns a fixed run of Philox counter blocks, so
+a row of draws depends only on its attempt index, never on how a series is
+split into chunks or spread over workers.  `RngStream` serves the few
+per-round draws (shuffle order, baseline samples).
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import numpy as np
 
 TICKS_PER_US = 10
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64-v2"
 
-# Stream purposes (third component of a stream id).  Keeping these stable is
-# part of the reproducibility contract: output files record only the seed.
+# Stream purposes: the third component of an `RngStream` id and the third
+# counter word of a `block_uniforms` address.  Keeping these stable is part
+# of the reproducibility contract: output files record only the seed.
 PURPOSE_LOSS = 1
 PURPOSE_CORRUPT = 2
 PURPOSE_JITTER = 3
@@ -44,6 +52,37 @@ def _stream_key(seed: int, namespace: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64)
 
 
+# Doubles per Philox4x64 block: one 64-bit output word each.
+_DOUBLES_PER_BLOCK = 4
+
+
+def block_uniforms(
+    seed: int,
+    namespace: tuple[int, ...],
+    round_index: int,
+    purpose: int,
+    start_attempt: int,
+    n: int,
+    width: int,
+) -> np.ndarray:
+    """Uniforms over [0, 1) for attempts start_attempt .. start_attempt+n-1.
+
+    Row i holds `width` draws of attempt start_attempt + i.  Each attempt
+    owns `stride = ceil(width / 4)` consecutive counter blocks under the
+    counter (attempt * stride, round, purpose, 0), so any split of a series
+    draws the same rows.
+    """
+    if n < 0 or width < 1 or start_attempt < 0 or round_index < 0 or purpose < 0:
+        raise ValueError(
+            f"bad block address: n={n} width={width} start_attempt={start_attempt} "
+            f"round={round_index} purpose={purpose}"
+        )
+    stride = -(-width // _DOUBLES_PER_BLOCK)
+    counter = np.array([start_attempt * stride, round_index, purpose, 0], dtype=np.uint64)
+    philox = np.random.Philox(counter=counter, key=_stream_key(seed, namespace))
+    return np.random.Generator(philox).random((n, stride * _DOUBLES_PER_BLOCK))[:, :width]
+
+
 class RngStream:
     """Reproducible random stream addressed by (seed, stream_id).
 
@@ -52,8 +91,8 @@ class RngStream:
     of a Philox generator, so distinct ids are independent by construction.
     An optional namespace tuple (e.g. a config index) is folded into the key
     for runs that need more addressing dimensions.  `rekey` repoints an
-    existing instance to another stream id cheaply, which hot loops use to
-    avoid re-building generators; a rekeyed stream draws exactly the same
+    existing instance to another stream id (the sweep reuses one instance
+    for every round's shuffle); a rekeyed stream draws exactly the same
     sequence as a freshly constructed one.
     """
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import sqrt
-from typing import Mapping, Sequence
+from math import pi, sqrt
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from . import airtime
 from .config import ChannelModel, CrcMode, CopySpacing, EsbConfig, ScheduleError, validate
@@ -26,7 +28,8 @@ from .engine import (
     PURPOSE_ESCAPE,
     PURPOSE_JITTER,
     PURPOSE_LOSS,
-    RngStream,
+    TICKS_PER_US,
+    block_uniforms,
     ticks_to_us,
     us_to_ticks,
 )
@@ -181,90 +184,56 @@ def copy_offsets_ticks(config: EsbConfig) -> list[int]:
     return [k * delay for k in range(config.copies)]
 
 
-class AttemptStreams:
-    """The four purpose streams one attempt draws from.
+class SeriesDraws(NamedTuple):
+    """Every random draw of an attempt series, one row per attempt."""
 
-    Instances are reusable: `rekey` repoints all purposes at another
-    (round, attempt) pair, which the series runner uses to avoid rebuilding
-    generators per attempt.
-    """
-
-    def __init__(self, seed: int, round_index: int = 0, attempt: int = 0, namespace: tuple[int, ...] = ()):
-        self.seed = seed
-        self.loss = RngStream(seed, (round_index, attempt, PURPOSE_LOSS), namespace)
-        self.corrupt = RngStream(seed, (round_index, attempt, PURPOSE_CORRUPT), namespace)
-        self.jitter = RngStream(seed, (round_index, attempt, PURPOSE_JITTER), namespace)
-        self.escape = RngStream(seed, (round_index, attempt, PURPOSE_ESCAPE), namespace)
-
-    def rekey(self, round_index: int, attempt: int) -> "AttemptStreams":
-        self.loss.rekey((round_index, attempt, PURPOSE_LOSS))
-        self.corrupt.rekey((round_index, attempt, PURPOSE_CORRUPT))
-        self.jitter.rekey((round_index, attempt, PURPOSE_JITTER))
-        self.escape.rekey((round_index, attempt, PURPOSE_ESCAPE))
-        return self
+    lost: np.ndarray       # bool (n, copies)
+    corrupted: np.ndarray  # bool (n, copies)
+    escaped: np.ndarray    # bool (n, copies): a surviving duplicate passes dedup
+    jitter_us: np.ndarray  # float (n, stages), before tick snapping and the floor
 
 
-def _stage_jitter_us(pipeline: PipelineModel, streams: AttemptStreams) -> list[float]:
-    """One jitter draw per stage, in microseconds (truncation happens later)."""
-    if pipeline.jitter_family == "off":
-        return [0.0] * len(STAGES)
-    if pipeline.jitter_family == "uniform":
-        # same per-stage SD as the normal family: halfwidth = sigma * sqrt(3)
-        draws = streams.jitter.uniform(-sqrt(3.0), sqrt(3.0), len(STAGES))
-    else:
-        draws = streams.jitter.normal(1.0, len(STAGES))
-    return [float(d) * s for d, s in zip(draws, pipeline.jitter_sigma_us)]
-
-
-def transmit(
-    streams: AttemptStreams,
-    start_ticks: int,
+def draw_series(
     channel: ChannelModel,
     pipeline: PipelineModel,
-    crc_on: bool,
-    stage_totals_us: Sequence[float],
-    on_air: int,
-    offsets: Sequence[int],
-) -> tuple[list[int | None], int | None, Outcome, int, int]:
-    """Draw one attempt and lay out its D0..D7 timeline.
+    copies: int,
+    n: int,
+    *,
+    seed: int,
+    namespace: tuple[int, ...] = (),
+    round_index: int = 0,
+    start_attempt: int = 0,
+) -> SeriesDraws:
+    """Draw loss, corruption and escape bits per copy and jitter per stage.
 
-    Every argument after `start_ticks` is a per-series constant.  The first
-    copy that is neither lost nor rejected by CRC delivers; every later
-    surviving copy is either suppressed or, with CRC off, may escape as a
-    duplicate.  Returns the probe ticks (None where never reached), the
-    delivered copy, the outcome and the suppressed and escaped counts.
+    Each purpose is one block-addressed draw (`engine.block_uniforms`), so a
+    row depends only on its attempt index.  Jitter takes a fixed number of
+    uniforms per attempt: the uniform family scales 7 of them to the stage
+    SD, the normal family turns 8 into normals by Box-Muller and keeps 7.
     """
-    copies = len(offsets)
-    lost = streams.loss.bernoulli(channel.p_loss, copies).tolist()
-    corrupted = streams.corrupt.bernoulli(channel.p_corrupt, copies).tolist()
-    escaped = streams.escape.bernoulli(pipeline.dedup_escape_prob, copies).tolist()
-    jitter = _stage_jitter_us(pipeline, streams)
-    # floor of one tick: jitter never drives a stage negative, and probe
-    # timestamps stay strictly increasing
-    ticks = [max(1, us_to_ticks(base + j)) for base, j in zip(stage_totals_us, jitter)]
 
-    probes: list[int | None] = [start_ticks]
-    for stage in ticks[:3]:
-        probes.append(probes[-1] + stage)  # D1..D3 on the transmit side
-    delivered = None
-    suppressed = duplicates = 0
-    for k in range(copies):
-        if lost[k] or (crc_on and corrupted[k]):
-            continue  # lost on air, or rejected by CRC: neither delivers nor counts
-        if delivered is None:
-            delivered = k
-        elif not crc_on and escaped[k]:
-            duplicates += 1
-        else:
-            suppressed += 1
-    if delivered is None:
-        return probes + [None] * 4, None, Outcome.LOST, suppressed, duplicates
-    # the receiver sees copy k one on-air time after its start, then D4..D7
-    probes.append(probes[3] + offsets[delivered] + on_air + ticks[3])
-    for stage in ticks[4:]:
-        probes.append(probes[-1] + stage)
-    outcome = Outcome.DELIVERED_CORRUPTED if corrupted[delivered] else Outcome.DELIVERED
-    return probes, delivered, outcome, suppressed, duplicates
+    def uniforms(purpose: int, width: int) -> np.ndarray:
+        return block_uniforms(seed, namespace, round_index, purpose, start_attempt, n, width)
+
+    stages = len(STAGES)
+    sigma = np.asarray(pipeline.jitter_sigma_us)
+    if pipeline.jitter_family == "off":
+        jitter = np.zeros((n, stages))
+    elif pipeline.jitter_family == "uniform":
+        # same per-stage SD as the normal family: halfwidth = sigma * sqrt(3)
+        jitter = sqrt(3.0) * (2.0 * uniforms(PURPOSE_JITTER, stages) - 1.0) * sigma
+    else:
+        u = uniforms(PURPOSE_JITTER, 8)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, :4]))
+        angle = 2.0 * pi * u[:, 4:]
+        normals = np.hstack((radius * np.cos(angle), radius * np.sin(angle)))
+        jitter = normals[:, :stages] * sigma
+    return SeriesDraws(
+        lost=uniforms(PURPOSE_LOSS, copies) < channel.p_loss,
+        corrupted=uniforms(PURPOSE_CORRUPT, copies) < channel.p_corrupt,
+        escaped=uniforms(PURPOSE_ESCAPE, copies) < pipeline.dedup_escape_prob,
+        jitter_us=jitter,
+    )
 
 
 DEFAULT_ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
@@ -285,9 +254,11 @@ def run_attempt_series(
 ) -> list[TransmissionRecord]:
     """Run `n` attempts with independent randomness, deterministic per seed.
 
-    Attempt starts are spaced `spacing_us` apart on a per-config timeline, so
-    a record is identical no matter which worker produced it or in which
-    order attempts ran.
+    Attempt starts are spaced `spacing_us` apart on a per-config timeline,
+    and draws are addressed by attempt index, so a record is identical no
+    matter which worker produced it or how the series was split.  The whole
+    series is laid out at once: stage ticks, the first surviving copy and the
+    duplicate counts are array operations over its draws.
     """
     if n < 1:
         raise ValueError("need at least one attempt")
@@ -300,29 +271,56 @@ def run_attempt_series(
             f"attempt spacing {spacing_us} us overlaps the copy train "
             f"({ticks_to_us(offsets[-1] + on_air)} us)"
         )
-    totals = pipeline.stage_totals_us(config)
+    totals = np.asarray(pipeline.stage_totals_us(config))
     crc_on = config.crc_mode is not CrcMode.OFF
     config_hash = config.digest()
-    streams = AttemptStreams(seed, namespace=namespace)
-    records = []
-    for i in range(n):
-        attempt = start_attempt + i
-        streams.rekey(round_index, attempt)
-        probes, delivered, outcome, suppressed, duplicates = transmit(
-            streams, attempt * spacing, channel, pipeline, crc_on, totals, on_air, offsets
+    draws = draw_series(
+        channel,
+        pipeline,
+        config.copies,
+        n,
+        seed=seed,
+        namespace=namespace,
+        round_index=round_index,
+        start_attempt=start_attempt,
+    )
+    # floor of one tick: jitter never drives a stage negative, and probe
+    # timestamps stay strictly increasing
+    ticks = np.maximum(1, np.rint((totals + draws.jitter_us) * TICKS_PER_US)).astype(np.int64)
+
+    # The first copy that is neither lost nor rejected by CRC delivers; every
+    # later surviving copy is suppressed or, with CRC off, may escape as a
+    # duplicate.
+    rows = np.arange(n)
+    surviving = ~draws.lost & ~(draws.corrupted & crc_on)
+    reached = surviving.any(axis=1)
+    first = surviving.argmax(axis=1)
+    later = surviving.copy()
+    later[rows, first] = False
+    duplicates = (later & draws.escaped & (not crc_on)).sum(axis=1)
+    suppressed = later.sum(axis=1) - duplicates
+    corrupted_delivery = draws.corrupted[rows, first]
+
+    attempts = start_attempt + rows
+    probes = np.empty((n, len(PROBES)), dtype=np.int64)
+    probes[:, 0] = attempts * spacing
+    probes[:, 1:4] = probes[:, :1] + np.cumsum(ticks[:, :3], axis=1)  # transmit side
+    # the receiver sees the delivered copy one on-air time after its start
+    probes[:, 4] = probes[:, 3] + np.asarray(offsets)[first] + on_air + ticks[:, 3]
+    probes[:, 5:] = probes[:, 4:5] + np.cumsum(ticks[:, 4:], axis=1)
+
+    probe_rows = probes.tolist()
+    delivered = first.tolist()
+    for i in np.flatnonzero(~reached).tolist():
+        probe_rows[i][4:] = (None,) * 4  # d4..d7 never fire
+        delivered[i] = None
+    kinds = (Outcome.DELIVERED, Outcome.DELIVERED_CORRUPTED, Outcome.LOST)
+    outcomes = [kinds[k] for k in np.where(reached, corrupted_delivery, 2).tolist()]
+    return [
+        TransmissionRecord(
+            config_name, config_hash, round_index, attempt, seed, tuple(row), copy, outcome, supp, dup
         )
-        records.append(
-            TransmissionRecord(
-                config_name=config_name,
-                config_hash=config_hash,
-                round_index=round_index,
-                attempt=attempt,
-                seed=seed,
-                probes_ticks=tuple(probes),
-                delivered_copy=delivered,
-                outcome=outcome,
-                duplicates_suppressed=suppressed,
-                duplicates_delivered=duplicates,
-            )
+        for attempt, row, copy, outcome, supp, dup in zip(
+            attempts.tolist(), probe_rows, delivered, outcomes, suppressed.tolist(), duplicates.tolist()
         )
-    return records
+    ]

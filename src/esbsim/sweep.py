@@ -391,18 +391,23 @@ def write_results(records: Sequence[TransmissionRecord], path) -> None:
 
 
 def parse_results_csv(text: str) -> list[TransmissionRecord]:
-    """Records of a results CSV written with this format and RNG scheme."""
+    """Records of a results CSV written with this format and RNG scheme.
+
+    Comment lines end at the column header, so a data row whose config name
+    starts with '#' stays a row.  A config line splits at its last " hash=",
+    which keeps the hash of an empty name or a name with spaces.
+    """
     hashes: dict[str, str] = {}
     comments = []
     rows = []
     for line in text.splitlines():
-        if line.startswith("#"):
+        if not rows and line.startswith("#"):
             comments.append(line)
-            parts = line[1:].split()
-            if len(parts) == 3 and parts[0] == "config" and parts[2].startswith("hash="):
-                hashes[parts[1]] = parts[2].removeprefix("hash=")
-            continue
-        if line.strip():
+            if line.startswith("# config "):
+                name, sep, config_hash = line.removeprefix("# config ").rpartition(" hash=")
+                if sep:
+                    hashes[name] = config_hash
+        elif line.strip():
             rows.append(line)
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
         if expected not in comments:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from esbsim.cli import main
+from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_pipeline_file
 
 EXPERIMENT = """\
@@ -107,9 +108,9 @@ def test_report_of_a_foreign_rng_file_is_a_validation_error(exp_file, tmp_path, 
     out = tmp_path / "sim"
     assert main(["simulate", "--file", str(exp_file), "--attempts", "5", "--out", str(out)]) == 0
     results = out / "results.csv"
-    results.write_text(results.read_text().replace("# rng=philox4x64", "# rng=mt19937"))
+    results.write_text(results.read_text().replace(f"# rng={RNG_ALGORITHM}\n", "# rng=mt19937\n"))
     assert main(["report", "--file", str(results)]) == 1
-    assert "rng=philox4x64" in capsys.readouterr().err
+    assert f"rng={RNG_ALGORITHM}'" in capsys.readouterr().err
 
 
 def test_sweep_uses_calibrated_pipeline_file(exp_file, tmp_path):

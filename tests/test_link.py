@@ -1,6 +1,8 @@
 import dataclasses
 from collections import Counter
+from math import cos, erf, log1p, pi, sin, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,14 +21,82 @@ from esbsim.config import (
     olcfg_preset,
     validate,
 )
+from esbsim.engine import (
+    PURPOSE_CORRUPT,
+    PURPOSE_JITTER,
+    PURPOSE_LOSS,
+    block_uniforms,
+    us_to_ticks,
+)
 from esbsim.link import (
-    AttemptStreams,
+    DEFAULT_ATTEMPT_SPACING_US,
+    STAGES,
     Outcome,
+    TransmissionRecord,
     copy_offsets_ticks,
+    draw_series,
     run_attempt_series,
 )
 
 LOSSLESS = ChannelModel()
+
+
+def oracle_series(config, channel, pipeline, n, *, seed, round_index=0, start_attempt=0):
+    """The attempt rule, one attempt at a time in Python scalars, applied to
+    the draws `run_attempt_series` takes: the first copy that is neither lost
+    nor rejected by CRC delivers, and every later surviving copy is
+    suppressed or, with CRC off, may escape as a duplicate."""
+    draws = draw_series(
+        channel, pipeline, config.copies, n,
+        seed=seed, round_index=round_index, start_attempt=start_attempt,
+    )
+    offsets = copy_offsets_ticks(config)
+    on_air = airtime.on_air_ticks(config)
+    totals = pipeline.stage_totals_us(config)
+    crc_on = config.crc_mode is not CrcMode.OFF
+    spacing = us_to_ticks(DEFAULT_ATTEMPT_SPACING_US)
+    records = []
+    for i in range(n):
+        lost, corrupted, escaped, jitter = (column[i].tolist() for column in draws)
+        ticks = [max(1, us_to_ticks(base + j)) for base, j in zip(totals, jitter)]
+        attempt = start_attempt + i
+        probes = [attempt * spacing]
+        for stage in ticks[:3]:
+            probes.append(probes[-1] + stage)
+        delivered = None
+        suppressed = duplicates = 0
+        for k in range(config.copies):
+            if lost[k] or (crc_on and corrupted[k]):
+                continue
+            if delivered is None:
+                delivered = k
+            elif not crc_on and escaped[k]:
+                duplicates += 1
+            else:
+                suppressed += 1
+        if delivered is None:
+            probes += [None] * 4
+            outcome = Outcome.LOST
+        else:
+            probes.append(probes[3] + offsets[delivered] + on_air + ticks[3])
+            for stage in ticks[4:]:
+                probes.append(probes[-1] + stage)
+            outcome = Outcome.DELIVERED_CORRUPTED if corrupted[delivered] else Outcome.DELIVERED
+        records.append(
+            TransmissionRecord(
+                config_name="",
+                config_hash=config.digest(),
+                round_index=round_index,
+                attempt=attempt,
+                seed=seed,
+                probes_ticks=tuple(probes),
+                delivered_copy=delivered,
+                outcome=outcome,
+                duplicates_suppressed=suppressed,
+                duplicates_delivered=duplicates,
+            )
+        )
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +110,7 @@ def quiet_pipeline(pipeline):
 
 
 def one_attempt(config, channel, pipeline, seed):
-    """Attempt (0, 0) of a series: it draws from AttemptStreams(seed)."""
+    """Attempt 0 of round 0, with no namespace."""
     return run_attempt_series(config, channel, pipeline, 1, seed=seed)[0]
 
 
@@ -98,7 +168,7 @@ class TestTransmit:
         # find a seed whose loss draws kill copy 0 and keep copy 1
         channel = ChannelModel(p_loss=0.5)
         for seed in range(1000):
-            lost = AttemptStreams(seed).loss.bernoulli(channel.p_loss, 3)
+            lost = block_uniforms(seed, (), 0, PURPOSE_LOSS, 0, 1, 3)[0] < channel.p_loss
             if lost[0] and not lost[1]:
                 rec = one_attempt(olcfg_preset(), channel, quiet_pipeline, seed)
                 break
@@ -287,7 +357,7 @@ class TestRunAttemptSeries:
 
 class TestTimelineProperties:
     """The attempt rule, checked against loss and corruption bits re-drawn
-    from each attempt's own streams."""
+    from each attempt's own counter blocks, and against the scalar oracle."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -318,11 +388,12 @@ class TestTimelineProperties:
 
         records = series(n)
         crc_on = crc is not CrcMode.OFF
-        streams = AttemptStreams(seed)
         for rec in records:
-            streams.rekey(round_index, rec.attempt)
-            lost = streams.loss.bernoulli(p_loss, cfg.copies)
-            corrupted = streams.corrupt.bernoulli(p_corrupt, cfg.copies)
+            lost = block_uniforms(seed, (), round_index, PURPOSE_LOSS, rec.attempt, 1, cfg.copies)[0] < p_loss
+            corrupted = (
+                block_uniforms(seed, (), round_index, PURPOSE_CORRUPT, rec.attempt, 1, cfg.copies)[0]
+                < p_corrupt
+            )
             surviving = [
                 k for k in range(cfg.copies) if not lost[k] and not (crc_on and corrupted[k])
             ]
@@ -341,3 +412,140 @@ class TestTimelineProperties:
 
         split = data.draw(st.integers(1, n - 1))
         assert series(split) + series(n - split, split) == records
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        round_index=st.integers(0, 5),
+        start_attempt=st.integers(0, 10**6),
+        n=st.integers(1, 12),
+        crc=st.sampled_from(CrcMode),
+        retransmits=st.integers(0, 5),  # 1..6 copies: one or two counter blocks
+        p_loss=st.floats(0.0, 1.0),
+        p_corrupt=st.floats(0.0, 1.0),
+        escape=st.sampled_from((0.0, 0.5, 1.0)),
+        spacing=st.sampled_from(CopySpacing),
+        jitter=st.sampled_from(("off", "normal", "uniform")),
+        jitter_scale=st.sampled_from((1.0, 30.0)),  # 30x drives stages onto the 1-tick floor
+        data=st.data(),
+    )
+    def test_fast_path_matches_the_scalar_oracle(
+        self, pipeline, seed, round_index, start_attempt, n, crc, retransmits, p_loss, p_corrupt,
+        escape, spacing, jitter, jitter_scale, data,
+    ):
+        cfg = dataclasses.replace(
+            olcfg_preset(), crc_mode=crc, retransmit_count=retransmits, copy_spacing=spacing
+        )
+        channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
+        pipe = dataclasses.replace(
+            pipeline,
+            jitter_family=jitter,
+            jitter_sigma_us=tuple(s * jitter_scale for s in pipeline.jitter_sigma_us),
+            dedup_escape_prob=escape,
+        )
+
+        def series(count, start):
+            return run_attempt_series(
+                cfg, channel, pipe, count, seed=seed, round_index=round_index, start_attempt=start
+            )
+
+        records = series(n, start_attempt)
+        assert records == oracle_series(
+            cfg, channel, pipe, n, seed=seed, round_index=round_index, start_attempt=start_attempt
+        )
+        split = data.draw(st.integers(0, n))
+        head = series(split, start_attempt) if split else []
+        tail = series(n - split, start_attempt + split) if split < n else []
+        assert head + tail == records
+
+
+class TestDraws:
+    """The block-addressed draws and the jitter families built on them."""
+
+    def test_rows_depend_only_on_the_attempt_index(self):
+        full = block_uniforms(5, (2,), 3, PURPOSE_LOSS, 10, 9, 6)
+        assert full.shape == (9, 6)
+        for start, stop in ((0, 4), (4, 5), (5, 9)):
+            part = block_uniforms(5, (2,), 3, PURPOSE_LOSS, 10 + start, stop - start, 6)
+            assert np.array_equal(part, full[start:stop])
+
+    def test_addresses_select_distinct_draws(self):
+        base = block_uniforms(5, (), 1, PURPOSE_LOSS, 0, 4, 3)
+        for other in (
+            block_uniforms(6, (), 1, PURPOSE_LOSS, 0, 4, 3),
+            block_uniforms(5, (1,), 1, PURPOSE_LOSS, 0, 4, 3),
+            block_uniforms(5, (), 2, PURPOSE_LOSS, 0, 4, 3),
+            block_uniforms(5, (), 1, PURPOSE_CORRUPT, 0, 4, 3),
+            block_uniforms(5, (), 1, PURPOSE_LOSS, 4, 4, 3),  # the next four attempts
+        ):
+            assert not np.isin(other, base).any()
+
+    def test_bad_address_rejected(self):
+        with pytest.raises(ValueError):
+            block_uniforms(1, (), 0, PURPOSE_LOSS, -1, 2, 3)
+        with pytest.raises(ValueError):
+            block_uniforms(1, (), 0, PURPOSE_LOSS, 0, 2, 0)
+
+    @pytest.mark.parametrize("family", ["normal", "uniform"])
+    def test_jitter_is_the_documented_transform_of_the_uniforms(self, pipeline, family):
+        pipe = dataclasses.replace(pipeline, jitter_family=family)
+        jitter = draw_series(LOSSLESS, pipe, 3, 50, seed=8, round_index=2, start_attempt=7).jitter_us
+        sigma = pipe.jitter_sigma_us
+        width = 8 if family == "normal" else len(STAGES)
+        for row, u in zip(jitter, block_uniforms(8, (), 2, PURPOSE_JITTER, 7, 50, width)):
+            if family == "uniform":
+                expected = [sqrt(3.0) * (2.0 * x - 1.0) for x in u]
+            else:
+                radius = [sqrt(-2.0 * log1p(-x)) for x in u[:4]]
+                angle = [2.0 * pi * x for x in u[4:]]
+                expected = [r * cos(a) for r, a in zip(radius, angle)]
+                expected += [r * sin(a) for r, a in zip(radius, angle)]
+            assert list(row) == pytest.approx([e * s for e, s in zip(expected, sigma)], rel=1e-12, abs=1e-12)
+
+    def test_jitter_off_draws_nothing(self, pipeline):
+        jitter = draw_series(LOSSLESS, pipeline.zero_jitter(), 3, 10, seed=1).jitter_us
+        assert jitter.shape == (10, len(STAGES))
+        assert not jitter.any()
+
+    @pytest.mark.parametrize("family", ["normal", "uniform"])
+    def test_per_stage_jitter_has_the_stage_sd(self, pipeline, family):
+        n = 40_000
+        sigma = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        pipe = dataclasses.replace(pipeline, jitter_family=family, jitter_sigma_us=tuple(sigma))
+        jitter = draw_series(LOSSLESS, pipe, 3, n, seed=21, namespace=(1,)).jitter_us
+        # standard errors: sigma/sqrt(n) for the mean; for the SD at most
+        # sigma/sqrt(2n) (normal; the uniform's is smaller), so 5 SE bounds
+        assert np.all(np.abs(jitter.mean(axis=0)) < 5 * sigma / sqrt(n))
+        assert np.all(np.abs(jitter.std(axis=0) - sigma) < 5 * sigma / sqrt(2 * n))
+        corr = np.corrcoef(jitter, rowvar=False) - np.eye(len(STAGES))
+        assert np.abs(corr).max() < 5 / sqrt(n)
+        # Kolmogorov-Smirnov distance of the standardized draws from the
+        # family's CDF; sqrt(m) * D exceeds 2.2 with probability ~1e-4
+        z = np.sort((jitter / sigma).ravel())
+        if family == "uniform":
+            assert np.abs(z).max() <= sqrt(3.0)
+            cdf = (z + sqrt(3.0)) / (2.0 * sqrt(3.0))
+        else:
+            cdf = np.array([0.5 * (1.0 + erf(x / sqrt(2.0))) for x in z.tolist()])
+        m = z.size
+        distance = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
+        assert distance < 2.2 / sqrt(m)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p_loss=st.floats(0.0, 1.0),
+        retransmits=st.integers(0, 5),
+        seed=st.integers(0, 2**32),
+    )
+    def test_delivered_copy_frequencies_match_the_closed_form(
+        self, quiet_pipeline, p_loss, retransmits, seed
+    ):
+        n = 4000
+        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=retransmits)
+        records = run_attempt_series(cfg, ChannelModel(p_loss=p_loss), quiet_pipeline, n, seed=seed)
+        counts = Counter(r.delivered_copy for r in records)
+        probs, lost_mass = delivered_copy_distribution(p_loss, cfg.copies)
+        # 5 binomial SDs around each expected count; a cell of probability 0
+        # or 1 must be exact
+        for observed, p in [(counts[k], probs[k]) for k in range(cfg.copies)] + [(counts[None], lost_mass)]:
+            assert abs(observed - n * p) <= 5 * sqrt(n * p * (1 - p)) + 1e-9 * n

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.config import ChannelModel, CrcMode, olcfg_preset
-from esbsim.engine import RngStream
-from esbsim.link import Outcome, run_attempt_series
+from esbsim.engine import RNG_ALGORITHM, RngStream
+from esbsim.link import Outcome, TransmissionRecord, run_attempt_series
 from esbsim.sweep import (
     EmptyInputError,
     SchemaError,
@@ -273,13 +274,50 @@ class TestPersistence:
         assert "# seed=3,9\n" in text
         assert parse_results_csv(text) == records
 
+    @pytest.mark.parametrize("name", ["", "two words", "#hash-led", "comma,name", ' spaced " quote ', "odd hash=name"])
+    def test_config_name_keeps_its_hash(self, quiet_pipeline, name):
+        records = run_attempt_series(
+            olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 3, seed=4, config_name=name
+        )
+        text = render_results_csv(records)
+        assert f"# config {name} hash={olcfg_preset().digest()}\n" in text
+        parsed = parse_results_csv(text)
+        assert parsed == records
+        assert parsed[0].config_hash == olcfg_preset().digest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_of_arbitrary_records(self, data):
+        # names hold no line breaks: the format is line-based
+        names = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+        hashes = data.draw(st.dictionaries(names, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
+        probe = st.none() | st.integers(0, 2**40)
+        record = st.builds(
+            TransmissionRecord,
+            config_name=st.sampled_from(sorted(hashes)),
+            config_hash=st.just(""),
+            round_index=st.integers(0, 10**4),
+            attempt=st.integers(0, 10**9),
+            seed=st.integers(0, 2**64 - 1),
+            probes_ticks=st.tuples(*[probe] * 8),
+            delivered_copy=st.none() | st.integers(0, 15),
+            outcome=st.sampled_from(Outcome),
+            duplicates_suppressed=st.integers(0, 15),
+            duplicates_delivered=st.integers(0, 15),
+        )
+        records = [
+            dataclasses.replace(r, config_hash=hashes[r.config_name])
+            for r in data.draw(st.lists(record, max_size=20))
+        ]
+        assert parse_results_csv(render_results_csv(records)) == records
+
     @pytest.mark.parametrize(
         "line, replacement",
         [
             ("# esbsim-results-v1\n", "# esbsim-results-v9\n"),
             ("# esbsim-results-v1\n", ""),
-            ("# rng=philox4x64\n", "# rng=mt19937\n"),
-            ("# rng=philox4x64\n", ""),
+            (f"# rng={RNG_ALGORITHM}\n", "# rng=mt19937\n"),
+            (f"# rng={RNG_ALGORITHM}\n", ""),
         ],
     )
     def test_foreign_format_or_rng_rejected(self, quiet_pipeline, line, replacement):
@@ -295,7 +333,7 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             parse_results_csv("a,b,c\n1,2,3\n")
         with pytest.raises(SchemaError):
-            parse_results_csv("# esbsim-results-v1\n# rng=philox4x64\na,b,c\n1,2,3\n")
+            parse_results_csv(f"# esbsim-results-v1\n# rng={RNG_ALGORITHM}\na,b,c\n1,2,3\n")
 
     def test_report_three_row_interval_table(self, quiet_pipeline):
         records = run_attempt_series(
