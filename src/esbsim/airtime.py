@@ -1,123 +1,32 @@
 """Frame bit counts and on-air durations.
 
 On-air time is the only physically forced latency component in the model;
-everything else is calibrated.  Layout constants (preamble, address, packet
-control field) are loaded from a data file so they can be corrected without
-touching code.  CRC bits come from the CRC mode and payload bits from the
-configured length.
+everything else is calibrated.  A frame is preamble, address, packet control
+field, payload and CRC: the layout constants below fix the first three, the
+CRC bits come from the CRC mode and the payload bits from the configured
+length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-
 from .config import BitrateMode, EsbConfig, ProtocolMode
 from .engine import TICKS_PER_US
 
-ADDRESS_BITS_DEFAULT = 40  # 5-byte pipe address
+# Frame layout constants.  These are working assumptions, not measured values:
+# the preamble is 8 bits in the 1 Mbit/s mode and 16 bits in both 2 Mbit/s
+# modes, the address is 5 bytes, and the packet control field (9 bits) is
+# present only with dynamic payload length.
+PREAMBLE_BITS_1M = 8
+PREAMBLE_BITS_2M = 16
+ADDRESS_BITS = 40
+PCF_BITS = 9
 
 
-@dataclass(frozen=True)
-class FrameLayout:
-    """Fixed per-frame overhead for one (bitrate, protocol) mode."""
-
-    preamble_bits: int
-    address_bits: int
-    pcf_bits: int
-
-    def __post_init__(self):
-        if min(self.preamble_bits, self.address_bits, self.pcf_bits) < 0:
-            raise ValueError("layout bit counts must be non-negative")
-
-
-LayoutTable = dict[tuple[BitrateMode, ProtocolMode], FrameLayout]
-
-
-class LayoutFileError(ValueError):
-    """Malformed layout-constants file."""
-
-
-def parse_layout_file(text: str) -> LayoutTable:
-    """Parse the key-value layout file; one `[layout <bitrate> <protocol>]`
-    section per mode pair, each with preamble_bits/address_bits/pcf_bits."""
-    table: LayoutTable = {}
-    current: tuple[BitrateMode, ProtocolMode] | None = None
-    pending: dict[str, int] = {}
-
-    def flush():
-        if current is None:
-            return
-        missing = {"preamble_bits", "address_bits", "pcf_bits"} - pending.keys()
-        if missing:
-            raise LayoutFileError(f"layout {current[0].value} {current[1].value} missing {sorted(missing)}")
-        table[current] = FrameLayout(**pending)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            flush()
-            parts = line.strip("[]").split()
-            if len(parts) != 3 or parts[0] != "layout":
-                raise LayoutFileError(f"line {line_no}: expected [layout <bitrate> <protocol>]")
-            try:
-                current = (BitrateMode(parts[1]), ProtocolMode(parts[2]))
-            except ValueError as exc:
-                raise LayoutFileError(f"line {line_no}: {exc}") from exc
-            pending = {}
-            continue
-        if "=" not in line or current is None:
-            raise LayoutFileError(f"line {line_no}: expected key=value inside a layout section")
-        key, _, value = line.partition("=")
-        if key not in ("preamble_bits", "address_bits", "pcf_bits"):
-            raise LayoutFileError(f"line {line_no}: unknown layout key {key!r}")
-        try:
-            pending[key] = int(value)
-        except ValueError as exc:
-            raise LayoutFileError(f"line {line_no}: {exc}") from exc
-    flush()
-    return table
-
-
-def render_layout_file(table: LayoutTable) -> str:
-    lines = []
-    for (bitrate, protocol), layout in table.items():
-        lines.append(f"[layout {bitrate.value} {protocol.value}]")
-        lines.append(f"preamble_bits={layout.preamble_bits}")
-        lines.append(f"address_bits={layout.address_bits}")
-        lines.append(f"pcf_bits={layout.pcf_bits}")
-    return "\n".join(lines) + "\n"
-
-
-def default_layouts() -> LayoutTable:
-    text = resources.files("esbsim.data").joinpath("frame_layouts.cfg").read_text()
-    return parse_layout_file(text)
-
-
-_DEFAULTS: LayoutTable | None = None
-
-
-def _layouts(layouts: LayoutTable | None) -> LayoutTable:
-    global _DEFAULTS
-    if layouts is not None:
-        return layouts
-    if _DEFAULTS is None:
-        _DEFAULTS = default_layouts()
-    return _DEFAULTS
-
-
-def frame_bits(config: EsbConfig, layouts: LayoutTable | None = None) -> int:
+def frame_bits(config: EsbConfig) -> int:
     """Total bits of one frame: preamble + address + PCF + payload + CRC."""
-    layout = _layouts(layouts)[(config.bitrate_mode, config.protocol_mode)]
-    return (
-        layout.preamble_bits
-        + layout.address_bits
-        + layout.pcf_bits
-        + 8 * config.payload_len_bytes
-        + config.crc_mode.bits
-    )
+    preamble = PREAMBLE_BITS_1M if config.bitrate_mode is BitrateMode.MBPS1 else PREAMBLE_BITS_2M
+    pcf = PCF_BITS if config.protocol_mode is ProtocolMode.DYNAMIC else 0
+    return preamble + ADDRESS_BITS + pcf + 8 * config.payload_len_bytes + config.crc_mode.bits
 
 
 def duration_us(bits: int, bitrate_mode: BitrateMode) -> float:
@@ -126,14 +35,14 @@ def duration_us(bits: int, bitrate_mode: BitrateMode) -> float:
     return bits / bitrate_mode.bits_per_us
 
 
-def on_air_time_us(config: EsbConfig, layouts: LayoutTable | None = None) -> float:
-    return duration_us(frame_bits(config, layouts), config.bitrate_mode)
+def on_air_time_us(config: EsbConfig) -> float:
+    return duration_us(frame_bits(config), config.bitrate_mode)
 
 
-def on_air_ticks(config: EsbConfig, layouts: LayoutTable | None = None) -> int:
+def on_air_ticks(config: EsbConfig) -> int:
     """On-air time on the 0.1 us clock grid.  Always exact: the grid is finer
     than one bit at both supported rates."""
-    bits = frame_bits(config, layouts)
+    bits = frame_bits(config)
     ticks, rem = divmod(bits * TICKS_PER_US, config.bitrate_mode.bits_per_us)
     assert rem == 0
     return ticks

@@ -16,7 +16,7 @@ from .expfile import Experiment, ParseError
 from .link import PipelineModel
 from .sweep import SchemaError, SweepPlan
 
-INTERVALS = {"d0d7": ("d0", "d7"), "d2d5": ("d2", "d5"), "d3d4": ("d3", "d4")}
+INTERVALS = {a + b: (a, b) for a, b in sweep.REPORT_INTERVALS}
 
 
 class UsageError(Exception):
@@ -35,36 +35,36 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"esbsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--file", help="experiment file (defaults to the built-in lowest-latency preset)")
-        p.add_argument("--seed", type=int, help="override the plan seed")
-        p.add_argument("--out", default=".", help="output directory (default: current directory)")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
-        p.add_argument(
-            "--set",
+    options = {
+        "--file": dict(help="experiment file (defaults to the built-in lowest-latency preset)"),
+        "--seed": dict(type=int, help="override the plan seed"),
+        "--out": dict(default=".", help="output directory (default: current directory)"),
+        "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
+        "--set": dict(
             dest="overrides",
             action="append",
             default=[],
             metavar="KEY=VALUE",
             help="override an experiment value, e.g. channel.p_loss=0.1 (repeatable)",
-        )
-        p.add_argument("--pipeline", help="pipeline file from `calibrate` (default: calibrate from targets)")
-        p.add_argument(
-            "--interval",
-            choices=sorted(INTERVALS),
-            help="probe interval for summaries (default: all three)",
-        )
+        ),
+        "--pipeline": dict(help="pipeline file from `calibrate` (default: calibrate from targets)"),
+        "--interval": dict(choices=sorted(INTERVALS), help="probe interval for summaries (default: all three)"),
+    }
 
-    p = sub.add_parser("simulate", parents=[], help="run one config for a single round")
-    common(p)
+    def shared(p: _Parser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **options[name])
+
+    p = sub.add_parser("simulate", help="run one config for a single round")
+    shared(p, "--file", "--seed", "--out", "--set", "--pipeline", "--interval")
     p.add_argument("--config", help="config name from the file (default: first)")
     p.add_argument("--attempts", type=int, help="attempts to run (default: plan attempts)")
 
     p = sub.add_parser("sweep", help="run the full rounds x attempts plan")
-    common(p)
+    shared(p, "--file", "--seed", "--out", "--workers", "--set", "--pipeline", "--interval")
 
     p = sub.add_parser("calibrate", help="solve stage delays from interval medians")
-    common(p)
+    shared(p, "--file", "--out", "--set")
     p.add_argument("--config", help="reference config name (default: built-in preset)")
     p.add_argument(
         "--targets",
@@ -72,12 +72,13 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("compare-ble", help="broadcast link vs connection-interval baseline")
-    common(p)
+    shared(p, "--file", "--seed", "--out", "--set", "--pipeline")
     p.add_argument("--config", help="config name to compare (default: first)")
     p.add_argument("--samples", type=int, default=10000, help="samples per side (default 10000)")
 
     p = sub.add_parser("report", help="recompute summaries from a results CSV")
-    common(p)
+    p.add_argument("--file", help="results CSV to summarize")
+    shared(p, "--out", "--interval")
     return parser
 
 
@@ -89,8 +90,9 @@ def _load_experiment(args) -> Experiment:
         exp = Experiment(plan=SweepPlan(configs=(("olcfg", olcfg_preset()),)))
     for assignment in args.overrides:
         exp = expfile.apply_override(exp, assignment)
-    if args.seed is not None:
-        exp = replace(exp, plan=replace(exp.plan, seed=args.seed))
+    seed = getattr(args, "seed", None)  # calibrate takes no --seed
+    if seed is not None:
+        exp = replace(exp, plan=replace(exp.plan, seed=seed))
     return exp
 
 

@@ -140,9 +140,5 @@ class RngStream:
             return bool(self._gen.random() < p)
         return self._gen.random(size) < p
 
-    def normal(self, sigma: float, size: int | None = None):
-        """Zero-mean normal draw(s) with standard deviation sigma."""
-        return self._gen.normal(0.0, sigma, size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -6,12 +6,17 @@ may follow on the header line or on their own lines), one `[config <name>]`
 section per configuration, optional `[channel]`, `[ble]`, `[targets]`, and
 `[pipeline]` sections.  Pipeline files produced by calibration use the same
 syntax with `[stages]`, `[jitter]`, `[dedup]`, and `[modifiers]` sections.
+
+Each file key maps to one dataclass field through a single schema table
+(`_SECTIONS` for experiment files, `_PIPELINE_SECTIONS` for pipeline files);
+`_read_sections` applies it, and `apply_override` resolves `--set` paths
+through the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Mapping
 
 from .analytics import CalibrationTargets
 from .config import (
@@ -67,29 +72,36 @@ def _parse_seed(value: str) -> int:
     return seed
 
 
-_SWEEP_KEYS: dict[str, Callable[[str], object]] = {
-    "seed": _parse_seed,
-    "rounds": int,
-    "attempts": int,
-    "shuffle": _parse_bool,
-}
+# section -> file key -> (dataclass field, converter).  Fields belong to
+# SweepPlan, EsbConfig, ChannelModel, BleConfig and CalibrationTargets.
+_Schema = Mapping[str, Mapping[str, tuple[str, Callable[[str], object]]]]
 
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "crc": ("crc_mode", CrcMode),
-    "protocol": ("protocol_mode", ProtocolMode),
-    "bitrate": ("bitrate_mode", BitrateMode),
-    "txmode": ("tx_mode", TxMode),
-    "power": ("tx_power_dbm", int),
-    "payload": ("payload_mode", PayloadMode),
-    "payload_len": ("payload_len_bytes", int),
-    "retransmits": ("retransmit_count", int),
-    "retransmit_delay_us": ("retransmit_delay_us", float),
-    "spacing": ("copy_spacing", CopySpacing),
+_SECTIONS: _Schema = {
+    "sweep": {
+        "seed": ("seed", _parse_seed),
+        "rounds": ("rounds", int),
+        "attempts": ("attempts_per_round", int),
+        "shuffle": ("shuffle", _parse_bool),
+    },
+    "config": {
+        "crc": ("crc_mode", CrcMode),
+        "protocol": ("protocol_mode", ProtocolMode),
+        "bitrate": ("bitrate_mode", BitrateMode),
+        "txmode": ("tx_mode", TxMode),
+        "power": ("tx_power_dbm", int),
+        "payload": ("payload_mode", PayloadMode),
+        "payload_len": ("payload_len_bytes", int),
+        "retransmits": ("retransmit_count", int),
+        "retransmit_delay_us": ("retransmit_delay_us", float),
+        "spacing": ("copy_spacing", CopySpacing),
+    },
+    "channel": {"p_loss": ("p_loss", float), "p_corrupt": ("p_corrupt", float)},
+    "ble": {
+        "connection_interval_us": ("connection_interval_us", float),
+        "transfer_us": ("transfer_time_us", float),
+    },
+    "targets": {"d0d7": ("d0d7_us", float), "d2d5": ("d2d5_us", float), "d3d4": ("d3d4_us", float)},
 }
-
-_CHANNEL_KEYS = {"p_loss": float, "p_corrupt": float}
-_BLE_KEYS = {"connection_interval_us": float, "transfer_us": float}
-_TARGET_KEYS = {"d0d7": float, "d2d5": float, "d3d4": float}
 
 
 def _tokenize(text: str):
@@ -118,119 +130,6 @@ def _tokenize(text: str):
         yield line_no, section, pairs
 
 
-def parse_experiment_file(text: str) -> Experiment:
-    """Parse an experiment file into a fully resolved plan and environment.
-
-    Raises ParseError with the offending line, or UnknownKeyError for a key
-    the section's schema does not define.  Duplicate keys and duplicate
-    sections are errors: experiment files are provenance, so silent
-    last-wins merging would hide mistakes.
-    """
-    sweep_kv: dict[str, object] = {}
-    channel_kv: dict[str, float] = {}
-    ble_kv: dict[str, float] = {}
-    targets_kv: dict[str, float] = {}
-    configs: list[tuple[str, dict[str, object]]] = []
-    seen_sections: set[str] = set()
-    current: str | None = None
-    current_config: dict[str, object] | None = None
-
-    def assign(line_no: int, key: str, value: str) -> None:
-        if current is None:
-            raise ParseError(line_no, f"key {key!r} before any section header")
-        if current == "sweep":
-            if key not in _SWEEP_KEYS:
-                raise UnknownKeyError(line_no, key)
-            if key in sweep_kv:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            sweep_kv[key] = _convert(line_no, key, value, _SWEEP_KEYS[key])
-        elif current == "config":
-            assert current_config is not None
-            if key not in _CONFIG_KEYS:
-                raise UnknownKeyError(line_no, key)
-            field_name, conv = _CONFIG_KEYS[key]
-            if field_name in current_config:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            current_config[field_name] = _convert(line_no, key, value, conv)
-        elif current == "channel":
-            if key not in _CHANNEL_KEYS:
-                raise UnknownKeyError(line_no, key)
-            if key in channel_kv:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            channel_kv[key] = _convert(line_no, key, value, _CHANNEL_KEYS[key])
-        elif current == "ble":
-            if key not in _BLE_KEYS:
-                raise UnknownKeyError(line_no, key)
-            if key in ble_kv:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            ble_kv[key] = _convert(line_no, key, value, _BLE_KEYS[key])
-        elif current == "targets":
-            if key not in _TARGET_KEYS:
-                raise UnknownKeyError(line_no, key)
-            if key in targets_kv:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            targets_kv[key] = _convert(line_no, key, value, _TARGET_KEYS[key])
-
-    saw_anything = False
-    for line_no, section, pairs in _tokenize(text):
-        saw_anything = True
-        if section is not None:
-            name = section[0]
-            if name == "config":
-                if len(section) != 2:
-                    raise ParseError(line_no, "config sections need a name: [config <name>]")
-                if any(c_name == section[1] for c_name, _ in configs):
-                    raise ParseError(line_no, f"duplicate config section {section[1]!r}")
-                current = "config"
-                current_config = {}
-                configs.append((section[1], current_config))
-            elif name in ("sweep", "channel", "ble", "targets"):
-                if len(section) != 1:
-                    raise ParseError(line_no, f"section [{name}] takes no arguments")
-                if name in seen_sections:
-                    raise ParseError(line_no, f"duplicate section [{name}]")
-                seen_sections.add(name)
-                current = name
-            else:
-                raise ParseError(line_no, f"unknown section {name!r}")
-        for key, value in pairs:
-            assign(line_no, key, value)
-
-    if not saw_anything:
-        raise ParseError(0, "empty experiment file")
-    if not configs:
-        raise ParseError(0, "no [config <name>] sections")
-
-    try:
-        plan = SweepPlan(
-            configs=tuple((name, EsbConfig(**kv)) for name, kv in configs),
-            rounds=sweep_kv.get("rounds", 5),
-            attempts_per_round=sweep_kv.get("attempts", 150),
-            shuffle=sweep_kv.get("shuffle", True),
-            seed=sweep_kv.get("seed", 0),
-        )
-        channel = ChannelModel(**channel_kv)
-        ble = None
-        if ble_kv:
-            ble = BleConfig(
-                connection_interval_us=ble_kv.get("connection_interval_us", 7500.0),
-                transfer_time_us=ble_kv.get("transfer_us", 0.0),
-            )
-        targets = None
-        if targets_kv:
-            missing = set(_TARGET_KEYS) - targets_kv.keys()
-            if missing:
-                raise ParseError(0, f"[targets] missing {sorted(missing)}")
-            targets = CalibrationTargets(
-                d0d7_us=targets_kv["d0d7"], d2d5_us=targets_kv["d2d5"], d3d4_us=targets_kv["d3d4"]
-            )
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
-    return Experiment(plan=plan, channel=channel, ble=ble, targets=targets)
-
-
 def _convert(line_no: int, key: str, value: str, conv: Callable[[str], object]):
     try:
         return conv(value)
@@ -238,41 +137,78 @@ def _convert(line_no: int, key: str, value: str, conv: Callable[[str], object]):
         raise ParseError(line_no, f"bad value for {key!r}: {exc}") from exc
 
 
-def render_experiment_file(exp: Experiment) -> str:
-    """Canonical rendering; parse(render(parse(x))) == parse(x)."""
-    plan = exp.plan
-    lines = [
-        "[sweep]",
-        f"seed={plan.seed}",
-        f"rounds={plan.rounds}",
-        f"attempts={plan.attempts_per_round}",
-        f"shuffle={'true' if plan.shuffle else 'false'}",
-    ]
-    for name, config in plan.configs:
-        lines.append(f"[config {name}]")
-        lines.append(f"crc={config.crc_mode.value}")
-        lines.append(f"protocol={config.protocol_mode.value}")
-        lines.append(f"bitrate={config.bitrate_mode.value}")
-        lines.append(f"txmode={config.tx_mode.value}")
-        lines.append(f"power={config.tx_power_dbm}")
-        lines.append(f"payload={config.payload_mode.value}")
-        lines.append(f"payload_len={config.payload_len_bytes}")
-        lines.append(f"retransmits={config.retransmit_count}")
-        lines.append(f"retransmit_delay_us={config.retransmit_delay_us:g}")
-        lines.append(f"spacing={config.copy_spacing.value}")
-    lines.append("[channel]")
-    lines.append(f"p_loss={exp.channel.p_loss:g}")
-    lines.append(f"p_corrupt={exp.channel.p_corrupt:g}")
-    if exp.ble is not None:
-        lines.append("[ble]")
-        lines.append(f"connection_interval_us={exp.ble.connection_interval_us:g}")
-        lines.append(f"transfer_us={exp.ble.transfer_time_us:g}")
-    if exp.targets is not None:
-        lines.append("[targets]")
-        lines.append(f"d0d7={exp.targets.d0d7_us:g}")
-        lines.append(f"d2d5={exp.targets.d2d5_us:g}")
-        lines.append(f"d3d4={exp.targets.d3d4_us:g}")
-    return "\n".join(lines) + "\n"
+def _read_sections(
+    text: str, schema: _Schema, named: frozenset[str] = frozenset()
+) -> list[tuple[str, str | None, dict[str, object]]]:
+    """The file's sections in order, as (section, name, {field: value}).
+
+    Sections listed in `named` take one name (`[config <name>]`), the others
+    none.  Unknown sections and keys, keys before any header, duplicate keys
+    and duplicate sections are errors: files are provenance, so silent
+    last-wins merging would hide mistakes.
+    """
+    sections: list[tuple[str, str | None, dict[str, object]]] = []
+    seen: set[tuple[str, ...]] = set()
+    keys: Mapping = {}
+    fields: dict[str, object] | None = None
+    for line_no, header, pairs in _tokenize(text):
+        if header is not None:
+            section, args = header[0], header[1:]
+            if section not in schema:
+                raise ParseError(line_no, f"unknown section {section!r}")
+            if section in named and len(args) != 1:
+                raise ParseError(line_no, f"{section} sections need a name: [{section} <name>]")
+            if section not in named and args:
+                raise ParseError(line_no, f"section [{section}] takes no arguments")
+            if tuple(header) in seen:
+                what = f"{section} section {args[0]!r}" if args else f"section [{section}]"
+                raise ParseError(line_no, f"duplicate {what}")
+            seen.add(tuple(header))
+            keys, fields = schema[section], {}
+            sections.append((section, args[0] if args else None, fields))
+        for key, value in pairs:
+            if fields is None:
+                raise ParseError(line_no, f"key {key!r} before any section header")
+            try:
+                field, conv = keys[key]
+            except KeyError:
+                raise UnknownKeyError(line_no, key) from None
+            if field in fields:
+                raise ParseError(line_no, f"duplicate key {key!r}")
+            fields[field] = _convert(line_no, key, value, conv)
+    return sections
+
+
+def parse_experiment_file(text: str) -> Experiment:
+    """Parse an experiment file into a fully resolved plan and environment.
+
+    Raises ParseError with the offending line, or UnknownKeyError for a key
+    the section's schema does not define.  Keys a file leaves out take the
+    dataclass defaults.
+    """
+    sections = _read_sections(text, _SECTIONS, named=frozenset({"config"}))
+    if not sections:
+        raise ParseError(0, "empty experiment file")
+    configs = tuple((name, fields) for section, name, fields in sections if section == "config")
+    if not configs:
+        raise ParseError(0, "no [config <name>] sections")
+    found = {section: fields for section, _, fields in sections if section != "config"}
+    targets_kv = found.get("targets")
+    if targets_kv:
+        missing = [key for key, (field, _) in _SECTIONS["targets"].items() if field not in targets_kv]
+        if missing:
+            raise ParseError(0, f"[targets] missing {sorted(missing)}")
+    try:
+        plan = SweepPlan(
+            configs=tuple((name, EsbConfig(**fields)) for name, fields in configs),
+            **found.get("sweep", {}),
+        )
+        channel = ChannelModel(**found.get("channel", {}))
+        ble = BleConfig(**found["ble"]) if found.get("ble") else None
+        targets = CalibrationTargets(**targets_kv) if targets_kv else None
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from exc
+    return Experiment(plan=plan, channel=channel, ble=ble, targets=targets)
 
 
 def apply_override(exp: Experiment, assignment: str) -> Experiment:
@@ -284,101 +220,77 @@ def apply_override(exp: Experiment, assignment: str) -> Experiment:
     if "=" not in assignment:
         raise ParseError(0, f"override needs key=value, got {assignment!r}")
     path, _, value = assignment.partition("=")
-    parts = path.split(".")
+    section, _, key = path.partition(".")
+    name = None
+    if section == "config":
+        name, _, key = key.rpartition(".")
+    if key not in _SECTIONS.get(section, {}) or name == "":
+        raise UnknownKeyError(0, path)
+    field, conv = _SECTIONS[section][key]
     try:
-        if parts[0] == "sweep" and len(parts) == 2 and parts[1] in _SWEEP_KEYS:
-            field = {"attempts": "attempts_per_round"}.get(parts[1], parts[1])
-            plan = replace(exp.plan, **{field: _SWEEP_KEYS[parts[1]](value)})
-            return replace(exp, plan=plan)
-        if parts[0] == "channel" and len(parts) == 2 and parts[1] in _CHANNEL_KEYS:
-            return replace(exp, channel=replace(exp.channel, **{parts[1]: float(value)}))
-        if parts[0] == "ble" and len(parts) == 2 and parts[1] in _BLE_KEYS:
-            base = exp.ble or BleConfig()
-            field = {"transfer_us": "transfer_time_us"}.get(parts[1], parts[1])
-            return replace(exp, ble=replace(base, **{field: float(value)}))
-        if parts[0] == "targets" and len(parts) == 2 and parts[1] in _TARGET_KEYS:
-            base = exp.targets
-            if base is None:
-                raise ParseError(0, "cannot override targets: none defined")
-            return replace(exp, targets=replace(base, **{parts[1] + "_us": float(value)}))
-        if parts[0] == "config" and len(parts) == 3 and parts[2] in _CONFIG_KEYS:
-            name = parts[1]
-            field_name, conv = _CONFIG_KEYS[parts[2]]
-            new_configs = []
-            found = False
-            for cfg_name, config in exp.plan.configs:
-                if cfg_name == name:
-                    config = replace(config, **{field_name: conv(value)})
-                    found = True
-                new_configs.append((cfg_name, config))
-            if not found:
+        change = {field: conv(value)}
+        if section == "config":
+            if name not in dict(exp.plan.configs):
                 raise ParseError(0, f"no config named {name!r} to override")
-            return replace(exp, plan=replace(exp.plan, configs=tuple(new_configs)))
+            configs = tuple((n, replace(c, **change) if n == name else c) for n, c in exp.plan.configs)
+            return replace(exp, plan=replace(exp.plan, configs=configs))
+        if section == "sweep":
+            return replace(exp, plan=replace(exp.plan, **change))
+        if section == "targets" and exp.targets is None:
+            raise ParseError(0, "cannot override targets: none defined")
+        base = getattr(exp, section) or BleConfig()  # only [ble] may be absent here
+        return replace(exp, **{section: replace(base, **change)})
     except ParseError:
         raise
     except ValueError as exc:
         raise ParseError(0, f"bad override {assignment!r}: {exc}") from exc
-    raise UnknownKeyError(0, path)
 
 
 # --- pipeline files -------------------------------------------------------------
 
 
+def _parse_sigmas(value: str) -> tuple[float, ...]:
+    """One jitter SD per stage, or a single SD shared by every stage."""
+    sigmas = tuple(float(part) for part in value.split(","))
+    return sigmas * len(STAGES) if len(sigmas) == 1 else sigmas
+
+
+class _ModifierKeys(dict):
+    """`<parameter>.<value>` keys for every parameter that has a modifier stage."""
+
+    def __missing__(self, key: str):
+        param, _, value = key.partition(".")
+        if param not in MODIFIER_STAGE or not value:
+            raise KeyError(key)
+        return key, float
+
+
+# Fields belong to PipelineModel, except [modifiers], whose keys are collected
+# into `modifiers_us`.
+_PIPELINE_SECTIONS: _Schema = {
+    "stages": {f"{stage}_us": (f"{stage}_us", float) for stage in STAGES},
+    "jitter": {"family": ("jitter_family", str), "sigma_us": ("jitter_sigma_us", _parse_sigmas)},
+    "dedup": {"escape_prob": ("dedup_escape_prob", float)},
+    "modifiers": _ModifierKeys(),
+}
+
+
 def parse_pipeline_file(text: str) -> PipelineModel:
-    """Parse a calibrated pipeline written by `render_pipeline_file`."""
-    stages: dict[str, float] = {}
-    jitter_family = "normal"
-    jitter_sigma: tuple[float, ...] | None = None
-    escape_prob: float | None = None
-    modifiers: dict[tuple[str, str], float] = {}
-    current = None
-    for line_no, section, pairs in _tokenize(text):
-        if section is not None:
-            name = section[0]
-            if name not in ("stages", "jitter", "dedup", "modifiers"):
-                raise ParseError(line_no, f"unknown section {name!r}")
-            current = name
-        for key, value in pairs:
-            if current == "stages":
-                stage = key.removesuffix("_us")
-                if stage not in STAGES:
-                    raise UnknownKeyError(line_no, key)
-                stages[stage] = _convert(line_no, key, value, float)
-            elif current == "jitter":
-                if key == "family":
-                    jitter_family = value
-                elif key == "sigma_us":
-                    parts = value.split(",")
-                    jitter_sigma = tuple(_convert(line_no, key, p, float) for p in parts)
-                else:
-                    raise UnknownKeyError(line_no, key)
-            elif current == "dedup":
-                if key != "escape_prob":
-                    raise UnknownKeyError(line_no, key)
-                escape_prob = _convert(line_no, key, value, float)
-            elif current == "modifiers":
-                param, _, param_value = key.partition(".")
-                if param not in MODIFIER_STAGE or not param_value:
-                    raise UnknownKeyError(line_no, key)
-                modifiers[(param, param_value)] = _convert(line_no, key, value, float)
-            else:
-                raise ParseError(line_no, f"key {key!r} before any section header")
-    missing = set(STAGES) - stages.keys()
+    """Parse a calibrated pipeline written by `render_pipeline_file`.
+
+    A file without `sigma_us` has no stage jitter.
+    """
+    fields: dict[str, object] = {"jitter_sigma_us": (0.0,) * len(STAGES)}
+    for section, _, found in _read_sections(text, _PIPELINE_SECTIONS):
+        if section == "modifiers":
+            fields["modifiers_us"] = {tuple(key.split(".", 1)): add_us for key, add_us in found.items()}
+        else:
+            fields.update(found)
+    missing = [stage for stage in STAGES if f"{stage}_us" not in fields]
     if missing:
         raise ParseError(0, f"[stages] missing {sorted(missing)}")
-    if jitter_sigma is None:
-        jitter_sigma = (0.0,) * len(STAGES)
-    elif len(jitter_sigma) == 1:
-        jitter_sigma = jitter_sigma * len(STAGES)
-    kwargs = dict(
-        jitter_family=jitter_family,
-        jitter_sigma_us=jitter_sigma,
-        modifiers_us=modifiers,
-    )
-    if escape_prob is not None:
-        kwargs["dedup_escape_prob"] = escape_prob
     try:
-        return PipelineModel(**{s + "_us": stages[s] for s in STAGES}, **kwargs)
+        return PipelineModel(**fields)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from exc
 

@@ -364,6 +364,9 @@ def render_results_csv(records: Sequence[TransmissionRecord]) -> str:
     seen: dict[str, str] = {}
     for record in records:
         if record.config_name not in seen:
+            # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
+            if "".join(record.config_name.splitlines()) != record.config_name:
+                raise SchemaError(f"config name {record.config_name!r} contains a line break")
             seen[record.config_name] = record.config_hash
             out.write(f"# config {record.config_name} hash={record.config_hash}\n")
     writer = csv.writer(out, lineterminator="\n")

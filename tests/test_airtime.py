@@ -1,20 +1,9 @@
 import dataclasses
 import itertools
 
-import pytest
 from hypothesis import given, strategies as st
 
-from esbsim.airtime import (
-    FrameLayout,
-    LayoutFileError,
-    default_layouts,
-    duration_us,
-    frame_bits,
-    on_air_ticks,
-    on_air_time_us,
-    parse_layout_file,
-    render_layout_file,
-)
+from esbsim.airtime import duration_us, frame_bits, on_air_ticks, on_air_time_us
 from esbsim.config import BitrateMode, CrcMode, EsbConfig, ProtocolMode, olcfg_preset
 
 
@@ -92,34 +81,21 @@ def test_static_mode_drops_the_packet_control_field():
     assert frame_bits(dynamic) - frame_bits(static) == 9
 
 
-class TestLayoutFile:
-    def test_default_table_covers_every_mode_pair(self):
-        table = default_layouts()
-        assert set(table) == set(itertools.product(BitrateMode, ProtocolMode))
+# Per-frame overhead (preamble + address + packet control field) of every
+# (bitrate, protocol) pair, written out apart from airtime's constants.
+FRAME_OVERHEAD_BITS = {
+    (BitrateMode.MBPS1, ProtocolMode.DYNAMIC): 8 + 40 + 9,
+    (BitrateMode.MBPS1, ProtocolMode.STATIC): 8 + 40 + 0,
+    (BitrateMode.MBPS2, ProtocolMode.DYNAMIC): 16 + 40 + 9,
+    (BitrateMode.MBPS2, ProtocolMode.STATIC): 16 + 40 + 0,
+    (BitrateMode.MBPS2_BLE, ProtocolMode.DYNAMIC): 16 + 40 + 9,
+    (BitrateMode.MBPS2_BLE, ProtocolMode.STATIC): 16 + 40 + 0,
+}
 
-    def test_round_trip(self):
-        table = default_layouts()
-        assert parse_layout_file(render_layout_file(table)) == table
 
-    def test_custom_layout_overrides_the_default(self):
-        table = default_layouts()
-        table[(BitrateMode.MBPS2_BLE, ProtocolMode.DYNAMIC)] = FrameLayout(8, 24, 9)
-        assert frame_bits(olcfg_preset(), table) == 8 + 24 + 9 + 8
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "[layout 2M]",  # missing protocol
-            "[layout 9M dynamic]\npreamble_bits=8\naddress_bits=40\npcf_bits=0",
-            "[layout 2M dynamic]\npreamble_bits=8",  # incomplete
-            "[layout 2M dynamic]\nwrong_key=1",
-            "preamble_bits=8",  # key before any section
-        ],
-    )
-    def test_malformed_files_raise(self, text):
-        with pytest.raises(LayoutFileError):
-            parse_layout_file(text)
-
-    def test_negative_bit_counts_rejected(self):
-        with pytest.raises(ValueError):
-            FrameLayout(-1, 40, 9)
+def test_frame_overhead_covers_every_mode_pair():
+    assert set(FRAME_OVERHEAD_BITS) == set(itertools.product(BitrateMode, ProtocolMode))
+    for (bitrate, protocol), overhead in FRAME_OVERHEAD_BITS.items():
+        for crc, payload in itertools.product(CrcMode, (1, 8, 252)):
+            cfg = EsbConfig(crc_mode=crc, protocol_mode=protocol, bitrate_mode=bitrate, payload_len_bytes=payload)
+            assert frame_bits(cfg) == overhead + 8 * payload + crc.bits

@@ -205,3 +205,26 @@ def test_interval_flag_limits_the_report(exp_file, tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "esbsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("simulate", "--workers", "2"),
+        ("calibrate", "--workers", "2"),
+        ("compare-ble", "--workers", "2"),
+        ("report", "--workers", "2"),
+        ("calibrate", "--pipeline", "pipeline.cfg"),
+        ("report", "--pipeline", "pipeline.cfg"),
+        ("calibrate", "--interval", "d0d7"),
+        ("compare-ble", "--interval", "d0d7"),
+        ("calibrate", "--seed", "3"),
+        ("report", "--seed", "3"),
+        ("report", "--set", "sweep.rounds=1"),
+    ],
+)
+def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, option, value):
+    assert main([command, option, value, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower()
+    assert f"unrecognized arguments: {option} {value}" in err

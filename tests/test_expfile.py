@@ -1,16 +1,34 @@
-import pytest
+import dataclasses
 
-from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
-from esbsim.config import BitrateMode, CrcMode, TxMode, olcfg_preset, validate
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from esbsim.analytics import CalibrationTargets, calibrate_pipeline, olcfg_calibration_targets
+from esbsim.config import (
+    BitrateMode,
+    BleConfig,
+    ChannelModel,
+    CopySpacing,
+    CrcMode,
+    EsbConfig,
+    PayloadMode,
+    ProtocolMode,
+    TxMode,
+    olcfg_preset,
+    validate,
+)
 from esbsim.expfile import (
+    _PIPELINE_SECTIONS,
+    _SECTIONS,
     ParseError,
     UnknownKeyError,
     apply_override,
     parse_experiment_file,
     parse_pipeline_file,
-    render_experiment_file,
     render_pipeline_file,
 )
+from esbsim.link import PipelineModel
+from esbsim.sweep import SweepPlan
 
 SAMPLE = """\
 # reference experiment
@@ -136,16 +154,25 @@ class TestParseErrors:
             parse_experiment_file(f"[sweep] seed={2**64}\n[config a] crc=off\n")
 
 
-class TestRoundTrip:
-    def test_render_parse_identity(self):
-        exp = parse_experiment_file(SAMPLE)
-        rendered = render_experiment_file(exp)
-        assert parse_experiment_file(rendered) == exp
-
-    def test_round_trip_with_optional_sections(self):
-        text = SAMPLE + "[ble] connection_interval_us=7500\n[targets] d0d7=486.3 d2d5=293.07 d3d4=185.86\n"
-        exp = parse_experiment_file(text)
-        assert parse_experiment_file(render_experiment_file(exp)) == exp
+class TestSchemaTable:
+    def test_every_field_is_a_field_of_its_dataclass(self):
+        targets = {
+            "sweep": SweepPlan,
+            "config": EsbConfig,
+            "channel": ChannelModel,
+            "ble": BleConfig,
+            "targets": CalibrationTargets,
+            "stages": PipelineModel,
+            "jitter": PipelineModel,
+            "dedup": PipelineModel,
+        }
+        tables = {**_SECTIONS, **_PIPELINE_SECTIONS}
+        assert set(tables) == set(targets) | {"modifiers"}  # modifier keys are open-ended
+        for section, cls in targets.items():
+            names = {f.name for f in dataclasses.fields(cls)}
+            mapped = [field for field, _ in tables[section].values()]
+            assert set(mapped) <= names, section
+            assert len(set(mapped)) == len(mapped), section  # one key per field
 
 
 class TestOverrides:
@@ -168,6 +195,15 @@ class TestOverrides:
         exp = parse_experiment_file(SAMPLE)
         with pytest.raises(UnknownKeyError):
             apply_override(exp, "config.olcfg.antenna=big")
+
+    def test_config_names_may_contain_dots(self):
+        exp = parse_experiment_file("[config lab.v2] crc=off\n")
+        exp = apply_override(exp, "config.lab.v2.crc=16")
+        assert exp.plan.config_named("lab.v2").crc_mode is CrcMode.CRC16
+
+    def test_targets_override_needs_targets(self):
+        with pytest.raises(ParseError, match="none defined"):
+            apply_override(parse_experiment_file(SAMPLE), "targets.d0d7=500")
 
     def test_override_of_missing_config(self):
         exp = parse_experiment_file(SAMPLE)
@@ -192,3 +228,107 @@ class TestPipelineFile:
     def test_unknown_stage_key(self):
         with pytest.raises(UnknownKeyError):
             parse_pipeline_file("[stages] warp_drive_us=10\n")
+
+    @pytest.mark.parametrize(
+        "tail, line_no, match",
+        [
+            ("[stages] tx_app_to_ipc_us=999\n", 14, "duplicate section \\[stages\\]"),
+            ("[jitter] family=off\n", 14, "duplicate section \\[jitter\\]"),
+            ("[modifiers] crc.16=1 crc.16=2\n", 14, "duplicate key 'crc.16'"),
+        ],
+    )
+    def test_duplicates_rejected(self, tail, line_no, match):
+        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        assert len(text.splitlines()) == line_no - 1
+        with pytest.raises(ParseError, match=match) as err:
+            parse_pipeline_file(text + tail)
+        assert err.value.line_no == line_no
+
+    def test_unknown_modifier_parameter(self):
+        with pytest.raises(UnknownKeyError) as err:
+            parse_pipeline_file("[modifiers] antenna.big=1\n")
+        assert err.value.name == "antenna.big"
+
+
+# Every key of a full experiment file, with a value from which any single
+# key may be changed to any value its strategy draws: end-to-start spacing
+# and a 5 ms delay fit every frame, and the targets stay nested.
+FULL = {
+    "sweep": {"seed": "42", "rounds": "3", "attempts": "20", "shuffle": "true"},
+    "config": {
+        "crc": "off",
+        "protocol": "dynamic",
+        "bitrate": "2M-ble",
+        "txmode": "manual",
+        "power": "0",
+        "payload": "optimized",
+        "payload_len": "1",
+        "retransmits": "2",
+        "retransmit_delay_us": "5000",
+        "spacing": "end-to-start",
+    },
+    "channel": {"p_loss": "0.2655", "p_corrupt": "0.020408"},
+    "ble": {"connection_interval_us": "10000", "transfer_us": "36.5"},
+    "targets": {"d0d7": "486.3", "d2d5": "293.07", "d3d4": "185.86"},
+}
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw).map(repr)
+
+
+def _values(enum):
+    return st.sampled_from([member.value for member in enum])
+
+
+VALUES = {
+    ("sweep", "seed"): st.integers(0, 2**64 - 1).map(str),
+    ("sweep", "rounds"): st.integers(1, 100).map(str),
+    ("sweep", "attempts"): st.integers(1, 10_000).map(str),
+    ("sweep", "shuffle"): st.sampled_from(["true", "false", "yes", "no", "1", "0"]),
+    ("config", "crc"): _values(CrcMode),
+    ("config", "protocol"): _values(ProtocolMode),
+    ("config", "bitrate"): _values(BitrateMode),
+    ("config", "txmode"): _values(TxMode),
+    ("config", "power"): st.integers(-70, 10).map(str),
+    ("config", "payload"): _values(PayloadMode),
+    ("config", "payload_len"): st.integers(1, 252).map(str),
+    ("config", "retransmits"): st.integers(0, 10).map(str),
+    ("config", "retransmit_delay_us"): _floats(0.0, 1e5),
+    ("config", "spacing"): _values(CopySpacing),
+    ("channel", "p_loss"): _floats(0.0, 1.0),
+    ("channel", "p_corrupt"): _floats(0.0, 1.0),
+    ("ble", "connection_interval_us"): _floats(7500.0, 1e6),
+    ("ble", "transfer_us"): _floats(0.0, 1e4),
+    ("targets", "d0d7"): _floats(293.07, 1e4, exclude_min=True),
+    ("targets", "d2d5"): _floats(185.86, 486.3, exclude_min=True, exclude_max=True),
+    ("targets", "d3d4"): _floats(0.0, 293.07, exclude_min=True, exclude_max=True),
+}
+
+
+def _render(values: dict) -> str:
+    lines = []
+    for section, pairs in values.items():
+        lines.append("[config a]" if section == "config" else f"[{section}]")
+        lines.extend(f"{key}={value}" for key, value in pairs.items())
+    lines.append("[config b] crc=16")  # an untouched second config
+    return "\n".join(lines) + "\n"
+
+
+class TestOverrideMatchesTheFile:
+    def test_every_key_has_a_value_strategy(self):
+        assert set(VALUES) == {(section, key) for section, keys in _SECTIONS.items() for key in keys}
+        assert {(section, key) for section, keys in FULL.items() for key in keys} == set(VALUES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), path=st.sampled_from(sorted(VALUES)), with_ble=st.booleans())
+    def test_override_equals_parsing_the_file_with_that_key_set(self, data, path, with_ble):
+        section, key = path
+        value = data.draw(VALUES[path], label="value")
+        base = {s: dict(pairs) for s, pairs in FULL.items() if with_ble or s != "ble"}
+        changed = {s: dict(pairs) for s, pairs in base.items()}
+        changed.setdefault(section, {})[key] = value
+        override = f"config.a.{key}={value}" if section == "config" else f"{section}.{key}={value}"
+        assert apply_override(parse_experiment_file(_render(base)), override) == parse_experiment_file(
+            _render(changed)
+        )

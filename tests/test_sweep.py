@@ -285,6 +285,12 @@ class TestPersistence:
         assert parsed == records
         assert parsed[0].config_hash == olcfg_preset().digest()
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", "trailing\n", "a\x0bb", "a\x85b", "a\u2028b"])
+    def test_config_name_with_a_line_break_is_refused(self, quiet_pipeline, name):
+        records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=4, config_name=name)
+        with pytest.raises(SchemaError, match="line break"):
+            render_results_csv(records)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_round_trip_of_arbitrary_records(self, data):
