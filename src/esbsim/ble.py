@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import BleConfig
 from .engine import RngStream
-from .sweep import SummaryStats, summarize_values
+from .sweep import SummaryStats, summarize
 
 
 class MismatchError(ValueError):
@@ -53,7 +53,7 @@ def compare(esb_summary: SummaryStats, ble_summary: SummaryStats) -> ComparisonR
 
 def summarize_ble(values_us: np.ndarray, bin_width_us: float = 100.0) -> SummaryStats:
     # coarser bins than the broadcast link: the support spans a whole interval
-    return summarize_values(np.sort(values_us), 0, bin_width_us, mode_spacing_us=float("inf"))
+    return summarize(values_us, bin_width_us=bin_width_us, mode_spacing_us=float("inf"))
 
 
 def render_comparison(report: ComparisonReport) -> str:

@@ -20,6 +20,8 @@ from typing import Callable, Mapping
 
 from .analytics import CalibrationTargets
 from .config import (
+    TX_POWER_MAX_DBM,
+    TX_POWER_MIN_DBM,
     BitrateMode,
     BleConfig,
     ChannelModel,
@@ -255,14 +257,28 @@ def _parse_sigmas(value: str) -> tuple[float, ...]:
     return sigmas * len(STAGES) if len(sigmas) == 1 else sigmas
 
 
+def _check_modifier_value(param: str, value: str) -> None:
+    """A modifier value must be one a config can take, spelled as the
+    experiment file spells it; any other would never apply."""
+    typed = _SECTIONS["config"][param][1](value)  # the enum, or int for power
+    if param == "power" and (str(typed) != value or not TX_POWER_MIN_DBM <= typed <= TX_POWER_MAX_DBM):
+        raise ValueError(f"power needs an integer dBm in {TX_POWER_MIN_DBM}..{TX_POWER_MAX_DBM}, got {value!r}")
+
+
 class _ModifierKeys(dict):
-    """`<parameter>.<value>` keys for every parameter that has a modifier stage."""
+    """`<parameter>.<value>` keys for every parameter that has a modifier
+    stage and every value that parameter takes."""
 
     def __missing__(self, key: str):
         param, _, value = key.partition(".")
         if param not in MODIFIER_STAGE or not value:
             raise KeyError(key)
-        return key, float
+
+        def convert(add_us: str) -> float:
+            _check_modifier_value(param, value)
+            return float(add_us)
+
+        return key, convert
 
 
 # Fields belong to PipelineModel, except [modifiers], whose keys are collected
@@ -278,9 +294,11 @@ _PIPELINE_SECTIONS: _Schema = {
 def parse_pipeline_file(text: str) -> PipelineModel:
     """Parse a calibrated pipeline written by `render_pipeline_file`.
 
-    A file without `sigma_us` has no stage jitter.
+    Keys a file leaves out take the `PipelineModel` defaults: without
+    `sigma_us`, each stage's jitter SD is DEFAULT_STAGE_JITTER_SIGMA_US
+    (25/sqrt(7) us).
     """
-    fields: dict[str, object] = {"jitter_sigma_us": (0.0,) * len(STAGES)}
+    fields: dict[str, object] = {}
     for section, _, found in _read_sections(text, _PIPELINE_SECTIONS):
         if section == "modifiers":
             fields["modifiers_us"] = {tuple(key.split(".", 1)): add_us for key, add_us in found.items()}

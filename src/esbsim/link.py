@@ -14,10 +14,10 @@ of the first surviving copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import pi, sqrt
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,8 +131,6 @@ class PipelineModel:
         return tuple(self.stage_base_us(s) + extras[s] for s in STAGES)
 
     def zero_jitter(self) -> "PipelineModel":
-        from dataclasses import replace
-
         return replace(self, jitter_family="off")
 
 
@@ -142,13 +140,18 @@ class Outcome(str, Enum):
     LOST = "lost"
 
 
+OUTCOMES = tuple(Outcome)  # RecordBatch.outcome holds an index into this
+DELIVERED, DELIVERED_CORRUPTED, LOST = range(len(OUTCOMES))
+
+
 @dataclass
 class TransmissionRecord:
     """One broadcast attempt: probe timestamps and delivery accounting.
 
-    Probe times are absolute clock ticks (0.1 us); entries are None for
-    probes never reached.  `delivered_copy` is the index of the copy that
-    surfaced to the receiver application, or None when the attempt was lost.
+    A row view of a `RecordBatch`.  Probe times are absolute clock ticks
+    (0.1 us); entries are None for probes never reached.  `delivered_copy` is
+    the index of the copy that surfaced to the receiver application, or None
+    when the attempt was lost.
     """
 
     config_name: str
@@ -172,6 +175,133 @@ class TransmissionRecord:
         if a is None or b is None:
             return None
         return ticks_to_us(b - a)
+
+
+_COLUMNS = (
+    "config_index",
+    "seed_index",
+    "round_index",
+    "attempt",
+    "probes",
+    "delivered_copy",
+    "outcome",
+    "duplicates_suppressed",
+    "duplicates_delivered",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """Broadcast attempts as int64 columns, one row per attempt.
+
+    Config names and their hashes, and the seeds, sit in side tables that
+    `config_index` and `seed_index` point into; a seed may be as large as
+    2**64 - 1, which no int64 column holds.  `probes[i]` holds the eight
+    probe times in clock ticks (0.1 us), -1 for a probe never reached;
+    `delivered_copy` is -1 for a lost attempt, and `outcome` indexes
+    OUTCOMES.  Indexing or iterating yields `TransmissionRecord` row views;
+    two batches are equal when their rows are.
+    """
+
+    names: tuple[str, ...]
+    hashes: tuple[str, ...]
+    seeds: tuple[int, ...]
+    config_index: np.ndarray
+    seed_index: np.ndarray
+    round_index: np.ndarray
+    attempt: np.ndarray
+    probes: np.ndarray
+    delivered_copy: np.ndarray
+    outcome: np.ndarray
+    duplicates_suppressed: np.ndarray
+    duplicates_delivered: np.ndarray
+
+    def __post_init__(self):
+        if len(self.names) != len(self.hashes):
+            raise ValueError("every config name needs one hash")
+        n = len(self.attempt)
+        for column in _COLUMNS:
+            if len(getattr(self, column)) != n:
+                raise ValueError(f"column {column} has {len(getattr(self, column))} rows, expected {n}")
+        if self.probes.shape != (n, len(PROBES)):
+            raise ValueError(f"probes must have shape ({n}, {len(PROBES)}), got {self.probes.shape}")
+
+    def __len__(self) -> int:
+        return len(self.attempt)
+
+    def __getitem__(self, i: int) -> TransmissionRecord:
+        i = range(len(self))[i]
+        config = self.config_index[i]
+        copy = int(self.delivered_copy[i])
+        return TransmissionRecord(
+            config_name=self.names[config],
+            config_hash=self.hashes[config],
+            round_index=int(self.round_index[i]),
+            attempt=int(self.attempt[i]),
+            seed=self.seeds[self.seed_index[i]],
+            probes_ticks=tuple(None if t < 0 else t for t in self.probes[i].tolist()),
+            delivered_copy=None if copy < 0 else copy,
+            outcome=OUTCOMES[self.outcome[i]],
+            duplicates_suppressed=int(self.duplicates_suppressed[i]),
+            duplicates_delivered=int(self.duplicates_delivered[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(a, b) for a, b in zip(self._resolved(), other._resolved())
+        )
+
+    def _resolved(self) -> list[np.ndarray]:
+        """Columns with the side-table indices replaced by their entries."""
+        looked_up = [
+            np.array(table, dtype=object)[index]
+            for table, index in (
+                (self.names, self.config_index),
+                (self.hashes, self.config_index),
+                (self.seeds, self.seed_index),
+            )
+        ]
+        return looked_up + [getattr(self, column) for column in _COLUMNS[2:]]
+
+    def select(self, rows) -> "RecordBatch":
+        """The rows picked by a boolean mask or an index array, over the same
+        side tables."""
+        return replace(self, **{column: getattr(self, column)[rows] for column in _COLUMNS})
+
+    @classmethod
+    def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
+        """The rows of `batches` in order, over merged side tables.  A config
+        name must have one hash in every batch."""
+        names: dict[str, int] = {}
+        hashes: list[str] = []
+        seeds: dict[int, int] = {}
+        # an empty first part gives every column its shape when `batches` is empty
+        parts = {column: [np.zeros(0, dtype=np.int64)] for column in _COLUMNS}
+        parts["probes"] = [np.zeros((0, len(PROBES)), dtype=np.int64)]
+        for batch in batches:
+            for name, digest in zip(batch.names, batch.hashes):
+                if name not in names:
+                    names[name] = len(hashes)
+                    hashes.append(digest)
+                elif hashes[names[name]] != digest:
+                    raise ValueError(f"config {name!r} has two hashes: {hashes[names[name]]} and {digest}")
+            for column in _COLUMNS[2:]:
+                parts[column].append(getattr(batch, column))
+            config_map = np.array([names[name] for name in batch.names], dtype=np.int64)
+            seed_map = np.array([seeds.setdefault(s, len(seeds)) for s in batch.seeds], dtype=np.int64)
+            parts["config_index"].append(config_map[batch.config_index])
+            parts["seed_index"].append(seed_map[batch.seed_index])
+        return cls(
+            names=tuple(names),
+            hashes=tuple(hashes),
+            seeds=tuple(seeds),
+            **{column: np.concatenate(part) for column, part in parts.items()},
+        )
 
 
 def copy_offsets_ticks(config: EsbConfig) -> list[int]:
@@ -251,7 +381,7 @@ def run_attempt_series(
     round_index: int = 0,
     start_attempt: int = 0,
     spacing_us: float = DEFAULT_ATTEMPT_SPACING_US,
-) -> list[TransmissionRecord]:
+) -> RecordBatch:
     """Run `n` attempts with independent randomness, deterministic per seed.
 
     Attempt starts are spaced `spacing_us` apart on a per-config timeline,
@@ -273,7 +403,6 @@ def run_attempt_series(
         )
     totals = np.asarray(pipeline.stage_totals_us(config))
     crc_on = config.crc_mode is not CrcMode.OFF
-    config_hash = config.digest()
     draws = draw_series(
         channel,
         pipeline,
@@ -308,19 +437,19 @@ def run_attempt_series(
     # the receiver sees the delivered copy one on-air time after its start
     probes[:, 4] = probes[:, 3] + np.asarray(offsets)[first] + on_air + ticks[:, 3]
     probes[:, 5:] = probes[:, 4:5] + np.cumsum(ticks[:, 4:], axis=1)
+    probes[~reached, 4:] = -1  # d4..d7 never fire
 
-    probe_rows = probes.tolist()
-    delivered = first.tolist()
-    for i in np.flatnonzero(~reached).tolist():
-        probe_rows[i][4:] = (None,) * 4  # d4..d7 never fire
-        delivered[i] = None
-    kinds = (Outcome.DELIVERED, Outcome.DELIVERED_CORRUPTED, Outcome.LOST)
-    outcomes = [kinds[k] for k in np.where(reached, corrupted_delivery, 2).tolist()]
-    return [
-        TransmissionRecord(
-            config_name, config_hash, round_index, attempt, seed, tuple(row), copy, outcome, supp, dup
-        )
-        for attempt, row, copy, outcome, supp, dup in zip(
-            attempts.tolist(), probe_rows, delivered, outcomes, suppressed.tolist(), duplicates.tolist()
-        )
-    ]
+    return RecordBatch(
+        names=(config_name,),
+        hashes=(config.digest(),),
+        seeds=(seed,),
+        config_index=np.zeros(n, dtype=np.int64),
+        seed_index=np.zeros(n, dtype=np.int64),
+        round_index=np.full(n, round_index, dtype=np.int64),
+        attempt=attempts,
+        probes=probes,
+        delivered_copy=np.where(reached, first, -1),
+        outcome=np.where(reached, np.where(corrupted_delivery, DELIVERED_CORRUPTED, DELIVERED), LOST),
+        duplicates_suppressed=suppressed,
+        duplicates_delivered=duplicates,
+    )

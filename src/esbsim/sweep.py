@@ -13,19 +13,22 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .analytics import AccountingRow
 from .config import ChannelModel, EsbConfig, validate
-from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, RngStream
+from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, RngStream
 from .link import (
-    Outcome,
-    PipelineModel,
+    DELIVERED_CORRUPTED,
+    LOST,
+    OUTCOMES,
     PROBES,
-    TransmissionRecord,
+    PipelineModel,
+    RecordBatch,
     run_attempt_series,
 )
 
@@ -100,7 +103,7 @@ def shuffle_round_order(configs: Sequence, round_index: int, rng: RngStream) -> 
     return [configs[i] for i in order]
 
 
-def _run_series_task(args) -> list[TransmissionRecord]:
+def _run_series_task(args) -> RecordBatch:
     plan, channel, pipeline, config_index, round_index = args
     name, config = plan.configs[config_index]
     return run_attempt_series(
@@ -120,14 +123,15 @@ def run_sweep(
     channel: ChannelModel,
     pipeline: PipelineModel,
     workers: int = 1,
-) -> list[TransmissionRecord]:
+) -> RecordBatch:
     """Execute the full plan; rounds x attempts records per config.
 
     Each (config, round) series draws from streams keyed by the plan seed and
     its own indices, so the output is identical for any worker count and any
-    execution order.  Records come back sorted by (config, round, attempt).
-    The per-round shuffle fixes the execution order, as in the lab protocol;
-    it cannot affect record content because series are independent.
+    execution order.  The series are joined in (config, round) order, so the
+    rows come back sorted by (config, round, attempt).  The per-round shuffle
+    fixes the execution order, as in the lab protocol; it cannot affect
+    record content because series are independent.
     """
     round_tasks: list[tuple[int, int]] = []
     shuffle_rng = RngStream(plan.seed)
@@ -144,10 +148,10 @@ def run_sweep(
     else:
         chunks = [_run_series_task(a) for a in args]
 
-    records = [record for chunk in chunks for record in chunk]
-    name_order = {name: i for i, (name, _) in enumerate(plan.configs)}
-    records.sort(key=lambda r: (name_order[r.config_name], r.round_index, r.attempt))
-    return records
+    series = dict(zip(round_tasks, chunks))
+    return RecordBatch.concat(
+        [series[c, r] for c in range(len(plan.configs)) for r in range(plan.rounds)]
+    )
 
 
 @dataclass(frozen=True)
@@ -222,31 +226,22 @@ def detect_modes(
     return tuple(sorted(positions))
 
 
-def _interval_ticks(
-    records: Iterable[TransmissionRecord], interval: tuple[str, str]
-) -> tuple[np.ndarray, int]:
+def _interval_ticks(batch: RecordBatch, interval: tuple[str, str]) -> tuple[np.ndarray, int]:
+    """Sorted interval durations in ticks over the rows with both probes, and
+    the count of rows without them."""
     start, end = interval
     if start not in PROBES or end not in PROBES:
         raise ValueError(f"unknown probe pair {interval!r}")
-    i, j = PROBES.index(start), PROBES.index(end)
-    values = []
-    lost = 0
-    for record in records:
-        a = record.probes_ticks[i]
-        b = record.probes_ticks[j]
-        if a is None or b is None:
-            lost += 1
-        else:
-            values.append(b - a)
-    return np.sort(np.asarray(values, dtype=np.int64)), lost
+    a = batch.probes[:, PROBES.index(start)]
+    b = batch.probes[:, PROBES.index(end)]
+    present = (a >= 0) & (b >= 0)
+    return np.sort(b[present] - a[present]), len(batch) - int(present.sum())
 
 
-def interval_values_us(
-    records: Iterable[TransmissionRecord], interval: tuple[str, str]
-) -> tuple[np.ndarray, int]:
+def interval_values_us(batch: RecordBatch, interval: tuple[str, str]) -> tuple[np.ndarray, int]:
     """Interval durations for delivered records plus the lost count."""
-    ticks, lost = _interval_ticks(records, interval)
-    return ticks / 10.0, lost
+    ticks, lost = _interval_ticks(batch, interval)
+    return ticks / TICKS_PER_US, lost
 
 
 def _histogram(values_us: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,55 +251,36 @@ def _histogram(values_us: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, 
     return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * bin_width_us))
 
 
-def summarize_values(
-    values_us: np.ndarray,
-    n_lost: int = 0,
-    bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
-    mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
-) -> SummaryStats:
-    """Statistics over an array of latency samples in microseconds."""
-    if values_us.size == 0:
-        raise EmptyInputError("no delivered samples to summarize")
-    values_us = np.sort(np.asarray(values_us, dtype=float))
-    counts, edges = _histogram(values_us, bin_width_us)
-    return SummaryStats(
-        n=int(values_us.size),
-        n_lost=n_lost,
-        mean_us=float(values_us.mean()),
-        median_us=float(np.median(values_us)),
-        sd_us=float(values_us.std()),
-        p99_us=float(np.percentile(values_us, 99)),
-        hist_counts=tuple(int(c) for c in counts),
-        hist_edges=tuple(float(e) for e in edges),
-        modes_us=detect_modes(counts, edges, mode_spacing_us),
-    )
-
-
 def summarize(
-    records: Iterable[TransmissionRecord],
+    samples: RecordBatch | np.ndarray,
     interval: tuple[str, str] = ("d0", "d7"),
     bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
     mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
 ) -> SummaryStats:
-    """Latency statistics for one probe interval over delivered records only;
-    lost attempts are counted separately in `n_lost`.
+    """Latency statistics of a batch's probe `interval`, or of an array of
+    latencies in microseconds (`interval` is then unused).
 
-    Statistics are computed in integer tick space and converted, so they are
-    exact on the 0.1 us grid (a zero-jitter point mass reports its value
-    bit-for-bit) and independent of record order.
+    A batch is summarized over delivered records only; lost attempts are
+    counted separately in `n_lost`.  Its statistics are computed in integer
+    tick space and converted, so they are exact on the 0.1 us grid (a
+    zero-jitter point mass reports its value bit-for-bit) and independent of
+    record order.
     """
-    ticks, lost = _interval_ticks(records, interval)
-    if ticks.size == 0:
+    if isinstance(samples, RecordBatch):
+        values, n_lost = _interval_ticks(samples, interval)
+        scale = TICKS_PER_US
+    else:
+        values, n_lost, scale = np.sort(np.asarray(samples, dtype=float)), 0, 1.0
+    if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
-    values_us = ticks / 10.0
-    counts, edges = _histogram(values_us, bin_width_us)
+    counts, edges = _histogram(values / scale, bin_width_us)
     return SummaryStats(
-        n=int(ticks.size),
-        n_lost=lost,
-        mean_us=float(ticks.mean() / 10.0),
-        median_us=float(np.median(ticks) / 10.0),
-        sd_us=float(ticks.std() / 10.0),
-        p99_us=float(np.percentile(ticks, 99) / 10.0),
+        n=int(values.size),
+        n_lost=n_lost,
+        mean_us=float(values.mean() / scale),
+        median_us=float(np.median(values) / scale),
+        sd_us=float(values.std() / scale),
+        p99_us=float(np.percentile(values, 99) / scale),
         hist_counts=tuple(int(c) for c in counts),
         hist_edges=tuple(float(e) for e in edges),
         modes_us=detect_modes(counts, edges, mode_spacing_us),
@@ -312,10 +288,10 @@ def summarize(
 
 
 def bulge_masses(
-    records: Iterable[TransmissionRecord], modes_us: Sequence[float], interval=("d0", "d7")
+    batch: RecordBatch, modes_us: Sequence[float], interval=("d0", "d7")
 ) -> tuple[float, ...]:
     """Fraction of delivered attempts nearest each detected mode."""
-    values, _ = interval_values_us(records, interval)
+    values, _ = interval_values_us(batch, interval)
     if values.size == 0:
         raise EmptyInputError("no delivered samples")
     modes = np.asarray(modes_us, dtype=float)
@@ -323,127 +299,284 @@ def bulge_masses(
     return tuple(float((nearest == i).sum() / values.size) for i in range(modes.size))
 
 
-def crc_accounting_table(
-    records_by_mode: Mapping[str, Sequence[TransmissionRecord]],
-) -> dict[str, AccountingRow]:
+def accounting_for(batch: RecordBatch) -> AccountingRow:
+    """Sent/received/unique/valid accounting of a batch."""
+    outcomes = np.bincount(batch.outcome, minlength=len(OUTCOMES))
+    unique = len(batch) - int(outcomes[LOST])
+    return AccountingRow(
+        sent=len(batch),
+        received=unique + int(batch.duplicates_delivered.sum()),
+        unique=unique,
+        valid=unique - int(outcomes[DELIVERED_CORRUPTED]),
+    )
+
+
+def crc_accounting_table(batches_by_mode: Mapping[str, RecordBatch]) -> dict[str, AccountingRow]:
     """Sent/received/unique/valid accounting per CRC mode."""
-    table = {}
-    for mode, records in records_by_mode.items():
-        unique = sum(1 for r in records if r.outcome is not Outcome.LOST)
-        duplicates = sum(r.duplicates_delivered for r in records)
-        corrupted = sum(1 for r in records if r.outcome is Outcome.DELIVERED_CORRUPTED)
-        table[mode] = AccountingRow(
-            sent=len(records),
-            received=unique + duplicates,
-            unique=unique,
-            valid=unique - corrupted,
-        )
-    return table
+    return {mode: accounting_for(batch) for mode, batch in batches_by_mode.items()}
 
 
-def accounting_for(records: Sequence[TransmissionRecord]) -> AccountingRow:
-    return crc_accounting_table({"all": records})["all"]
+def _config_order(batch: RecordBatch) -> list[int]:
+    """Indices of the configs that have rows, in order of first appearance."""
+    indices, first = np.unique(batch.config_index, return_index=True)
+    return indices[np.argsort(first)].tolist()
+
+
+def _by_config(batch: RecordBatch) -> dict[str, RecordBatch]:
+    """The batch's rows per config name, in order of first appearance."""
+    return {batch.names[i]: batch.select(batch.config_index == i) for i in _config_order(batch)}
 
 
 # --- persistence --------------------------------------------------------------
 
-
-def _format_probe(ticks: int | None) -> str:
-    return "" if ticks is None else f"{ticks / 10:.1f}"
+_CHUNK_ROWS = 8192  # rows rendered or parsed at a time: bounds the objects alive at once
 
 
-def render_results_csv(records: Sequence[TransmissionRecord]) -> str:
-    """Results CSV with provenance header comments; lossless round-trip."""
-    out = io.StringIO()
-    out.write(f"# {RESULTS_FORMAT}\n")
-    out.write(f"# tool=esbsim {__version__}\n")
-    out.write(f"# rng={RNG_ALGORITHM}\n")
-    seeds = sorted({r.seed for r in records})
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it in a row of several fields."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((text, ""))
+    return line.getvalue()[: -len(",\n")]
+
+
+def _row_template(batch: RecordBatch, row: int) -> str:
+    """The %-template of the CSV rows shaped like `row`: the same config,
+    seed and outcome, and the same probes and delivered copy present.
+
+    It takes the round, the attempt, divmod(ticks, 10) of each probe, the
+    delivered copy and the two duplicate counts; an absent cell consumes its
+    values with %.0s and writes nothing.
+    """
+    fields = [
+        _csv_field(batch.names[batch.config_index[row]]).replace("%", "%%"),
+        "%d",
+        "%d",
+        str(batch.seeds[batch.seed_index[row]]),
+        *("%d.%d" if ticks >= 0 else "%.0s%.0s" for ticks in batch.probes[row]),
+        "%d" if batch.delivered_copy[row] >= 0 else "%.0s",
+        OUTCOMES[batch.outcome[row]].value,
+        "%d",
+        "%d",
+    ]
+    return ",".join(fields) + "\n"
+
+
+def render_results_csv(batch: RecordBatch) -> str:
+    """Results CSV with provenance header comments; lossless round-trip.
+
+    Rows sharing a config, seed, outcome and set of present cells share one
+    %-template, so the CSV quoting of a name happens once per template.
+    """
+    out = [f"# {RESULTS_FORMAT}\n", f"# tool=esbsim {__version__}\n", f"# rng={RNG_ALGORITHM}\n"]
+    seeds = sorted(batch.seeds[i] for i in np.unique(batch.seed_index).tolist())
     if seeds:
-        out.write(f"# seed={','.join(map(str, seeds))}\n")
-    seen: dict[str, str] = {}
-    for record in records:
-        if record.config_name not in seen:
-            # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
-            if "".join(record.config_name.splitlines()) != record.config_name:
-                raise SchemaError(f"config name {record.config_name!r} contains a line break")
-            seen[record.config_name] = record.config_hash
-            out.write(f"# config {record.config_name} hash={record.config_hash}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.config_name,
-                r.round_index,
-                r.attempt,
-                r.seed,
-                *(_format_probe(t) for t in r.probes_ticks),
-                "" if r.delivered_copy is None else r.delivered_copy,
-                r.outcome.value,
-                r.duplicates_suppressed,
-                r.duplicates_delivered,
-            ]
+        out.append(f"# seed={','.join(map(str, seeds))}\n")
+    for index in _config_order(batch):
+        name = batch.names[index]
+        # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
+        if "".join(name.splitlines()) != name:
+            raise SchemaError(f"config name {name!r} contains a line break")
+        out.append(f"# config {name} hash={batch.hashes[index]}\n")
+    out.append(",".join(CSV_COLUMNS) + "\n")
+
+    present = np.column_stack((batch.probes >= 0, batch.delivered_copy >= 0))
+    shape = (batch.config_index * len(batch.seeds) + batch.seed_index) * len(OUTCOMES) + batch.outcome
+    shape = shape << present.shape[1] | present @ (1 << np.arange(present.shape[1]))
+    _, first, inverse = np.unique(shape, return_index=True, return_inverse=True)
+    templates = [_row_template(batch, row) for row in first.tolist()]
+    for start in range(0, len(batch), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        whole, tenth = np.divmod(batch.probes[rows], TICKS_PER_US)
+        cells = (
+            batch.round_index[rows],
+            batch.attempt[rows],
+            *chain.from_iterable(zip(whole.T, tenth.T)),
+            batch.delivered_copy[rows],
+            batch.duplicates_suppressed[rows],
+            batch.duplicates_delivered[rows],
         )
-    return out.getvalue()
+        values = zip(*(column.tolist() for column in cells))
+        out.append("".join(map(str.__mod__, map(templates.__getitem__, inverse[rows].tolist()), values)))
+    return "".join(out)
 
 
-def write_results(records: Sequence[TransmissionRecord], path) -> None:
+def write_results(batch: RecordBatch, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(render_results_csv(records))
+        fh.write(render_results_csv(batch))
 
 
-def parse_results_csv(text: str) -> list[TransmissionRecord]:
+_OUTCOME_CODES = {outcome.value: code for code, outcome in enumerate(OUTCOMES)}
+_MAX_DIGITS = 17  # ten times the value still fits in an int64
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: bool, empty_ok: bool):
+    """The cells buf[starts[i]:ends[i]] of decimal digits as int64, -1 for an
+    empty cell.  With `tenths` a cell is a time in microseconds with at most
+    one decimal place, and comes back in ticks.  Also returns a mask of the
+    malformed cells."""
+    width = ends - starts
+    value = np.zeros(len(starts), dtype=np.int64)
+    bad = np.zeros(len(starts), dtype=bool) if empty_ok else width == 0
+    has_point = np.zeros(len(starts), dtype=bool)
+    # a longer cell is too long anyway, so the loop need not reach its end
+    for k in range(min(int(width.max(initial=0)), _MAX_DIGITS + 1)):
+        inside = k < width
+        char = buf[np.minimum(starts + k, len(buf) - 1)]
+        digit = char - np.uint8(ord("0"))  # wraps round below "0"
+        is_digit = inside & (digit < 10)
+        value = np.where(is_digit, value * 10 + digit, value)
+        if tenths and k > 0:
+            # a point sits between a digit and the one digit that ends its cell
+            point = (k == width - 2) & (char == ord("."))
+            has_point |= point
+            is_digit |= point
+        bad |= inside & ~is_digit
+    bad |= width - has_point > _MAX_DIGITS
+    if tenths:
+        value = np.where(has_point, value, value * TICKS_PER_US)
+    value[width == 0] = -1
+    return value, bad
+
+
+class _Rows:
+    """A chunk of data rows, each split at its last 15 commas, so that only
+    the config name may hold a comma.  Cells are located by offsets into the
+    joined rows; only text cells are cut out as strings."""
+
+    def __init__(self, rows: Sequence[str], line_numbers: Sequence[int]):
+        self.rows = rows
+        self.line_numbers = line_numbers
+        self.text = "\n".join(rows) + "\n"
+        # one byte per character: one that latin-1 lacks becomes "?", which no numeric cell accepts
+        self.buf = np.frombuffer(self.text.encode("latin-1", "replace"), dtype=np.uint8)
+        row_ends = np.flatnonzero(self.buf == ord("\n"))
+        commas = np.flatnonzero(self.buf == ord(","))
+        commas_before = np.searchsorted(commas, row_ends)
+        short = np.diff(commas_before, prepend=0) < len(CSV_COLUMNS) - 1
+        if short.any():
+            i = int(np.argmax(short))
+            fields = len(next(csv.reader([rows[i]])))
+            raise self.error(i, f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
+        splits = commas[commas_before[:, None] + np.arange(1 - len(CSV_COLUMNS), 0)]
+        self.starts = np.column_stack((np.concatenate(([0], row_ends[:-1] + 1)), splits + 1))
+        self.ends = np.column_stack((splits, row_ends))
+
+    def error(self, i: int, message: str) -> SchemaError:
+        return SchemaError(f"line {self.line_numbers[i]}: {message}")
+
+    def cell(self, i: int, column: int) -> str:
+        return self.text[self.starts[i, column] : self.ends[i, column]]
+
+    def codes(self, column: int, codes: dict, new_code) -> np.ndarray:
+        """The code of each cell of `column` in `codes`.  A cell not seen
+        before gets `new_code(cell)`, so each distinct cell is converted once."""
+        bounds = map(slice, self.starts[:, column].tolist(), self.ends[:, column].tolist())
+        cells = list(map(self.text.__getitem__, bounds))
+        for cell in dict.fromkeys(cells):
+            if cell not in codes:
+                try:
+                    codes[cell] = new_code(cell)
+                except ValueError as exc:
+                    raise self.error(cells.index(cell), f"{CSV_COLUMNS[column]} {cell!r} {exc}") from None
+        return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+    def numbers(self, columns: list[int], tenths: bool = False, empty_ok: bool = False) -> np.ndarray:
+        """The numeric `columns`, one array row each."""
+        starts, ends = self.starts[:, columns].T.ravel(), self.ends[:, columns].T.ravel()
+        values, bad = _decimals(self.buf, starts, ends, tenths, empty_ok)
+        if bad.any():
+            k, i = divmod(int(np.argmax(bad)), len(self.rows))
+            what = "a time in us with at most one decimal place" if tenths else "a non-negative integer"
+            raise self.error(i, f"{CSV_COLUMNS[columns[k]]} {self.cell(i, columns[k])!r} is not {what}")
+        return values.reshape(len(columns), len(self.rows))
+
+
+def _decode_name(cell: str) -> str:
+    """A config-name cell as the csv module reads it: one field."""
+    try:
+        fields = next(csv.reader([cell], strict=True)) or [""]
+    except csv.Error as exc:
+        raise ValueError(f"is badly quoted ({exc})") from None
+    if len(fields) != 1:
+        raise ValueError(f"makes a row of {len(fields) + len(CSV_COLUMNS) - 1} fields, expected {len(CSV_COLUMNS)}")
+    return fields[0]
+
+
+def _parse_seed(cell: str) -> int:
+    if not (cell.isascii() and cell.isdigit()) or int(cell) >= 2**64:
+        raise ValueError("is not an unsigned 64-bit integer")
+    return int(cell)
+
+
+def _unknown_outcome(cell: str) -> int:
+    raise ValueError(f"is not one of {', '.join(_OUTCOME_CODES)}")
+
+
+def parse_results_csv(text: str) -> RecordBatch:
     """Records of a results CSV written with this format and RNG scheme.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
-    which keeps the hash of an empty name or a name with spaces.
+    which keeps the hash of an empty name or a name with spaces.  Config
+    names, seeds and outcomes are converted once per distinct cell and the
+    numeric cells a column at a time.  A malformed row raises SchemaError
+    with its line number; a probe must be a time on the 0.1 us grid.
     """
+    lines = text.splitlines()
     hashes: dict[str, str] = {}
     comments = []
-    rows = []
-    for line in text.splitlines():
-        if not rows and line.startswith("#"):
+    header_at = len(lines)
+    for line_no, line in enumerate(lines):
+        if line.startswith("#"):
             comments.append(line)
             if line.startswith("# config "):
                 name, sep, config_hash = line.removeprefix("# config ").rpartition(" hash=")
                 if sep:
                     hashes[name] = config_hash
         elif line.strip():
-            rows.append(line)
+            header_at = line_no
+            break
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
         if expected not in comments:
             raise SchemaError(f"results file lacks the {expected!r} header line")
-    if not rows:
+    if header_at == len(lines):
         raise SchemaError("no header row in results file")
-    reader = csv.reader(rows)
-    header = tuple(next(reader))
+    header = tuple(next(csv.reader([lines[header_at]])))
     if header != CSV_COLUMNS:
         raise SchemaError(f"unexpected columns {header!r}")
-    records = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise SchemaError(f"row with {len(row)} fields, expected {len(CSV_COLUMNS)}")
-        probes = tuple(None if cell == "" else round(float(cell) * 10) for cell in row[4:12])
-        records.append(
-            TransmissionRecord(
-                config_name=row[0],
-                config_hash=hashes.get(row[0], ""),
-                round_index=int(row[1]),
-                attempt=int(row[2]),
-                seed=int(row[3]),
-                probes_ticks=probes,
-                delivered_copy=None if row[12] == "" else int(row[12]),
-                outcome=Outcome(row[13]),
-                duplicates_suppressed=int(row[14]),
-                duplicates_delivered=int(row[15]),
+
+    body = lines[header_at + 1 :]
+    rows = list(compress(body, map(str.strip, body)))  # blank lines are skipped
+    line_numbers: Sequence[int] = range(header_at + 2, len(lines) + 1)
+    if len(rows) != len(body):
+        line_numbers = list(compress(line_numbers, map(str.strip, body)))
+    names: dict[str, int] = {}
+    seeds: dict[int, int] = {}
+    name_codes: dict[str, int] = {}
+    seed_codes: dict[str, int] = {}
+    outcome_codes = dict(_OUTCOME_CODES)
+    batches = []
+    for first in range(0, len(rows), _CHUNK_ROWS):
+        chunk = _Rows(rows[first : first + _CHUNK_ROWS], line_numbers[first : first + _CHUNK_ROWS])
+        round_index, attempt, suppressed, delivered = chunk.numbers([1, 2, 14, 15])
+        batches.append(
+            dict(
+                config_index=chunk.codes(0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))),
+                seed_index=chunk.codes(3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds))),
+                round_index=round_index,
+                attempt=attempt,
+                probes=chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T,
+                delivered_copy=chunk.numbers([12], empty_ok=True)[0],
+                outcome=chunk.codes(13, outcome_codes, _unknown_outcome),
+                duplicates_suppressed=suppressed,
+                duplicates_delivered=delivered,
             )
         )
-    return records
+    tables = dict(names=tuple(names), hashes=tuple(hashes.get(name, "") for name in names), seeds=tuple(seeds))
+    return RecordBatch.concat([RecordBatch(**tables, **columns) for columns in batches])
 
 
-def read_results(path) -> list[TransmissionRecord]:
+def read_results(path) -> RecordBatch:
     with open(path, newline="") as fh:
         return parse_results_csv(fh.read())
 
@@ -452,39 +585,31 @@ REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 
 
 def summarize_by_config(
-    records: Sequence[TransmissionRecord],
+    batch: RecordBatch,
     intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS,
     bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
     mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
 ) -> dict[str, dict[str, SummaryStats]]:
-    by_config: dict[str, list[TransmissionRecord]] = {}
-    for record in records:
-        by_config.setdefault(record.config_name, []).append(record)
     out: dict[str, dict[str, SummaryStats]] = {}
-    for name, recs in by_config.items():
+    for name, rows in _by_config(batch).items():
         out[name] = {}
         for interval in intervals:
             key = interval[0] + interval[1]
             try:
-                out[name][key] = summarize(recs, interval, bin_width_us, mode_spacing_us)
+                out[name][key] = summarize(rows, interval, bin_width_us, mode_spacing_us)
             except EmptyInputError:
                 continue
     return out
 
 
-def render_report(
-    records: Sequence[TransmissionRecord],
-    summaries: Mapping[str, Mapping[str, SummaryStats]],
-) -> str:
+def render_report(batch: RecordBatch, summaries: Mapping[str, Mapping[str, SummaryStats]]) -> str:
     """Human-readable summary: per-config interval statistics (as computed by
-    `summarize_by_config` over `records`) plus packet accounting.  p99 is an
+    `summarize_by_config` over `batch`) plus packet accounting.  p99 is an
     extension beyond the mean/median/SD the reference protocol reports; lost
     attempts are excluded from latency statistics and shown as a separate
     count."""
     lines = []
-    by_config: dict[str, list[TransmissionRecord]] = {}
-    for record in records:
-        by_config.setdefault(record.config_name, []).append(record)
+    by_config = _by_config(batch)
     for name, intervals in summaries.items():
         acct = accounting_for(by_config[name])
         lines.append(f"config {name}")

@@ -27,7 +27,8 @@ from esbsim.expfile import (
     parse_pipeline_file,
     render_pipeline_file,
 )
-from esbsim.link import PipelineModel
+from esbsim.cli import main
+from esbsim.link import DEFAULT_STAGE_JITTER_SIGMA_US, MODIFIER_STAGE, STAGES, PipelineModel
 from esbsim.sweep import SweepPlan
 
 SAMPLE = """\
@@ -248,6 +249,58 @@ class TestPipelineFile:
         with pytest.raises(UnknownKeyError) as err:
             parse_pipeline_file("[modifiers] antenna.big=1\n")
         assert err.value.name == "antenna.big"
+
+    def test_every_modifier_parameter_is_a_config_key(self):
+        assert set(MODIFIER_STAGE) <= set(_SECTIONS["config"])
+
+    @pytest.mark.parametrize(
+        "key",
+        ["crc.banana", "crc.32", "protocol.fast", "bitrate.3M", "txmode.never", "payload.big",
+         "power.x", "power.+4", "power.04", "power.11", "power.-71", "power.1.5"],
+    )
+    def test_modifier_value_no_config_takes(self, key, tmp_path, capsys):
+        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        with pytest.raises(ParseError, match=f"bad value for '{key}'") as err:
+            parse_pipeline_file(text + f"[modifiers]\n{key}=50\n")
+        assert err.value.line_no == len(text.splitlines()) + 2
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(text + f"[modifiers]\n{key}=50\n")
+        assert main(["simulate", "--pipeline", str(path), "--attempts", "2", "--out", str(tmp_path)]) == 1
+        assert f"line {err.value.line_no}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key", ["crc.off", "crc.8", "protocol.static", "bitrate.1M", "txmode.manual-start", "payload.standard",
+                "power.-70", "power.0", "power.10"],
+    )
+    def test_modifier_values_configs_take(self, key):
+        param, value = key.split(".", 1)
+        pipe = parse_pipeline_file(
+            render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+            + f"[modifiers]\n{key}=1.5\n"
+        )
+        assert pipe.modifiers_us == {(param, value): 1.5}
+
+    def test_file_without_sigma_takes_the_model_default(self):
+        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        kept = [line for line in text.splitlines() if not line.startswith("sigma_us=")]
+        pipe = parse_pipeline_file("\n".join(kept))
+        assert pipe.jitter_family == "normal"
+        assert pipe.jitter_sigma_us == (DEFAULT_STAGE_JITTER_SIGMA_US,) * len(STAGES)
+        assert pipe.jitter_sigma_us == PipelineModel(**{f"{s}_us": 1.0 for s in STAGES}).jitter_sigma_us
+
+    @pytest.mark.parametrize("sigma", [None, "0", "3.5,1,2,3,4,5,6"])
+    def test_calibrate_output_parses_unchanged(self, tmp_path, capsys, sigma):
+        args = ["calibrate", "--out", str(tmp_path)]
+        assert main(args) == 0
+        text = (tmp_path / "pipeline.cfg").read_text()
+        assert "\nsigma_us=" in text  # calibrate always writes it
+        expected = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+        if sigma is not None:
+            text = text.replace(f"sigma_us={expected.jitter_sigma_us[0]!r}", f"sigma_us={sigma}")
+            sigmas = tuple(float(x) for x in sigma.split(","))
+            sigmas = sigmas * len(STAGES) if len(sigmas) == 1 else sigmas
+            expected = dataclasses.replace(expected, jitter_sigma_us=sigmas)
+        assert parse_pipeline_file(text) == expected
 
 
 # Every key of a full experiment file, with a value from which any single

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from collections import Counter
 from math import cos, erf, log1p, pi, sin, sqrt
 
@@ -32,6 +33,7 @@ from esbsim.link import (
     DEFAULT_ATTEMPT_SPACING_US,
     STAGES,
     Outcome,
+    RecordBatch,
     TransmissionRecord,
     copy_offsets_ticks,
     draw_series,
@@ -303,7 +305,7 @@ class TestRunAttemptSeries:
         tail = run_attempt_series(
             olcfg_preset(), channel, pipeline, 15, seed=9, config_name="olcfg", start_attempt=25
         )
-        assert full == head + tail
+        assert full == RecordBatch.concat([head, tail])
 
     def test_records_carry_provenance(self, quiet_pipeline):
         rec = run_attempt_series(
@@ -353,6 +355,59 @@ class TestRunAttemptSeries:
             assert (r.delivered_copy is None) == lost
             assert (r.probes_ticks[4] is None) == lost
             assert (r.probes_ticks[7] is None) == lost
+
+
+class TestRecordBatch:
+    """The columnar record type: row views, equality, joins and pickling."""
+
+    @pytest.fixture
+    def batch(self, pipeline):
+        cfg = dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.OFF)
+        channel = ChannelModel(p_loss=0.5, p_corrupt=0.2)
+        return run_attempt_series(cfg, channel, pipeline, 30, seed=2**64 - 1, config_name="a", round_index=3)
+
+    def test_rows_are_views_of_the_columns(self, batch):
+        rows = list(batch)
+        assert len(rows) == len(batch) == 30
+        assert batch[-1] == rows[-1] == batch[29]
+        assert {r.outcome for r in rows} == set(Outcome)
+        for i, r in enumerate(rows):
+            assert (r.config_name, r.round_index, r.attempt, r.seed) == ("a", 3, i, 2**64 - 1)
+            assert r.probes_ticks == tuple(None if t < 0 else t for t in batch.probes[i].tolist())
+            assert (r.delivered_copy is None) == (r.outcome is Outcome.LOST) == (batch.delivered_copy[i] == -1)
+        with pytest.raises(IndexError):
+            batch[30]
+
+    def test_equality_sees_every_cell(self, batch):
+        assert batch == dataclasses.replace(batch)
+        for column in ("round_index", "attempt", "probes", "delivered_copy", "outcome",
+                       "duplicates_suppressed", "duplicates_delivered"):
+            changed = getattr(batch, column).copy()
+            changed.flat[-1] += 1
+            assert batch != dataclasses.replace(batch, **{column: changed})
+        assert batch != dataclasses.replace(batch, names=("b",))
+        assert batch != dataclasses.replace(batch, hashes=("0",))
+        assert batch != dataclasses.replace(batch, seeds=(0,))
+        assert batch != batch.select(slice(1, None))
+
+    def test_concat_merges_the_side_tables(self, batch, pipeline):
+        other = run_attempt_series(olcfg_preset(), LOSSLESS, pipeline, 5, seed=7, config_name="b")
+        joined = RecordBatch.concat([batch, other, batch])
+        assert joined.names == ("a", "b") and joined.seeds == (2**64 - 1, 7)
+        assert list(joined) == [*batch, *other, *batch]
+        assert RecordBatch.concat([joined]) == joined
+        assert len(RecordBatch.concat([])) == 0
+
+    def test_a_name_keeps_one_hash(self, batch):
+        with pytest.raises(ValueError, match="two hashes"):
+            RecordBatch.concat([batch, dataclasses.replace(batch, hashes=("0",))])
+
+    def test_columns_must_agree_in_length(self, batch):
+        with pytest.raises(ValueError, match="rows"):
+            dataclasses.replace(batch, attempt=batch.attempt[:-1])
+
+    def test_pickles(self, batch):
+        assert pickle.loads(pickle.dumps(batch)) == batch
 
 
 class TestTimelineProperties:
@@ -411,7 +466,7 @@ class TestTimelineProperties:
                 assert None not in rx
 
         split = data.draw(st.integers(1, n - 1))
-        assert series(split) + series(n - split, split) == records
+        assert RecordBatch.concat([series(split), series(n - split, split)]) == records
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -450,13 +505,13 @@ class TestTimelineProperties:
             )
 
         records = series(n, start_attempt)
-        assert records == oracle_series(
+        assert list(records) == oracle_series(
             cfg, channel, pipe, n, seed=seed, round_index=round_index, start_attempt=start_attempt
         )
         split = data.draw(st.integers(0, n))
-        head = series(split, start_attempt) if split else []
-        tail = series(n - split, start_attempt + split) if split < n else []
-        assert head + tail == records
+        head = [series(split, start_attempt)] if split else []
+        tail = [series(n - split, start_attempt + split)] if split < n else []
+        assert RecordBatch.concat(head + tail) == records
 
 
 class TestDraws:

@@ -1,17 +1,28 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esbsim import __version__
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
+from esbsim.cli import main
 from esbsim.config import ChannelModel, CrcMode, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM, RngStream
-from esbsim.link import Outcome, TransmissionRecord, run_attempt_series
+from esbsim.link import LOST, PROBES, Outcome, RecordBatch, TransmissionRecord, run_attempt_series
 from esbsim.sweep import (
+    CSV_COLUMNS,
+    DEFAULT_HISTOGRAM_BIN_US,
+    DEFAULT_MODE_SPACING_US,
+    REPORT_INTERVALS,
+    RESULTS_FORMAT,
     EmptyInputError,
     SchemaError,
+    SummaryStats,
     SweepPlan,
+    accounting_for,
     bulge_masses,
     crc_accounting_table,
     detect_modes,
@@ -27,9 +38,173 @@ from esbsim.sweep import (
 )
 
 
+# --- row-wise oracles ------------------------------------------------------------
+# The record-at-a-time CSV writer, reader and per-config summary that the
+# columnar paths replaced; the fast paths must agree with them exactly.
+
+
+def batch_of(records) -> RecordBatch:
+    """The batch whose rows are `records`."""
+    hashes = {}
+    for r in records:
+        hashes.setdefault(r.config_name, r.config_hash)
+    names = list(hashes)
+    seeds = list(dict.fromkeys(r.seed for r in records))
+
+    def column(values):
+        return np.array(list(values), dtype=np.int64)
+
+    return RecordBatch(
+        names=tuple(names),
+        hashes=tuple(hashes.values()),
+        seeds=tuple(seeds),
+        config_index=column(names.index(r.config_name) for r in records),
+        seed_index=column(seeds.index(r.seed) for r in records),
+        round_index=column(r.round_index for r in records),
+        attempt=column(r.attempt for r in records),
+        probes=column([-1 if t is None else t for t in r.probes_ticks] for r in records).reshape(
+            -1, len(PROBES)
+        ),
+        delivered_copy=column(-1 if r.delivered_copy is None else r.delivered_copy for r in records),
+        outcome=column(list(Outcome).index(r.outcome) for r in records),
+        duplicates_suppressed=column(r.duplicates_suppressed for r in records),
+        duplicates_delivered=column(r.duplicates_delivered for r in records),
+    )
+
+
+def oracle_render(records) -> str:
+    out = io.StringIO()
+    out.write(f"# {RESULTS_FORMAT}\n# tool=esbsim {__version__}\n# rng={RNG_ALGORITHM}\n")
+    seeds = sorted({r.seed for r in records})
+    if seeds:
+        out.write(f"# seed={','.join(map(str, seeds))}\n")
+    seen = {}
+    for r in records:
+        if r.config_name not in seen:
+            seen[r.config_name] = r.config_hash
+            out.write(f"# config {r.config_name} hash={r.config_hash}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        writer.writerow(
+            [
+                r.config_name,
+                r.round_index,
+                r.attempt,
+                r.seed,
+                *("" if t is None else f"{t / 10:.1f}" for t in r.probes_ticks),
+                "" if r.delivered_copy is None else r.delivered_copy,
+                r.outcome.value,
+                r.duplicates_suppressed,
+                r.duplicates_delivered,
+            ]
+        )
+    return out.getvalue()
+
+
+def oracle_parse(text: str) -> list[TransmissionRecord]:
+    hashes, rows = {}, []
+    for line in text.splitlines():
+        if not rows and line.startswith("#"):
+            if line.startswith("# config "):
+                name, sep, config_hash = line.removeprefix("# config ").rpartition(" hash=")
+                if sep:
+                    hashes[name] = config_hash
+        elif line.strip():
+            rows.append(line)
+    reader = csv.reader(rows)
+    assert tuple(next(reader)) == CSV_COLUMNS
+    return [
+        TransmissionRecord(
+            config_name=row[0],
+            config_hash=hashes.get(row[0], ""),
+            round_index=int(row[1]),
+            attempt=int(row[2]),
+            seed=int(row[3]),
+            probes_ticks=tuple(None if cell == "" else round(float(cell) * 10) for cell in row[4:12]),
+            delivered_copy=None if row[12] == "" else int(row[12]),
+            outcome=Outcome(row[13]),
+            duplicates_suppressed=int(row[14]),
+            duplicates_delivered=int(row[15]),
+        )
+        for row in reader
+    ]
+
+
+def oracle_summarize_by_config(records, intervals=REPORT_INTERVALS) -> dict:
+    by_config = {}
+    for r in records:
+        by_config.setdefault(r.config_name, []).append(r)
+    out = {}
+    for name, recs in by_config.items():
+        out[name] = {}
+        for start, end in intervals:
+            ticks, lost = [], 0
+            for r in recs:
+                a, b = r.probes_ticks[PROBES.index(start)], r.probes_ticks[PROBES.index(end)]
+                if a is None or b is None:
+                    lost += 1
+                else:
+                    ticks.append(b - a)
+            if not ticks:
+                continue
+            ticks = np.sort(np.asarray(ticks, dtype=np.int64))
+            values_us = ticks / 10.0
+            width = DEFAULT_HISTOGRAM_BIN_US
+            lo = np.floor(values_us[0] / width) * width
+            n_bins = max(1, int(round((np.ceil(values_us[-1] / width) * width - lo) / width)))
+            counts, edges = np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width))
+            out[name][start + end] = SummaryStats(
+                n=int(ticks.size),
+                n_lost=lost,
+                mean_us=float(ticks.mean() / 10.0),
+                median_us=float(np.median(ticks) / 10.0),
+                sd_us=float(ticks.std() / 10.0),
+                p99_us=float(np.percentile(ticks, 99) / 10.0),
+                hist_counts=tuple(int(c) for c in counts),
+                hist_edges=tuple(float(e) for e in edges),
+                modes_us=detect_modes(counts, edges, DEFAULT_MODE_SPACING_US),
+            )
+    return out
+
+
+# names hold no line breaks: the format is line-based
+NAMES = st.sampled_from(
+    ["", "two words", "#hash-led", "comma,name", ' spaced " quote ', "odd hash=name", "100%"]
+) | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+
+@st.composite
+def record_lists(draw, max_size=20):
+    """Records of up to four configs with arbitrary cells: any probe may be
+    absent, seeds span 64 bits, so one file holds several."""
+    hashes = draw(st.dictionaries(NAMES, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
+    probe = st.none() | st.integers(0, 2**40)
+    record = st.builds(
+        TransmissionRecord,
+        config_name=st.sampled_from(sorted(hashes)),
+        config_hash=st.just(""),
+        round_index=st.integers(0, 10**4),
+        attempt=st.integers(0, 10**9),
+        seed=st.integers(0, 2**64 - 1),
+        probes_ticks=st.tuples(*[probe] * 8),
+        delivered_copy=st.none() | st.integers(0, 15),
+        outcome=st.sampled_from(Outcome),
+        duplicates_suppressed=st.integers(0, 15),
+        duplicates_delivered=st.integers(0, 15),
+    )
+    records = draw(st.lists(record, max_size=max_size))
+    return [dataclasses.replace(r, config_hash=hashes[r.config_name]) for r in records]
+
+
 @pytest.fixture(scope="module")
-def quiet_pipeline():
-    return calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()).zero_jitter()
+def pipeline():
+    return calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+
+
+@pytest.fixture(scope="module")
+def quiet_pipeline(pipeline):
+    return pipeline.zero_jitter()
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +408,34 @@ class TestAccounting:
         assert row.received == row.unique
         assert row.valid == row.unique
 
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_lists(max_size=40))
+    def test_identities_hold_for_arbitrary_batches(self, records):
+        row = accounting_for(batch_of(records))
+        lost = sum(r.outcome is Outcome.LOST for r in records)
+        corrupted = sum(r.outcome is Outcome.DELIVERED_CORRUPTED for r in records)
+        duplicates = sum(r.duplicates_delivered for r in records)
+        assert row.sent == len(records) == row.unique + lost
+        assert row.received == row.unique + duplicates
+        assert row.valid == row.unique - corrupted
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        crc=st.sampled_from([CrcMode.CRC8, CrcMode.CRC16]),
+        retransmits=st.integers(0, 5),
+        p_loss=st.floats(0.0, 1.0),
+        p_corrupt=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_crc_on_delivers_no_duplicates(self, quiet_pipeline, crc, retransmits, p_loss, p_corrupt, seed):
+        cfg = dataclasses.replace(olcfg_preset(), crc_mode=crc, retransmit_count=retransmits)
+        pipe = dataclasses.replace(quiet_pipeline, dedup_escape_prob=1.0)
+        batch = run_attempt_series(cfg, ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt), pipe, 50, seed=seed)
+        assert not batch.duplicates_delivered.any()
+        row = accounting_for(batch)
+        assert row.sent == row.unique + int((batch.outcome == LOST).sum())
+        assert row.received == row.unique
+
     def test_no_corruption_means_valid_equals_unique(self, quiet_pipeline):
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 300, seed=8
@@ -250,11 +453,12 @@ class TestPersistence:
 
     def test_header_only_for_empty_record_set(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_results([], path)
+        empty = RecordBatch.concat([])
+        write_results(empty, path)
         text = path.read_text()
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(data_lines) == 1  # just the column header
-        assert read_results(path) == []
+        assert read_results(path) == empty
 
     def test_provenance_comments(self, quiet_pipeline, tmp_path):
         records = run_attempt_series(
@@ -266,10 +470,12 @@ class TestPersistence:
         assert "# rng=" in text
 
     def test_every_seed_in_the_provenance_header(self, quiet_pipeline):
-        records = [
-            *run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9, config_name="a"),
-            *run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=3, config_name="b"),
-        ]
+        records = RecordBatch.concat(
+            [
+                run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9, config_name="a"),
+                run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=3, config_name="b"),
+            ]
+        )
         text = render_results_csv(records)
         assert "# seed=3,9\n" in text
         assert parse_results_csv(text) == records
@@ -292,30 +498,30 @@ class TestPersistence:
             render_results_csv(records)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_round_trip_of_arbitrary_records(self, data):
-        # names hold no line breaks: the format is line-based
-        names = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
-        hashes = data.draw(st.dictionaries(names, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
-        probe = st.none() | st.integers(0, 2**40)
-        record = st.builds(
-            TransmissionRecord,
-            config_name=st.sampled_from(sorted(hashes)),
-            config_hash=st.just(""),
-            round_index=st.integers(0, 10**4),
-            attempt=st.integers(0, 10**9),
-            seed=st.integers(0, 2**64 - 1),
-            probes_ticks=st.tuples(*[probe] * 8),
-            delivered_copy=st.none() | st.integers(0, 15),
-            outcome=st.sampled_from(Outcome),
-            duplicates_suppressed=st.integers(0, 15),
-            duplicates_delivered=st.integers(0, 15),
+    @given(records=record_lists())
+    def test_round_trip_of_arbitrary_records(self, records):
+        batch = batch_of(records)
+        assert parse_results_csv(render_results_csv(batch)) == batch
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_lists())
+    def test_columnar_render_matches_the_row_oracle(self, records):
+        assert render_results_csv(batch_of(records)) == oracle_render(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_lists())
+    def test_columnar_parse_matches_the_row_oracle(self, records):
+        text = oracle_render(records)
+        assert list(parse_results_csv(text)) == oracle_parse(text)
+
+    def test_renders_and_parses_across_chunks(self, quiet_pipeline):
+        # more rows than one parse or render chunk, with lost rows between delivered ones
+        batch = run_attempt_series(
+            olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 20000, seed=3, config_name="olcfg"
         )
-        records = [
-            dataclasses.replace(r, config_hash=hashes[r.config_name])
-            for r in data.draw(st.lists(record, max_size=20))
-        ]
-        assert parse_results_csv(render_results_csv(records)) == records
+        text = render_results_csv(batch)
+        assert text == oracle_render(list(batch))
+        assert parse_results_csv(text) == batch
 
     @pytest.mark.parametrize(
         "line, replacement",
@@ -349,6 +555,25 @@ class TestPersistence:
         for label in ("d0-d7", "d2-d5", "d3-d4"):
             assert label in text
 
+    def test_summaries_match_the_row_oracle_under_heavy_loss(self, pipeline):
+        shapes = ((CrcMode.OFF, 2), (CrcMode.CRC8, 3), (CrcMode.CRC16, 1), (CrcMode.CRC16, 0))
+        configs = tuple(
+            (f"crc-{mode.value}-r{n}", dataclasses.replace(olcfg_preset(), crc_mode=mode, retransmit_count=n))
+            for mode, n in shapes
+        )
+        plan = SweepPlan(configs=configs, rounds=3, attempts_per_round=400, seed=11)
+        pipe = dataclasses.replace(pipeline, dedup_escape_prob=0.3)
+        batch = run_sweep(plan, ChannelModel(p_loss=0.5, p_corrupt=0.1), pipe)
+        records = list(batch)
+        assert {r.outcome for r in records} == set(Outcome)
+        # the same configs in the same order, with equal statistics
+        assert list(summarize_by_config(batch).items()) == list(oracle_summarize_by_config(records).items())
+        # a config whose every attempt is lost keeps its name and no intervals
+        lost = run_attempt_series(
+            olcfg_preset(), ChannelModel(p_loss=1.0), pipeline, 5, seed=1, config_name="x"
+        )
+        assert summarize_by_config(lost) == oracle_summarize_by_config(list(lost)) == {"x": {}}
+
     def test_summaries_are_pure_functions_of_the_records(
         self, small_plan, quiet_pipeline, tmp_path
     ):
@@ -358,3 +583,71 @@ class TestPersistence:
         direct = summarize_by_config(records)
         reloaded = summarize_by_config(read_results(path))
         assert direct == reloaded
+
+
+def _valid_results(quiet_pipeline) -> list[str]:
+    batch = run_attempt_series(
+        olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 4, seed=9, config_name="olcfg"
+    )
+    return render_results_csv(batch).splitlines()
+
+
+def _set_cell(column, value):
+    def edit(cells):
+        cells[CSV_COLUMNS.index(column)] = value
+        return cells
+
+    return edit
+
+
+MALFORMED_ROWS = {
+    "unknown outcome": (_set_cell("outcome", "bogus"), "outcome 'bogus'"),
+    "non-integer round": (_set_cell("round", "1.5"), "round '1.5'"),
+    "empty round": (_set_cell("round", ""), "round ''"),
+    "non-ASCII digit": (_set_cell("attempt", "\u0663"), "attempt"),
+    "nan probe": (_set_cell("d1", "nan"), "d1 'nan'"),
+    "probe off the 0.1 us grid": (_set_cell("d1", "12.34"), "d1 '12.34'"),
+    "negative probe": (_set_cell("d2", "-0.1"), "d2 '-0.1'"),
+    "probe point without a tenth": (_set_cell("d0", "12."), "d0 '12.'"),
+    "seed beyond 64 bits": (_set_cell("seed", str(2**64)), "seed"),
+    "missing field": (lambda cells: cells[:-1], "row with 15 fields"),
+    "extra field": (lambda cells: cells + ["0"], "17 fields"),
+    "broken quoted name": (_set_cell("config_name", '"olcfg'), "config_name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_row_is_a_schema_error_at_its_line(quiet_pipeline, tmp_path, capsys, case):
+    edit, match = MALFORMED_ROWS[case]
+    lines = _valid_results(quiet_pipeline)
+    line_no = lines.index(",".join(CSV_COLUMNS)) + 3  # the second data row
+    lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(SchemaError, match=f"^line {line_no}: ") as err:
+        parse_results_csv(text)
+    assert match in str(err.value)
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+    assert main(["report", "--file", str(path)]) == 1
+    assert f"esbsim: error: line {line_no}: " in capsys.readouterr().err
+
+
+def test_probe_cells_on_the_grid_parse_exactly(quiet_pipeline):
+    lines = _valid_results(quiet_pipeline)
+    row = lines.index(",".join(CSV_COLUMNS)) + 1
+    cells = lines[row].split(",")
+    cells[4:8] = ["12", "12.3", "007.5", "99999999999999.9"]
+    lines[row] = ",".join(cells)
+    parsed = parse_results_csv("\n".join(lines))
+    assert parsed[0].probes_ticks[:4] == (120, 123, 75, 999999999999999)
+
+
+def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
+    lines = _valid_results(quiet_pipeline)
+    text = "\n".join(lines) + "\n"
+    header = lines.index(",".join(CSV_COLUMNS))
+    spaced = lines[: header + 2] + ["", "   "] + lines[header + 2 :]
+    assert parse_results_csv("\r\n".join(spaced) + "\r\n\r\n") == parse_results_csv(text)
+    spaced[header + 4] = spaced[header + 4].replace("delivered", "bogus", 1).replace("lost", "bogus", 1)
+    with pytest.raises(SchemaError, match=f"^line {header + 5}: outcome 'bogus'"):
+        parse_results_csv("\n".join(spaced))
