@@ -25,12 +25,6 @@ from .link import (
     _config_param_values,
 )
 
-# Per-copy loss probability that reproduces the reference mean-median gap for
-# the lowest-latency configuration (gap = prob * 435 us).  Environment
-# specific - it describes the lab the measurements came from, not the radio.
-OLCFG_REFERENCE_LOSS_PROB = 0.043
-
-
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 

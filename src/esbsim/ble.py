@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BleConfig
-from .engine import RngStream
+from .engine import PURPOSE_BLE_WAIT, block_uniforms
 from .sweep import SummaryStats, summarize
 
 
@@ -22,11 +22,12 @@ class MismatchError(ValueError):
     """Comparison inputs of unequal (or zero) sample counts."""
 
 
-def sample_latencies(ble_config: BleConfig, n: int, rng: RngStream) -> np.ndarray:
-    """Vector of n total latencies drawn from one stream."""
+def sample_latencies(ble_config: BleConfig, n: int, seed: int) -> np.ndarray:
+    """Vector of n total latencies: one row of n draws, so the first m
+    samples of any longer vector at the same seed are the m-sample vector."""
     if n < 1:
         raise ValueError("need at least one sample")
-    waits = rng.uniform(0.0, ble_config.connection_interval_us, n)
+    waits = block_uniforms(seed, (), 0, PURPOSE_BLE_WAIT, 0, 1, n)[0] * ble_config.connection_interval_us
     return waits + ble_config.transfer_time_us
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 from . import __version__
 from . import airtime, analytics, ble, expfile, sweep
 from .config import BleConfig, ConfigError, olcfg_preset
-from .engine import PURPOSE_BLE_WAIT, RNG_ALGORITHM, RngStream
+from .engine import RNG_ALGORITHM
 from .expfile import Experiment, ParseError
 from .link import PipelineModel
 from .sweep import SchemaError, SweepPlan
@@ -30,6 +30,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self)
 
 
+def _int_in(lo: int, hi: int, what: str):
+    """An argparse type: an integer lo <= value < hi."""
+
+    def parse(text: str) -> int:
+        try:
+            if lo <= int(text) < hi:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_positive = _int_in(1, sys.maxsize, "a positive integer")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="esbsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"esbsim {__version__}")
@@ -37,9 +54,9 @@ def _build_parser() -> _Parser:
 
     options = {
         "--file": dict(help="experiment file (defaults to the built-in lowest-latency preset)"),
-        "--seed": dict(type=int, help="override the plan seed"),
+        "--seed": dict(type=_int_in(0, 2**64, "an unsigned 64-bit integer"), help="override the plan seed"),
         "--out": dict(default=".", help="output directory (default: current directory)"),
-        "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
+        "--workers": dict(type=_positive, default=1, help="parallel workers (default 1)"),
         "--set": dict(
             dest="overrides",
             action="append",
@@ -58,7 +75,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run one config for a single round")
     shared(p, "--file", "--seed", "--out", "--set", "--pipeline", "--interval")
     p.add_argument("--config", help="config name from the file (default: first)")
-    p.add_argument("--attempts", type=int, help="attempts to run (default: plan attempts)")
+    p.add_argument("--attempts", type=_positive, help="attempts to run (default: plan attempts)")
 
     p = sub.add_parser("sweep", help="run the full rounds x attempts plan")
     shared(p, "--file", "--seed", "--out", "--workers", "--set", "--pipeline", "--interval")
@@ -74,7 +91,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare-ble", help="broadcast link vs connection-interval baseline")
     shared(p, "--file", "--seed", "--out", "--set", "--pipeline")
     p.add_argument("--config", help="config name to compare (default: first)")
-    p.add_argument("--samples", type=int, default=10000, help="samples per side (default 10000)")
+    p.add_argument("--samples", type=_positive, default=10000, help="samples per side (default 10000)")
 
     p = sub.add_parser("report", help="recompute summaries from a results CSV")
     p.add_argument("--file", help="results CSV to summarize")
@@ -111,10 +128,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _pick_config(exp: Experiment, name: str | None):
-    if name is None:
-        return exp.plan.configs[0]
-    return name, exp.plan.config_named(name)
+def _config_index(exp: Experiment, name: str | None) -> int:
+    return 0 if name is None else exp.plan.config_index(name)
 
 
 def _intervals(args):
@@ -142,18 +157,8 @@ def _write_summaries(records, args, out: Path) -> None:
 def _cmd_simulate(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
-    name, config = _pick_config(exp, args.config)
     n = args.attempts or exp.plan.attempts_per_round
-    index = [c for c, _ in exp.plan.configs].index(name)
-    records = sweep.run_attempt_series(
-        config,
-        exp.channel,
-        pipeline,
-        n,
-        seed=exp.plan.seed,
-        config_name=name,
-        namespace=(index,),
-    )
+    records = sweep.run_series(exp.plan, exp.channel, pipeline, _config_index(exp, args.config), 0, n)
     out = _out_dir(args)
     sweep.write_results(records, out / "results.csv")
     _write_summaries(records, args, out)
@@ -182,7 +187,7 @@ def _cmd_calibrate(args) -> int:
     if args.config is None and args.file is None:
         name, config = "olcfg", olcfg_preset()
     else:
-        name, config = _pick_config(exp, args.config)
+        name, config = exp.plan.configs[_config_index(exp, args.config)]
     pipeline = analytics.calibrate_pipeline(targets, config)
     header = (
         f"esbsim {__version__} pipeline\n"
@@ -201,23 +206,13 @@ def _cmd_calibrate(args) -> int:
 def _cmd_compare_ble(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
-    name, config = _pick_config(exp, args.config)
-    index = [c for c, _ in exp.plan.configs].index(name)
-    n = args.samples
-    records = sweep.run_attempt_series(
-        config,
-        exp.channel,
-        pipeline,
-        n,
-        seed=exp.plan.seed,
-        config_name=name,
-        namespace=(index,),
-    )
+    index = _config_index(exp, args.config)
+    records = sweep.run_series(exp.plan, exp.channel, pipeline, index, 0, args.samples)
     esb_summary = sweep.summarize(records, ("d0", "d7"))
-    # one baseline sample per *delivered* attempt keeps the two sides balanced
+    config = exp.plan.configs[index][1]
     ble_config = exp.ble or BleConfig(transfer_time_us=airtime.on_air_time_us(config))
-    rng = RngStream(exp.plan.seed, (0, 0, PURPOSE_BLE_WAIT))
-    totals = ble.sample_latencies(ble_config, esb_summary.n, rng)
+    # one baseline sample per *delivered* attempt keeps the two sides balanced
+    totals = ble.sample_latencies(ble_config, esb_summary.n, exp.plan.seed)
     ble_summary = ble.summarize_ble(totals)
     report = ble.compare(esb_summary, ble_summary)
     text = ble.render_comparison(report)

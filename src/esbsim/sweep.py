@@ -13,6 +13,7 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress
 from typing import Mapping, Sequence
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analytics import AccountingRow
-from .config import ChannelModel, EsbConfig, validate
-from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, RngStream
+from .config import ChannelModel, ConfigError, EsbConfig, validate
+from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, block_uniforms
 from .link import (
     DELIVERED_CORRUPTED,
     LOST,
@@ -34,6 +35,7 @@ from .link import (
 
 DEFAULT_HISTOGRAM_BIN_US = 5.0
 DEFAULT_MODE_SPACING_US = 435.0
+MODE_FLOOR = 0.01  # a histogram peak below this share of the tallest bin is no mode
 
 RESULTS_FORMAT = "esbsim-results-v1"
 
@@ -87,30 +89,39 @@ class SweepPlan:
     def attempts_per_config(self) -> int:
         return self.rounds * self.attempts_per_round
 
-    def config_named(self, name: str) -> EsbConfig:
-        for cfg_name, config in self.configs:
+    def config_index(self, name: str) -> int:
+        for index, (cfg_name, _) in enumerate(self.configs):
             if cfg_name == name:
-                return config
-        raise KeyError(f"no config named {name!r}")
+                return index
+        raise ConfigError(f"no config named {name!r}")
 
 
-def shuffle_round_order(configs: Sequence, round_index: int, rng: RngStream) -> list:
-    """Deterministic per-(seed, round) permutation of the config list."""
-    if not configs:
+def shuffle_round_order(seed: int, round_index: int, n: int) -> list[int]:
+    """Deterministic per-(seed, round) permutation of range(n): the order
+    that sorts one row of n draws."""
+    if n < 1:
         raise ValueError("cannot shuffle an empty config list")
-    rng.rekey((round_index, 0, PURPOSE_SHUFFLE))
-    order = rng.permutation(len(configs))
-    return [configs[i] for i in order]
+    row = block_uniforms(seed, (), round_index, PURPOSE_SHUFFLE, 0, 1, n)[0]
+    return np.argsort(row, kind="stable").tolist()
 
 
-def _run_series_task(args) -> RecordBatch:
-    plan, channel, pipeline, config_index, round_index = args
+def run_series(
+    plan: SweepPlan,
+    channel: ChannelModel,
+    pipeline: PipelineModel,
+    config_index: int,
+    round_index: int,
+    n: int,
+) -> RecordBatch:
+    """Attempts 0..n-1 of the plan's (config, round) series.  Every command
+    that simulates a config addresses its draws here: the plan seed, the
+    config's index as namespace and the round."""
     name, config = plan.configs[config_index]
     return run_attempt_series(
         config,
         channel,
         pipeline,
-        plan.attempts_per_round,
+        n,
         seed=plan.seed,
         config_name=name,
         namespace=(config_index,),
@@ -126,29 +137,30 @@ def run_sweep(
 ) -> RecordBatch:
     """Execute the full plan; rounds x attempts records per config.
 
-    Each (config, round) series draws from streams keyed by the plan seed and
-    its own indices, so the output is identical for any worker count and any
-    execution order.  The series are joined in (config, round) order, so the
-    rows come back sorted by (config, round, attempt).  The per-round shuffle
-    fixes the execution order, as in the lab protocol; it cannot affect
-    record content because series are independent.
+    Each (config, round) series is a `run_series` call, whose draws are
+    addressed by the plan seed and its own indices, so the output is
+    identical for any worker count and any execution order.  The series are
+    joined in (config, round) order, so the rows come back sorted by
+    (config, round, attempt).  The per-round shuffle fixes the execution
+    order, as in the lab protocol; it cannot affect record content because
+    series are independent.
     """
-    round_tasks: list[tuple[int, int]] = []
-    shuffle_rng = RngStream(plan.seed)
-    for round_index in range(plan.rounds):
-        indices = list(range(len(plan.configs)))
-        if plan.shuffle:
-            indices = shuffle_round_order(indices, round_index, shuffle_rng)
-        round_tasks.extend((config_index, round_index) for config_index in indices)
-
-    args = [(plan, channel, pipeline, c, r) for c, r in round_tasks]
+    n_configs = len(plan.configs)
+    tasks = [
+        (config_index, round_index)
+        for round_index in range(plan.rounds)
+        for config_index in (
+            shuffle_round_order(plan.seed, round_index, n_configs) if plan.shuffle else range(n_configs)
+        )
+    ]
+    run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_series_task, args))
+            chunks = list(pool.map(run, *zip(*tasks)))
     else:
-        chunks = [_run_series_task(a) for a in args]
+        chunks = [run(c, r) for c, r in tasks]
 
-    series = dict(zip(round_tasks, chunks))
+    series = dict(zip(tasks, chunks))
     return RecordBatch.concat(
         [series[c, r] for c in range(len(plan.configs)) for r in range(plan.rounds)]
     )
@@ -186,11 +198,10 @@ def detect_modes(
     hist_counts: Sequence[int],
     hist_edges: Sequence[float],
     expected_spacing_us: float = DEFAULT_MODE_SPACING_US,
-    rel_height: float = 0.01,
 ) -> tuple[float, ...]:
     """Locate well-separated peaks of a latency histogram.
 
-    Local maxima at least `rel_height` of the tallest bin are kept greedily
+    Local maxima at least `MODE_FLOOR` of the tallest bin are kept greedily
     by height subject to a minimum separation of half the expected spacing;
     each kept peak's position is refined to the count-weighted centroid of
     the bins within a quarter spacing, which pins the mode well below the bin
@@ -201,7 +212,7 @@ def detect_modes(
         return ()
     edges = np.asarray(hist_edges, dtype=float)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    floor = counts.max() * rel_height
+    floor = counts.max() * MODE_FLOOR
 
     peaks = [
         i
@@ -587,8 +598,6 @@ REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 def summarize_by_config(
     batch: RecordBatch,
     intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS,
-    bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
-    mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
 ) -> dict[str, dict[str, SummaryStats]]:
     out: dict[str, dict[str, SummaryStats]] = {}
     for name, rows in _by_config(batch).items():
@@ -596,7 +605,7 @@ def summarize_by_config(
         for interval in intervals:
             key = interval[0] + interval[1]
             try:
-                out[name][key] = summarize(rows, interval, bin_width_us, mode_spacing_us)
+                out[name][key] = summarize(rows, interval)
             except EmptyInputError:
                 continue
     return out

@@ -7,6 +7,7 @@ actually triggers.
 """
 
 import dataclasses
+import itertools
 import time
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from esbsim.analytics import (
 )
 from esbsim.ble import compare, sample_latencies, summarize_ble
 from esbsim.config import BleConfig, ChannelModel, CrcMode, olcfg_preset
-from esbsim.engine import PURPOSE_BLE_WAIT, RngStream
+from esbsim.engine import PURPOSE_LOSS, block_uniforms
 from esbsim.link import run_attempt_series
 from esbsim.sweep import (
     SweepPlan,
@@ -150,21 +151,20 @@ def test_a4_analytic_oracle_equivalence():
     n = 100_000
     batches, batch_size = 200, 500  # 200 x 500 = n
     checks = []
-    rng = RngStream(404)
-    for p in (0.01, 0.1, 0.25, 0.5):
-        for delay in (300.0, 435.0, 600.0):
-            extras = rng.bernoulli(p, n).astype(float) * delay
-            mean_err = abs(extras.mean() - expected_additional_delay(RetransStats(p, delay)))
-            mean_tol = 3 * additional_delay_sd(RetransStats(p, delay, n))
-            checks.append((f"mean p={p} d={delay:.0f}", mean_err <= mean_tol))
-            # Var[AD] is the variance of the mean extra delay over a batch of
-            # packets; batch means estimate it, and the variance of their
-            # sample variance is ~ 2 Var^2 / (batches - 1) by near-normality
-            batch_means = extras.reshape(batches, batch_size).mean(axis=1)
-            var_expected = additional_delay_variance(RetransStats(p, delay, batch_size))
-            var_tol = 3 * var_expected * np.sqrt(2 / (batches - 1))
-            var_err = abs(batch_means.var(ddof=1) - var_expected)
-            checks.append((f"var p={p} d={delay:.0f}", var_err <= var_tol))
+    pairs = itertools.product((0.01, 0.1, 0.25, 0.5), (300.0, 435.0, 600.0))
+    for k, (p, delay) in enumerate(pairs):  # each pair draws in a round of its own
+        extras = (block_uniforms(404, (), k, PURPOSE_LOSS, 0, 1, n)[0] < p).astype(float) * delay
+        mean_err = abs(extras.mean() - expected_additional_delay(RetransStats(p, delay)))
+        mean_tol = 3 * additional_delay_sd(RetransStats(p, delay, n))
+        checks.append((f"mean p={p} d={delay:.0f}", mean_err <= mean_tol))
+        # Var[AD] is the variance of the mean extra delay over a batch of
+        # packets; batch means estimate it, and the variance of their
+        # sample variance is ~ 2 Var^2 / (batches - 1) by near-normality
+        batch_means = extras.reshape(batches, batch_size).mean(axis=1)
+        var_expected = additional_delay_variance(RetransStats(p, delay, batch_size))
+        var_tol = 3 * var_expected * np.sqrt(2 / (batches - 1))
+        var_err = abs(batch_means.var(ddof=1) - var_expected)
+        checks.append((f"var p={p} d={delay:.0f}", var_err <= var_tol))
     elapsed = time.perf_counter() - t0
     checks.append((f"runtime {elapsed:.1f}s < 60s", elapsed < 60.0))
     _criterion("A4 analytic oracle equivalence", checks)
@@ -196,11 +196,11 @@ def test_a6_ble_comparison(reference_run):
     t0 = time.perf_counter()
     transfer = airtime.on_air_time_us(olcfg_preset())
     ble_config = BleConfig(connection_interval_us=7500.0, transfer_time_us=transfer)
-    totals = sample_latencies(ble_config, 100_000, RngStream(606, (0, 0, PURPOSE_BLE_WAIT)))
+    totals = sample_latencies(ble_config, 100_000, 606)
     ble_big = summarize_ble(totals)
     esb_stats = summarize(reference_run, ("d0", "d7"))
     ble_matched = summarize_ble(
-        sample_latencies(ble_config, esb_stats.n, RngStream(607, (0, 0, PURPOSE_BLE_WAIT)))
+        sample_latencies(ble_config, esb_stats.n, 607)
     )
     report = compare(esb_stats, ble_matched)
     elapsed = time.perf_counter() - t0

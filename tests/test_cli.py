@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from esbsim import ble
+from esbsim.ble import compare
 from esbsim.cli import main
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_pipeline_file
+from esbsim.sweep import read_results, summarize
 
 EXPERIMENT = """\
 [sweep]
@@ -27,6 +30,15 @@ retransmit_delay_us=435
 [channel]
 p_loss=0.1
 p_corrupt=0.0
+"""
+
+
+# a second and a third config, so that a series address can pick the wrong one
+MORE_CONFIGS = """
+[config crc16] crc=16 protocol=dynamic bitrate=2M-ble txmode=manual power=0
+  payload=optimized payload_len=1 retransmits=2 retransmit_delay_us=435
+[config slow] crc=8 protocol=static bitrate=1M txmode=auto power=-8
+  payload=standard payload_len=8 retransmits=3 retransmit_delay_us=435
 """
 
 
@@ -228,3 +240,46 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "usage" in err.lower()
     assert f"unrecognized arguments: {option} {value}" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("sweep", "--seed", "-1"),
+        ("simulate", "--seed", "18446744073709551616"),
+        ("simulate", "--attempts", "-5"),
+        ("simulate", "--attempts", "0"),
+        ("compare-ble", "--samples", "0"),
+        ("simulate", "--config", "nope"),
+        ("compare-ble", "--config", "nope"),
+        ("sweep", "--workers", "0"),
+        ("sweep", "--workers", "-2"),
+    ],
+)
+def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, command, option, value):
+    assert main([command, option, value, "--file", str(exp_file), "--out", str(tmp_path / "out")]) == 1
+    assert "esbsim: error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", ["olcfg", "crc16", "slow"])
+def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatch, config):
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(EXPERIMENT + MORE_CONFIGS)  # shuffled, 2 rounds of 20 attempts
+    n = 13
+    assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "sweep")]) == 0
+    swept = read_results(tmp_path / "sweep" / "results.csv")
+    series = swept.select(
+        (swept.config_index == swept.names.index(config)) & (swept.round_index == 0) & (swept.attempt < n)
+    )
+    assert len(series) == n
+
+    assert main(["simulate", "--file", str(exp), "--config", config, "--attempts", str(n),
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert read_results(tmp_path / "sim" / "results.csv") == series
+
+    compared = []
+    monkeypatch.setattr(ble, "compare", lambda esb, baseline: compared.append(esb) or compare(esb, baseline))
+    assert main(["compare-ble", "--file", str(exp), "--config", config, "--samples", str(n),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert compared == [summarize(series, ("d0", "d7"))]

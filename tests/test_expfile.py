@@ -68,7 +68,7 @@ class TestParse:
 
     def test_inline_and_multiline_pairs_are_equivalent(self):
         exp = parse_experiment_file(SAMPLE)
-        crc16 = exp.plan.config_named("crc16")
+        crc16 = dict(exp.plan.configs)["crc16"]
         assert crc16.crc_mode is CrcMode.CRC16
         assert crc16.bitrate_mode is BitrateMode.MBPS2
         assert crc16.tx_mode is TxMode.AUTOMATIC
@@ -76,7 +76,7 @@ class TestParse:
 
     def test_named_config_matches_the_preset(self):
         exp = parse_experiment_file(SAMPLE)
-        assert exp.plan.config_named("olcfg") == olcfg_preset()
+        assert dict(exp.plan.configs)["olcfg"] == olcfg_preset()
 
     def test_channel_section(self):
         exp = parse_experiment_file(SAMPLE)
@@ -190,7 +190,7 @@ class TestOverrides:
     def test_config_override(self):
         exp = parse_experiment_file(SAMPLE)
         exp = apply_override(exp, "config.olcfg.crc=16")
-        assert exp.plan.config_named("olcfg").crc_mode is CrcMode.CRC16
+        assert dict(exp.plan.configs)["olcfg"].crc_mode is CrcMode.CRC16
 
     def test_unknown_override_path(self):
         exp = parse_experiment_file(SAMPLE)
@@ -200,7 +200,7 @@ class TestOverrides:
     def test_config_names_may_contain_dots(self):
         exp = parse_experiment_file("[config lab.v2] crc=off\n")
         exp = apply_override(exp, "config.lab.v2.crc=16")
-        assert exp.plan.config_named("lab.v2").crc_mode is CrcMode.CRC16
+        assert dict(exp.plan.configs)["lab.v2"].crc_mode is CrcMode.CRC16
 
     def test_targets_override_needs_targets(self):
         with pytest.raises(ParseError, match="none defined"):

@@ -540,6 +540,15 @@ class TestDraws:
             block_uniforms(1, (), 0, PURPOSE_LOSS, -1, 2, 3)
         with pytest.raises(ValueError):
             block_uniforms(1, (), 0, PURPOSE_LOSS, 0, 2, 0)
+        with pytest.raises(ValueError):
+            block_uniforms(1, (), -1, PURPOSE_LOSS, 0, 2, 3)
+        with pytest.raises(ValueError):
+            block_uniforms(1, (), 0, -1, 0, 2, 3)
+        with pytest.raises(ValueError):
+            block_uniforms(1, (), 0, PURPOSE_LOSS, 0, -1, 3)
+        for seed in (-1, 2**64):  # would alias 2**64 - 1 and 0
+            with pytest.raises(ValueError):
+                block_uniforms(seed, (), 0, PURPOSE_LOSS, 0, 2, 3)
 
     @pytest.mark.parametrize("family", ["normal", "uniform"])
     def test_jitter_is_the_documented_transform_of_the_uniforms(self, pipeline, family):
