@@ -10,7 +10,7 @@ length.
 from __future__ import annotations
 
 from .config import BitrateMode, EsbConfig, ProtocolMode
-from .engine import TICKS_PER_US
+from .engine import TICKS_PER_US, ticks_to_us
 
 # Frame layout constants.  These are working assumptions, not measured values:
 # the preamble is 8 bits in the 1 Mbit/s mode and 16 bits in both 2 Mbit/s
@@ -29,16 +29,6 @@ def frame_bits(config: EsbConfig) -> int:
     return preamble + ADDRESS_BITS + pcf + 8 * config.payload_len_bytes + config.crc_mode.bits
 
 
-def duration_us(bits: int, bitrate_mode: BitrateMode) -> float:
-    """On-air time of `bits` at the mode's rate; exact, since the rates are
-    whole bits per microsecond."""
-    return bits / bitrate_mode.bits_per_us
-
-
-def on_air_time_us(config: EsbConfig) -> float:
-    return duration_us(frame_bits(config), config.bitrate_mode)
-
-
 def on_air_ticks(config: EsbConfig) -> int:
     """On-air time on the 0.1 us clock grid.  Always exact: the grid is finer
     than one bit at both supported rates."""
@@ -46,3 +36,8 @@ def on_air_ticks(config: EsbConfig) -> int:
     ticks, rem = divmod(bits * TICKS_PER_US, config.bitrate_mode.bits_per_us)
     assert rem == 0
     return ticks
+
+
+def on_air_time_us(config: EsbConfig) -> float:
+    """`on_air_ticks` in microseconds."""
+    return ticks_to_us(on_air_ticks(config))

@@ -11,19 +11,13 @@ split lives behind this interface, so an alternative rule is a drop-in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping
 
 from . import airtime
 from .config import EsbConfig, validate
-from .link import (
-    DEFAULT_DEDUP_ESCAPE_PROB,
-    DEFAULT_STAGE_JITTER_SIGMA_US,
-    MODIFIER_STAGE,
-    PipelineModel,
-    STAGES,
-    _config_param_values,
-)
+from .link import MODIFIER_STAGE, PipelineModel, STAGES, stage_modifiers_us
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
@@ -31,38 +25,6 @@ class DomainError(ValueError):
 
 class InfeasibleError(ValueError):
     """Calibration targets that no non-negative stage split can satisfy."""
-
-
-@dataclass(frozen=True)
-class RetransStats:
-    """Parameters of the retransmission-benefit model: a packet incurs one
-    extra `delay_us` wait with probability `prob`, over `n_packets` packets."""
-
-    prob: float
-    delay_us: float
-    n_packets: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.prob <= 1.0:
-            raise DomainError(f"prob out of [0,1]: {self.prob}")
-        if self.delay_us <= 0:
-            raise DomainError(f"delay_us must be positive: {self.delay_us}")
-        if self.n_packets < 1:
-            raise DomainError(f"n_packets must be >= 1: {self.n_packets}")
-
-
-def expected_additional_delay(stats: RetransStats) -> float:
-    """Mean extra delay per packet caused by retransmission waits."""
-    return stats.prob * stats.delay_us
-
-
-def additional_delay_variance(stats: RetransStats) -> float:
-    """Variance of the mean extra delay over `n_packets` packets."""
-    return stats.prob * (1.0 - stats.prob) * stats.delay_us**2 / stats.n_packets
-
-
-def additional_delay_sd(stats: RetransStats) -> float:
-    return sqrt(additional_delay_variance(stats))
 
 
 def delivered_copy_distribution(p_loss: float, copies: int) -> tuple[tuple[float, ...], float]:
@@ -152,9 +114,9 @@ class CalibrationTargets:
     d3d4_us: float
 
     def __post_init__(self):
-        if not self.d0d7_us > self.d2d5_us > self.d3d4_us > 0:
+        if not inf > self.d0d7_us > self.d2d5_us > self.d3d4_us > 0:
             raise DomainError(
-                f"targets must nest: d0d7 > d2d5 > d3d4 > 0, got "
+                f"targets must be finite and nest: d0d7 > d2d5 > d3d4 > 0, got "
                 f"({self.d0d7_us}, {self.d2d5_us}, {self.d3d4_us})"
             )
 
@@ -168,10 +130,7 @@ def calibrate_pipeline(
     targets: CalibrationTargets,
     config: EsbConfig,
     *,
-    jitter_family: str = "normal",
-    jitter_sigma_us: float | tuple[float, ...] = DEFAULT_STAGE_JITTER_SIGMA_US,
     modifiers_us: Mapping[tuple[str, str], float] | None = None,
-    dedup_escape_prob: float = DEFAULT_DEDUP_ESCAPE_PROB,
 ) -> PipelineModel:
     """Solve stage base delays so that, with zero jitter and zero loss, the
     given config reproduces the target medians.
@@ -182,43 +141,33 @@ def calibrate_pipeline(
     stages.  When a modifier table is supplied, the config's own modifier
     contributions are subtracted from the matching stage bases, so the
     calibrated config still hits the targets exactly while other configs
-    shift by their modifier deltas.
+    shift by their modifier deltas.  Jitter and dedup take the
+    `PipelineModel` defaults.
     """
     validate(config)
     on_air_us = airtime.on_air_time_us(config)
-    if on_air_us > targets.d3d4_us:
-        raise InfeasibleError(
-            f"on-air time {on_air_us} us exceeds the d3-d4 target {targets.d3d4_us} us"
-        )
+    radio_stack_us = (targets.d2d5_us - targets.d3d4_us) / 2.0
+    ipc_us = (targets.d0d7_us - targets.d2d5_us) / 4.0
     solved = {
         "radio_overhead": targets.d3d4_us - on_air_us,
-        "tx_esb_stack": (targets.d2d5_us - targets.d3d4_us) / 2.0,
-        "rx_esb_stack": (targets.d2d5_us - targets.d3d4_us) / 2.0,
-        "tx_app_to_ipc": (targets.d0d7_us - targets.d2d5_us) / 4.0,
-        "tx_ipc_to_esb": (targets.d0d7_us - targets.d2d5_us) / 4.0,
-        "rx_to_ipc": (targets.d0d7_us - targets.d2d5_us) / 4.0,
-        "rx_ipc_to_app": (targets.d0d7_us - targets.d2d5_us) / 4.0,
+        "tx_esb_stack": radio_stack_us,
+        "rx_esb_stack": radio_stack_us,
+        "tx_app_to_ipc": ipc_us,
+        "tx_ipc_to_esb": ipc_us,
+        "rx_to_ipc": ipc_us,
+        "rx_ipc_to_app": ipc_us,
     }
     modifiers_us = dict(modifiers_us or {})
-    if modifiers_us:
-        values = _config_param_values(config)
-        for (param, value), add_us in modifiers_us.items():
-            if values.get(param) == value:
-                stage = MODIFIER_STAGE[param]
-                solved[stage] -= add_us
-                if solved[stage] < 0:
-                    raise InfeasibleError(
-                        f"modifier ({param}, {value}) of {add_us} us pushes stage {stage} negative"
-                    )
-    if isinstance(jitter_sigma_us, (int, float)):
-        jitter_sigma_us = (float(jitter_sigma_us),) * len(STAGES)
-    return PipelineModel(
-        **{stage + "_us": solved[stage] for stage in STAGES},
-        jitter_family=jitter_family,
-        jitter_sigma_us=tuple(jitter_sigma_us),
-        modifiers_us=modifiers_us,
-        dedup_escape_prob=dedup_escape_prob,
-    )
+    bases = {}
+    for stage, extra_us in zip(STAGES, stage_modifiers_us(modifiers_us, config)):
+        base = solved[stage] - extra_us
+        if base < 0:
+            raise InfeasibleError(
+                f"stage {stage} would be {base} us: the targets leave it {solved[stage]} us "
+                f"(on-air time {on_air_us} us) and the config's modifiers take {extra_us} us"
+            )
+        bases[stage + "_us"] = base
+    return PipelineModel(**bases, modifiers_us=modifiers_us)
 
 
 def modifier_table_from_medians(

@@ -5,12 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
 from . import airtime, analytics, ble, expfile, sweep
-from .config import BleConfig, ConfigError, olcfg_preset
+from .config import BleConfig, ConfigError, EsbConfig, olcfg_preset
 from .engine import RNG_ALGORITHM
 from .expfile import Experiment, ParseError
 from .link import PipelineModel
@@ -82,7 +82,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="solve stage delays from interval medians")
     shared(p, "--file", "--out", "--set")
-    p.add_argument("--config", help="reference config name (default: built-in preset)")
+    p.add_argument(
+        "--config",
+        help="calibrate against this config of the plan (default: the built-in preset, also with --file)",
+    )
     p.add_argument(
         "--targets",
         help="d0d7,d2d5,d3d4 medians in us (default: [targets] section or the reference medians)",
@@ -95,7 +98,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="recompute summaries from a results CSV")
     p.add_argument("--file", help="results CSV to summarize")
-    shared(p, "--out", "--interval")
+    p.add_argument("--out", help="directory for summary.json (default: print the report only)")
+    shared(p, "--interval")
     return parser
 
 
@@ -113,13 +117,36 @@ def _load_experiment(args) -> Experiment:
     return exp
 
 
+def _calibration(
+    exp: Experiment, name: str | None = None, targets: str | None = None
+) -> tuple[str, EsbConfig, analytics.CalibrationTargets]:
+    """The reference config and the targets a pipeline is calibrated to.
+
+    The reference is the plan config `name`, else the built-in preset.  The
+    targets are `targets` ("d0d7,d2d5,d3d4" in us), else the experiment's
+    [targets], else the reference medians.
+    """
+    if name is None:
+        config = olcfg_preset()
+        name = "olcfg"
+    else:
+        config = exp.plan.configs[exp.plan.config_index(name)][1]
+    if targets is None:
+        return name, config, exp.targets or analytics.olcfg_calibration_targets()
+    try:
+        d0d7, d2d5, d3d4 = map(expfile.finite_float, targets.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--targets needs three comma-separated medians d0d7,d2d5,d3d4: {exc}") from None
+    return name, config, analytics.CalibrationTargets(d0d7, d2d5, d3d4)
+
+
 def _resolve_pipeline(args, exp: Experiment) -> PipelineModel:
-    """Pipeline file wins; otherwise calibrate from the experiment's targets
-    (or the reference medians) against the built-in reference config."""
+    """Pipeline file wins; otherwise calibrate as `calibrate` would with no
+    --config and no --targets."""
     if args.pipeline:
         return expfile.parse_pipeline_file(Path(args.pipeline).read_text())
-    targets = exp.targets or analytics.olcfg_calibration_targets()
-    return analytics.calibrate_pipeline(targets, olcfg_preset())
+    _, config, targets = _calibration(exp)
+    return analytics.calibrate_pipeline(targets, config)
 
 
 def _out_dir(args) -> Path:
@@ -140,7 +167,7 @@ def _intervals(args):
 
 def _write_summary_json(summaries, out: Path) -> None:
     payload = {
-        name: {key: stats.to_dict() for key, stats in intervals.items()}
+        name: {key: asdict(stats) for key, stats in intervals.items()}
         for name, intervals in summaries.items()
     }
     (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -177,17 +204,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     exp = _load_experiment(args)
-    if args.targets:
-        parts = [float(x) for x in args.targets.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("--targets needs three comma-separated medians: d0d7,d2d5,d3d4")
-        targets = analytics.CalibrationTargets(*parts)
-    else:
-        targets = exp.targets or analytics.olcfg_calibration_targets()
-    if args.config is None and args.file is None:
-        name, config = "olcfg", olcfg_preset()
-    else:
-        name, config = exp.plan.configs[_config_index(exp, args.config)]
+    name, config, targets = _calibration(exp, args.config, args.targets)
     pipeline = analytics.calibrate_pipeline(targets, config)
     header = (
         f"esbsim {__version__} pipeline\n"
@@ -228,7 +245,7 @@ def _cmd_report(args) -> int:
     records = sweep.read_results(args.file)
     summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
     print(sweep.render_report(records, summaries))
-    if args.out != ".":
+    if args.out is not None:
         _write_summary_json(summaries, _out_dir(args))
     return 0
 

@@ -16,6 +16,7 @@ through the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Callable, Mapping
 
 from .analytics import CalibrationTargets
@@ -67,6 +68,15 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def finite_float(value: str) -> float:
+    """A float that is neither infinite nor NaN: the converter of every float
+    key in experiment files, `--set` overrides and pipeline files."""
+    number = float(value)
+    if not isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_seed(value: str) -> int:
     seed = int(value)
     if not 0 <= seed < 2**64:
@@ -94,15 +104,15 @@ _SECTIONS: _Schema = {
         "payload": ("payload_mode", PayloadMode),
         "payload_len": ("payload_len_bytes", int),
         "retransmits": ("retransmit_count", int),
-        "retransmit_delay_us": ("retransmit_delay_us", float),
+        "retransmit_delay_us": ("retransmit_delay_us", finite_float),
         "spacing": ("copy_spacing", CopySpacing),
     },
-    "channel": {"p_loss": ("p_loss", float), "p_corrupt": ("p_corrupt", float)},
+    "channel": {"p_loss": ("p_loss", finite_float), "p_corrupt": ("p_corrupt", finite_float)},
     "ble": {
-        "connection_interval_us": ("connection_interval_us", float),
-        "transfer_us": ("transfer_time_us", float),
+        "connection_interval_us": ("connection_interval_us", finite_float),
+        "transfer_us": ("transfer_time_us", finite_float),
     },
-    "targets": {"d0d7": ("d0d7_us", float), "d2d5": ("d2d5_us", float), "d3d4": ("d3d4_us", float)},
+    "targets": {key: (f"{key}_us", finite_float) for key in ("d0d7", "d2d5", "d3d4")},
 }
 
 
@@ -253,7 +263,7 @@ def apply_override(exp: Experiment, assignment: str) -> Experiment:
 
 def _parse_sigmas(value: str) -> tuple[float, ...]:
     """One jitter SD per stage, or a single SD shared by every stage."""
-    sigmas = tuple(float(part) for part in value.split(","))
+    sigmas = tuple(finite_float(part) for part in value.split(","))
     return sigmas * len(STAGES) if len(sigmas) == 1 else sigmas
 
 
@@ -276,7 +286,7 @@ class _ModifierKeys(dict):
 
         def convert(add_us: str) -> float:
             _check_modifier_value(param, value)
-            return float(add_us)
+            return finite_float(add_us)
 
         return key, convert
 
@@ -284,9 +294,9 @@ class _ModifierKeys(dict):
 # Fields belong to PipelineModel, except [modifiers], whose keys are collected
 # into `modifiers_us`.
 _PIPELINE_SECTIONS: _Schema = {
-    "stages": {f"{stage}_us": (f"{stage}_us", float) for stage in STAGES},
+    "stages": {f"{stage}_us": (f"{stage}_us", finite_float) for stage in STAGES},
     "jitter": {"family": ("jitter_family", str), "sigma_us": ("jitter_sigma_us", _parse_sigmas)},
-    "dedup": {"escape_prob": ("dedup_escape_prob", float)},
+    "dedup": {"escape_prob": ("dedup_escape_prob", finite_float)},
     "modifiers": _ModifierKeys(),
 }
 

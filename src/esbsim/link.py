@@ -71,8 +71,10 @@ DEFAULT_STAGE_JITTER_SIGMA_US = DEFAULT_TOTAL_JITTER_SIGMA_US / sqrt(len(STAGES)
 DEFAULT_DEDUP_ESCAPE_PROB = 1.0 / 735.0
 
 
-def _config_param_values(config: EsbConfig) -> dict[str, str]:
-    return {
+def stage_modifiers_us(modifiers_us: Mapping[tuple[str, str], float], config: EsbConfig) -> tuple[float, ...]:
+    """Per stage, the sum of the modifiers whose (parameter, value) the config
+    takes, with values spelled as in experiment files."""
+    values = {
         "crc": config.crc_mode.value,
         "protocol": config.protocol_mode.value,
         "bitrate": config.bitrate_mode.value,
@@ -80,6 +82,11 @@ def _config_param_values(config: EsbConfig) -> dict[str, str]:
         "payload": config.payload_mode.value,
         "power": str(config.tx_power_dbm),
     }
+    extras = dict.fromkeys(STAGES, 0.0)
+    for (param, value), add_us in modifiers_us.items():
+        if values.get(param) == value:
+            extras[MODIFIER_STAGE[param]] += add_us
+    return tuple(extras.values())
 
 
 @dataclass(frozen=True)
@@ -123,12 +130,8 @@ class PipelineModel:
 
     def stage_totals_us(self, config: EsbConfig) -> tuple[float, ...]:
         """Base plus the config's applicable modifiers, per stage."""
-        extras = dict.fromkeys(STAGES, 0.0)
-        values = _config_param_values(config)
-        for (param, value), add_us in self.modifiers_us.items():
-            if values.get(param) == value:
-                extras[MODIFIER_STAGE[param]] += add_us
-        return tuple(self.stage_base_us(s) + extras[s] for s in STAGES)
+        extras = stage_modifiers_us(self.modifiers_us, config)
+        return tuple(self.stage_base_us(stage) + extra for stage, extra in zip(STAGES, extras))
 
     def zero_jitter(self) -> "PipelineModel":
         return replace(self, jitter_family="off")

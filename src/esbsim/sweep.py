@@ -180,19 +180,6 @@ class SummaryStats:
     hist_edges: tuple[float, ...]
     modes_us: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_lost": self.n_lost,
-            "mean_us": self.mean_us,
-            "median_us": self.median_us,
-            "sd_us": self.sd_us,
-            "p99_us": self.p99_us,
-            "hist_counts": list(self.hist_counts),
-            "hist_edges": list(self.hist_edges),
-            "modes_us": list(self.modes_us),
-        }
-
 
 def detect_modes(
     hist_counts: Sequence[int],
@@ -566,25 +553,36 @@ def parse_results_csv(text: str) -> RecordBatch:
     name_codes: dict[str, int] = {}
     seed_codes: dict[str, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
-    batches = []
-    for first in range(0, len(rows), _CHUNK_ROWS):
-        chunk = _Rows(rows[first : first + _CHUNK_ROWS], line_numbers[first : first + _CHUNK_ROWS])
-        round_index, attempt, suppressed, delivered = chunk.numbers([1, 2, 14, 15])
-        batches.append(
-            dict(
-                config_index=chunk.codes(0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))),
-                seed_index=chunk.codes(3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds))),
-                round_index=round_index,
-                attempt=attempt,
-                probes=chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T,
-                delivered_copy=chunk.numbers([12], empty_ok=True)[0],
-                outcome=chunk.codes(13, outcome_codes, _unknown_outcome),
-                duplicates_suppressed=suppressed,
-                duplicates_delivered=delivered,
-            )
-        )
-    tables = dict(names=tuple(names), hashes=tuple(hashes.get(name, "") for name in names), seeds=tuple(seeds))
-    return RecordBatch.concat([RecordBatch(**tables, **columns) for columns in batches])
+    # every column is allocated once for all rows and filled a chunk at a time
+    n = len(rows)
+    counts = np.empty((4, n), dtype=np.int64)  # round, attempt and the two duplicate counts
+    codes = np.empty((3, n), dtype=np.int64)  # config, seed and outcome
+    probes = np.empty((n, len(PROBES)), dtype=np.int64)
+    delivered_copy = np.empty(n, dtype=np.int64)
+    for first in range(0, n, _CHUNK_ROWS):
+        part = slice(first, first + _CHUNK_ROWS)
+        chunk = _Rows(rows[part], line_numbers[part])
+        counts[:, part] = chunk.numbers([1, 2, 14, 15])
+        codes[0, part] = chunk.codes(0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names)))
+        codes[1, part] = chunk.codes(3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds)))
+        probes[part] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
+        delivered_copy[part] = chunk.numbers([12], empty_ok=True)[0]
+        codes[2, part] = chunk.codes(13, outcome_codes, _unknown_outcome)
+    round_index, attempt, suppressed, delivered = counts
+    return RecordBatch(
+        names=tuple(names),
+        hashes=tuple(hashes.get(name, "") for name in names),
+        seeds=tuple(seeds),
+        config_index=codes[0],
+        seed_index=codes[1],
+        round_index=round_index,
+        attempt=attempt,
+        probes=probes,
+        delivered_copy=delivered_copy,
+        outcome=codes[2],
+        duplicates_suppressed=suppressed,
+        duplicates_delivered=delivered,
+    )
 
 
 def read_results(path) -> RecordBatch:

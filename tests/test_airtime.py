@@ -3,7 +3,7 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from esbsim.airtime import duration_us, frame_bits, on_air_ticks, on_air_time_us
+from esbsim.airtime import frame_bits, on_air_ticks, on_air_time_us
 from esbsim.config import BitrateMode, CrcMode, EsbConfig, ProtocolMode, olcfg_preset
 
 
@@ -37,9 +37,26 @@ def test_slow_mode_eight_byte_crc16_frame():
     assert on_air_time_us(cfg) == 137.0
 
 
-@given(bits=st.integers(min_value=1, max_value=4000))
-def test_doubling_the_bitrate_halves_the_duration(bits):
-    assert duration_us(bits, BitrateMode.MBPS1) == 2 * duration_us(bits, BitrateMode.MBPS2)
+@given(
+    payload=st.integers(min_value=1, max_value=252),
+    crc=st.sampled_from(CrcMode),
+    protocol=st.sampled_from(ProtocolMode),
+)
+def test_doubling_the_bitrate_halves_the_duration(payload, crc, protocol):
+    slow = EsbConfig(crc_mode=crc, protocol_mode=protocol, bitrate_mode=BitrateMode.MBPS1, payload_len_bytes=payload)
+    fast = dataclasses.replace(slow, bitrate_mode=BitrateMode.MBPS2)
+    # the same bits take half as long at twice the rate, plus the 8 bits by
+    # which the 2 Mbit/s preamble is longer
+    assert on_air_time_us(fast) == (on_air_time_us(slow) + 8) / 2
+
+
+def test_on_air_time_is_frame_bits_over_the_rate_for_every_config():
+    # the tick count in microseconds is the exact quotient for every
+    # (bitrate, protocol, CRC, payload length) a config can take
+    for bitrate, protocol, crc in itertools.product(BitrateMode, ProtocolMode, CrcMode):
+        for payload in range(1, 253):
+            cfg = EsbConfig(crc_mode=crc, protocol_mode=protocol, bitrate_mode=bitrate, payload_len_bytes=payload)
+            assert on_air_time_us(cfg) == frame_bits(cfg) / bitrate.bits_per_us
 
 
 def _all_mode_configs(payload=1):

@@ -12,50 +12,26 @@ from esbsim.analytics import (
     CalibrationTargets,
     DomainError,
     InfeasibleError,
-    RetransStats,
-    additional_delay_sd,
-    additional_delay_variance,
     calibrate_pipeline,
     delivered_copy_distribution,
     estimate_loss_prob,
-    expected_additional_delay,
     modifier_table_from_medians,
     olcfg_calibration_targets,
     retransmission_delay_moments,
     success_rate,
 )
-from esbsim.config import olcfg_preset
-from esbsim.link import STAGES
-
-
-class TestAdditionalDelay:
-    def test_zero_probability_means_zero_delay(self):
-        assert expected_additional_delay(RetransStats(0.0, 435.0)) == 0.0
-
-    def test_reference_operating_point(self):
-        # 0.043 * 435 us = 18.705 us, the scale of the observed mean-median gap
-        assert expected_additional_delay(RetransStats(0.043, 435.0)) == pytest.approx(18.705)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0])
-    def test_degenerate_bernoulli_has_no_variance(self, p):
-        assert additional_delay_variance(RetransStats(p, 435.0, 100)) == 0.0
-
-    def test_single_packet_half_probability(self):
-        # sqrt(0.5 * 0.5 * 435^2 / 1) = 217.5 us
-        assert additional_delay_sd(RetransStats(0.5, 435.0, 1)) == pytest.approx(217.5)
-
-    def test_quadrupling_n_quarters_the_variance(self):
-        base = additional_delay_variance(RetransStats(0.3, 300.0, 50))
-        quad = additional_delay_variance(RetransStats(0.3, 300.0, 200))
-        assert quad == pytest.approx(base / 4)
-
-    def test_invalid_stats_rejected(self):
-        with pytest.raises(DomainError):
-            RetransStats(-0.1, 435.0)
-        with pytest.raises(DomainError):
-            RetransStats(0.5, 0.0)
-        with pytest.raises(DomainError):
-            RetransStats(0.5, 435.0, 0)
+from esbsim.config import (
+    TX_POWER_MAX_DBM,
+    TX_POWER_MIN_DBM,
+    BitrateMode,
+    CrcMode,
+    EsbConfig,
+    PayloadMode,
+    ProtocolMode,
+    TxMode,
+    olcfg_preset,
+)
+from esbsim.link import MODIFIER_STAGE, STAGES
 
 
 def _enumerate_loss_patterns(p: Fraction, copies: int):
@@ -127,6 +103,39 @@ class TestRetransmissionDelayMoments:
     def test_total_loss_is_out_of_domain(self):
         with pytest.raises(DomainError):
             retransmission_delay_moments(1.0, 435.0, 3)
+
+    def test_reference_operating_point(self):
+        # the paper's first-order rule: one extra 435 us wait with probability
+        # p, 0.043 * 435 us = 18.705 us, the scale of the observed mean-median
+        # gap; the three-copy mixture mean agrees with it up to O(p^2 D)
+        p, delay = 0.043, 435.0
+        assert p * delay == pytest.approx(18.705)
+        mean, _ = retransmission_delay_moments(p, delay, 3)
+        assert abs(mean - p * delay) <= p**2 * delay
+
+    def test_lossless_channel_has_no_delay(self):
+        assert retransmission_delay_moments(0.0, 435.0, 3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p, copies", [(0.0, 3), (0.5, 1)])
+    def test_degenerate_mixture_has_no_spread(self, p, copies):
+        # every delivery on copy 0: nothing lost, or no later copy to deliver
+        assert retransmission_delay_moments(p, 435.0, copies) == (0.0, 0.0)
+
+    @given(
+        p=st.floats(min_value=0.0, max_value=0.99),
+        delay=st.floats(min_value=1.0, max_value=10_000.0),
+    )
+    def test_two_copies_are_a_bernoulli_offset(self, p, delay):
+        # copy 1 delivers with probability q = p(1-p) / (1-p^2) = p / (1+p)
+        q = p / (1 + p)
+        mean, sd = retransmission_delay_moments(p, delay, 2)
+        assert mean == pytest.approx(q * delay, rel=1e-9, abs=1e-9)
+        assert sd == pytest.approx(delay * math.sqrt(q * (1 - q)), rel=1e-6, abs=1e-6)
+
+    def test_invalid_inputs_rejected(self):
+        for p, copies in ((-0.1, 3), (1.1, 3), (0.5, 0)):
+            with pytest.raises(DomainError):
+                retransmission_delay_moments(p, 435.0, copies)
 
 
 class TestEstimateLossProb:
@@ -220,6 +229,77 @@ class TestCalibratePipeline:
             )
 
 
+def _modifier_keys():
+    """Every (parameter, value) a modifier table can hold."""
+    enums = {"crc": CrcMode, "protocol": ProtocolMode, "bitrate": BitrateMode, "txmode": TxMode, "payload": PayloadMode}
+    keys = [(param, member.value) for param, enum in enums.items() for member in enum]
+    return keys + [("power", str(dbm)) for dbm in range(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM + 1)]
+
+
+@st.composite
+def _calibration_cases(draw):
+    config = EsbConfig(
+        crc_mode=draw(st.sampled_from(CrcMode)),
+        protocol_mode=draw(st.sampled_from(ProtocolMode)),
+        bitrate_mode=draw(st.sampled_from(BitrateMode)),
+        tx_mode=draw(st.sampled_from(TxMode)),
+        tx_power_dbm=draw(st.integers(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM)),
+        payload_mode=draw(st.sampled_from(PayloadMode)),
+        payload_len_bytes=draw(st.integers(1, 32)),
+        retransmit_delay_us=5000.0,
+    )
+    own = {
+        "crc": config.crc_mode.value,
+        "protocol": config.protocol_mode.value,
+        "bitrate": config.bitrate_mode.value,
+        "txmode": config.tx_mode.value,
+        "payload": config.payload_mode.value,
+        "power": str(config.tx_power_dbm),
+    }
+    add_us = st.floats(min_value=0.0, max_value=40.0)
+    table = draw(st.dictionaries(st.sampled_from(_modifier_keys()), add_us, max_size=12))
+    # protocol and txmode both land on the transmit stack, bitrate and power
+    # on the radio turnaround: the config's own values of all four apply
+    for param in ("protocol", "txmode", "bitrate", "power"):
+        table[(param, own[param])] = draw(add_us)
+    d3d4 = draw(st.floats(min_value=1.0, max_value=400.0))
+    d2d5 = d3d4 + draw(st.floats(min_value=0.01, max_value=400.0))
+    d0d7 = d2d5 + draw(st.floats(min_value=0.01, max_value=400.0))
+    return CalibrationTargets(d0d7, d2d5, d3d4), config, table, own
+
+
+@given(case=_calibration_cases())
+def test_calibration_reproduces_the_targets_or_is_infeasible(case):
+    targets, config, table, own = case
+    on_air = airtime.on_air_time_us(config)
+    split = {
+        "radio_overhead": targets.d3d4_us - on_air,
+        "tx_esb_stack": (targets.d2d5_us - targets.d3d4_us) / 2,
+        "rx_esb_stack": (targets.d2d5_us - targets.d3d4_us) / 2,
+        **dict.fromkeys(
+            ("tx_app_to_ipc", "tx_ipc_to_esb", "rx_to_ipc", "rx_ipc_to_app"), (targets.d0d7_us - targets.d2d5_us) / 4
+        ),
+    }
+    taken = dict.fromkeys(STAGES, 0.0)  # the config's own modifiers, summed per stage
+    for (param, value), extra in table.items():
+        if own[param] == value:
+            taken[MODIFIER_STAGE[param]] += extra
+    tolerance = dict(rel=1e-9, abs=1e-9)
+    try:
+        pipe = calibrate_pipeline(targets, config, modifiers_us=table)
+    except InfeasibleError:
+        # the symmetric split leaves some stage less than its modifiers
+        assert any(split[stage] < taken[stage] + 1e-6 for stage in STAGES)
+        return
+    assert pipe.modifiers_us == table
+    for stage in STAGES:
+        assert pipe.stage_base_us(stage) == pytest.approx(split[stage] - taken[stage], **tolerance)
+    totals = pipe.stage_totals_us(config)
+    assert sum(totals) + on_air == pytest.approx(targets.d0d7_us, **tolerance)
+    assert sum(totals[2:5]) + on_air == pytest.approx(targets.d2d5_us, **tolerance)
+    assert totals[3] + on_air == pytest.approx(targets.d3d4_us, **tolerance)
+
+
 class TestModifierTable:
     def test_crc_group_from_observed_medians(self):
         table = modifier_table_from_medians({"crc": {"16": 562.39, "8": 558.39, "off": 554.30}})
@@ -269,8 +349,7 @@ class TestSimulationAgreesWithClosedForms:
         assert abs(extras.mean() - mix_mean) <= 3 * mix_sd / np.sqrt(extras.size)
         # for small loss rates the single-event model approximates the
         # three-copy mixture: p*delay = 18.705 vs mixture mean ~19.44
-        ad = expected_additional_delay(RetransStats(0.043, 435.0))
-        assert mix_mean == pytest.approx(ad, abs=0.8)
+        assert mix_mean == pytest.approx(0.043 * 435.0, abs=0.8)
 
     def test_mixture_sd(self, lossy_run):
         extras = lossy_run

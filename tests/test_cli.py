@@ -1,12 +1,15 @@
 import json
+import re
 
 import pytest
 
-from esbsim import ble
+from esbsim import airtime, ble
+from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.ble import compare
 from esbsim.cli import main
+from esbsim.config import olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
-from esbsim.expfile import parse_pipeline_file
+from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
 from esbsim.sweep import read_results, summarize
 
 EXPERIMENT = """\
@@ -254,6 +257,11 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, co
         ("compare-ble", "--config", "nope"),
         ("sweep", "--workers", "0"),
         ("sweep", "--workers", "-2"),
+        ("simulate", "--set", "config.olcfg.retransmit_delay_us=nan"),
+        ("simulate", "--set", "config.olcfg.retransmit_delay_us=inf"),
+        ("compare-ble", "--set", "ble.transfer_us=nan"),
+        ("compare-ble", "--set", "ble.connection_interval_us=inf"),
+        ("calibrate", "--targets", "abc,1,2"),
     ],
 )
 def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, command, option, value):
@@ -283,3 +291,72 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     assert main(["compare-ble", "--file", str(exp), "--config", config, "--samples", str(n),
                  "--out", str(tmp_path / "cmp")]) == 0
     assert compared == [summarize(series, ("d0", "d7"))]
+
+
+def _pipeline_file(tmp_path, key: str, value: str) -> str:
+    """The reference pipeline file with one key's value replaced."""
+    text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+    text, count = re.subn(rf"^{key}=.*$", f"{key}={value}", text, flags=re.M)
+    assert count == 1
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _experiment_file(tmp_path, extra: str) -> str:
+    path = tmp_path / "exp.cfg"
+    path.write_text(EXPERIMENT + extra)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda tmp: ["simulate", "--pipeline", _pipeline_file(tmp, "tx_app_to_ipc_us", "nan")],
+        lambda tmp: ["simulate", "--pipeline", _pipeline_file(tmp, "sigma_us", "inf")],
+        lambda tmp: ["sweep", "--file", _experiment_file(tmp, "[targets] d0d7=inf d2d5=293.07 d3d4=185.86\n")],
+    ],
+    ids=["pipeline-stage-nan", "pipeline-sigma-inf", "experiment-targets-inf"],
+)
+def test_non_finite_value_in_a_file_exits_one(tmp_path, capsys, make_args):
+    assert main([*make_args(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert "esbsim: error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_writes_summary_json_to_an_explicit_out_dot(exp_file, tmp_path, monkeypatch):
+    assert main(["simulate", "--file", str(exp_file), "--attempts", "20", "--out", str(tmp_path / "sim")]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "--file", "sim/results.csv"]) == 0
+    assert not (tmp_path / "summary.json").exists()  # no --out: print only
+    assert main(["report", "--file", "sim/results.csv", "--out", "."]) == 0
+    assert (tmp_path / "summary.json").read_bytes() == (tmp_path / "sim" / "summary.json").read_bytes()
+
+
+# a plan whose first config is not the built-in preset
+NOT_PRESET_FIRST = "[sweep] seed=42 rounds=2 attempts=20\n[channel] p_loss=0.1\n" + MORE_CONFIGS
+
+
+@pytest.mark.parametrize("targets", ["", "[targets] d0d7=520 d2d5=300 d3d4=190\n"], ids=["reference", "file"])
+def test_sweep_calibrates_as_calibrate_does(tmp_path, targets):
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(NOT_PRESET_FIRST + targets)
+    assert main(["calibrate", "--file", str(exp), "--out", str(tmp_path / "cal")]) == 0
+    pipeline = tmp_path / "cal" / "pipeline.cfg"
+    assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "implicit")]) == 0
+    assert main(["sweep", "--file", str(exp), "--pipeline", str(pipeline), "--out", str(tmp_path / "explicit")]) == 0
+    implicit = (tmp_path / "implicit" / "results.csv").read_bytes()
+    assert implicit == (tmp_path / "explicit" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, "crc16", "slow"])
+def test_calibrate_reference_is_the_named_config_or_the_preset(tmp_path, capsys, config):
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(NOT_PRESET_FIRST)
+    args = ["calibrate", "--file", str(exp), "--out", str(tmp_path / "cal")]
+    assert main(args + (["--config", config] if config else [])) == 0
+    text = (tmp_path / "cal" / "pipeline.cfg").read_text()
+    reference = olcfg_preset() if config is None else dict(parse_experiment_file(NOT_PRESET_FIRST).plan.configs)[config]
+    assert f"# reference config={config or 'olcfg'} hash={reference.digest()}\n" in text
+    radio_overhead = olcfg_calibration_targets().d3d4_us - airtime.on_air_time_us(reference)
+    assert parse_pipeline_file(text).radio_overhead_us == radio_overhead
