@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -103,10 +104,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _decoding(path):
+    """Report a file that is not UTF-8 as a validation error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
+def _read_text(path) -> str:
+    with _decoding(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
 def _load_experiment(args) -> Experiment:
     if args.file:
-        text = Path(args.file).read_text()
-        exp = expfile.parse_experiment_file(text)
+        exp = expfile.parse_experiment_file(_read_text(args.file))
     else:
         exp = Experiment(plan=SweepPlan(configs=(("olcfg", olcfg_preset()),)))
     for assignment in args.overrides:
@@ -144,7 +158,7 @@ def _resolve_pipeline(args, exp: Experiment) -> PipelineModel:
     """Pipeline file wins; otherwise calibrate as `calibrate` would with no
     --config and no --targets."""
     if args.pipeline:
-        return expfile.parse_pipeline_file(Path(args.pipeline).read_text())
+        return expfile.parse_pipeline_file(_read_text(args.pipeline))
     _, config, targets = _calibration(exp)
     return analytics.calibrate_pipeline(targets, config)
 
@@ -167,16 +181,16 @@ def _intervals(args):
 
 def _write_summary_json(summaries, out: Path) -> None:
     payload = {
-        name: {key: asdict(stats) for key, stats in intervals.items()}
+        name: {key: vars(stats) for key, stats in intervals.items()}
         for name, intervals in summaries.items()
     }
-    (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_summaries(records, args, out: Path) -> None:
     summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
     report = sweep.render_report(records, summaries)
-    (out / "summary.txt").write_text(report)
+    (out / "summary.txt").write_text(report, encoding="utf-8")
     _write_summary_json(summaries, out)
     print(report)
 
@@ -214,7 +228,7 @@ def _cmd_calibrate(args) -> int:
     )
     out = _out_dir(args)
     path = out / "pipeline.cfg"
-    path.write_text(expfile.render_pipeline_file(pipeline, header=header))
+    path.write_text(expfile.render_pipeline_file(pipeline, header=header), encoding="utf-8")
     print(f"wrote {path}")
     print(f"radio_overhead_us={pipeline.radio_overhead_us:.6g}")
     return 0
@@ -234,7 +248,7 @@ def _cmd_compare_ble(args) -> int:
     report = ble.compare(esb_summary, ble_summary)
     text = ble.render_comparison(report)
     out = _out_dir(args)
-    (out / "compare.txt").write_text(text + "\n")
+    (out / "compare.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
 
@@ -242,7 +256,8 @@ def _cmd_compare_ble(args) -> int:
 def _cmd_report(args) -> int:
     if not args.file:
         raise ConfigError("report needs --file pointing at a results CSV")
-    records = sweep.read_results(args.file)
+    with _decoding(args.file):
+        records = sweep.read_results(args.file)
     summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
     print(sweep.render_report(records, summaries))
     if args.out is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -67,6 +68,13 @@ class RangeError(ConfigError):
         super().__init__(f"{field}={value!r} outside [{lo}, {hi}]")
 
 
+def _check_range(field: str, value, lo, hi=math.inf) -> None:
+    """Raise RangeError unless lo <= value <= hi and value is finite (so NaN
+    and an infinite value fail even where the range is open)."""
+    if not lo <= value <= hi or value in (math.inf, -math.inf):
+        raise RangeError(field, value, lo, hi)
+
+
 class ScheduleError(ConfigError):
     """Copy spacing too small for the frame to fit on air."""
 
@@ -109,14 +117,10 @@ def validate(config: EsbConfig) -> EsbConfig:
     (copies would overlap on air).  With end-to-start spacing the delay is a
     gap after each frame, so any non-negative delay fits.
     """
-    if not TX_POWER_MIN_DBM <= config.tx_power_dbm <= TX_POWER_MAX_DBM:
-        raise RangeError("tx_power_dbm", config.tx_power_dbm, TX_POWER_MIN_DBM, TX_POWER_MAX_DBM)
-    if not 1 <= config.payload_len_bytes <= PAYLOAD_MAX_BYTES:
-        raise RangeError("payload_len_bytes", config.payload_len_bytes, 1, PAYLOAD_MAX_BYTES)
-    if config.retransmit_count < 0:
-        raise RangeError("retransmit_count", config.retransmit_count, 0, "inf")
-    if config.retransmit_delay_us < 0:
-        raise RangeError("retransmit_delay_us", config.retransmit_delay_us, 0, "inf")
+    _check_range("tx_power_dbm", config.tx_power_dbm, TX_POWER_MIN_DBM, TX_POWER_MAX_DBM)
+    _check_range("payload_len_bytes", config.payload_len_bytes, 1, PAYLOAD_MAX_BYTES)
+    _check_range("retransmit_count", config.retransmit_count, 0)
+    _check_range("retransmit_delay_us", config.retransmit_delay_us, 0)
     # airtime depends on config enums; imported lazily to keep layering simple
     from . import airtime
 
@@ -157,10 +161,8 @@ class ChannelModel:
     p_corrupt: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_loss <= 1.0:
-            raise RangeError("p_loss", self.p_loss, 0.0, 1.0)
-        if not 0.0 <= self.p_corrupt <= 1.0:
-            raise RangeError("p_corrupt", self.p_corrupt, 0.0, 1.0)
+        _check_range("p_loss", self.p_loss, 0.0, 1.0)
+        _check_range("p_corrupt", self.p_corrupt, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,5 @@ class BleConfig:
     transfer_time_us: float = 0.0
 
     def __post_init__(self):
-        if self.connection_interval_us < BLE_MIN_CONNECTION_INTERVAL_US:
-            raise RangeError(
-                "connection_interval_us", self.connection_interval_us, BLE_MIN_CONNECTION_INTERVAL_US, "inf"
-            )
-        if self.transfer_time_us < 0:
-            raise RangeError("transfer_time_us", self.transfer_time_us, 0.0, "inf")
+        _check_range("connection_interval_us", self.connection_interval_us, BLE_MIN_CONNECTION_INTERVAL_US)
+        _check_range("transfer_time_us", self.transfer_time_us, 0.0)

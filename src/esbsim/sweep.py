@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -155,6 +155,8 @@ def run_sweep(
     ]
     run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, *zip(*tasks)))
     else:
@@ -224,16 +226,23 @@ def detect_modes(
     return tuple(sorted(positions))
 
 
-def _interval_ticks(batch: RecordBatch, interval: tuple[str, str]) -> tuple[np.ndarray, int]:
-    """Sorted interval durations in ticks over the rows with both probes, and
-    the count of rows without them."""
+def _interval_ticks(
+    batch: RecordBatch, interval: tuple[str, str], rows: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, int]:
+    """Sorted interval durations in ticks over the `rows` (a boolean mask)
+    with both probes, and the count of those without them.  Only the two
+    probe columns are read."""
     start, end = interval
     if start not in PROBES or end not in PROBES:
         raise ValueError(f"unknown probe pair {interval!r}")
-    a = batch.probes[:, PROBES.index(start)]
-    b = batch.probes[:, PROBES.index(end)]
+    # a column view, then the mask: numpy's fast 1-D path
+    a = batch.probes[:, PROBES.index(start)][rows]
+    b = batch.probes[:, PROBES.index(end)][rows]
     present = (a >= 0) & (b >= 0)
-    return np.sort(b[present] - a[present]), len(batch) - int(present.sum())
+    ticks = b[present]
+    ticks -= a[present]
+    ticks.sort()
+    return ticks, len(a) - int(np.count_nonzero(present))
 
 
 def interval_values_us(batch: RecordBatch, interval: tuple[str, str]) -> tuple[np.ndarray, int]:
@@ -265,10 +274,18 @@ def summarize(
     record order.
     """
     if isinstance(samples, RecordBatch):
-        values, n_lost = _interval_ticks(samples, interval)
-        scale = TICKS_PER_US
-    else:
-        values, n_lost, scale = np.sort(np.asarray(samples, dtype=float)), 0, 1.0
+        return _summary(*_interval_ticks(samples, interval), TICKS_PER_US, bin_width_us, mode_spacing_us)
+    return _summary(np.sort(np.asarray(samples, dtype=float)), 0, 1.0, bin_width_us, mode_spacing_us)
+
+
+def _summary(
+    values: np.ndarray,
+    n_lost: int,
+    scale: float,
+    bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
+    mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
+) -> SummaryStats:
+    """Statistics of sorted `values`, which are `scale` per microsecond."""
     if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
     counts, edges = _histogram(values / scale, bin_width_us)
@@ -297,16 +314,25 @@ def bulge_masses(
     return tuple(float((nearest == i).sum() / values.size) for i in range(modes.size))
 
 
+def _accounting(batch: RecordBatch, groups: np.ndarray, n_groups: int) -> list[AccountingRow]:
+    """Sent/received/unique/valid accounting of the rows of each group
+    0..n_groups-1, where `groups` holds each row's group."""
+    outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_groups * len(OUTCOMES))
+    outcomes = outcomes.reshape(n_groups, len(OUTCOMES)).tolist()
+    sent = np.bincount(groups, minlength=n_groups).tolist()
+    # the weights are small counts, so their float sums are exact
+    duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_groups).tolist()
+    rows = []
+    for n, counts, dups in zip(sent, outcomes, duplicates):
+        unique = n - counts[LOST]
+        valid = unique - counts[DELIVERED_CORRUPTED]
+        rows.append(AccountingRow(sent=n, received=unique + int(dups), unique=unique, valid=valid))
+    return rows
+
+
 def accounting_for(batch: RecordBatch) -> AccountingRow:
     """Sent/received/unique/valid accounting of a batch."""
-    outcomes = np.bincount(batch.outcome, minlength=len(OUTCOMES))
-    unique = len(batch) - int(outcomes[LOST])
-    return AccountingRow(
-        sent=len(batch),
-        received=unique + int(batch.duplicates_delivered.sum()),
-        unique=unique,
-        valid=unique - int(outcomes[DELIVERED_CORRUPTED]),
-    )
+    return _accounting(batch, np.zeros_like(batch.outcome), 1)[0]
 
 
 def crc_accounting_table(batches_by_mode: Mapping[str, RecordBatch]) -> dict[str, AccountingRow]:
@@ -320,14 +346,11 @@ def _config_order(batch: RecordBatch) -> list[int]:
     return indices[np.argsort(first)].tolist()
 
 
-def _by_config(batch: RecordBatch) -> dict[str, RecordBatch]:
-    """The batch's rows per config name, in order of first appearance."""
-    return {batch.names[i]: batch.select(batch.config_index == i) for i in _config_order(batch)}
-
-
 # --- persistence --------------------------------------------------------------
 
-_CHUNK_ROWS = 8192  # rows rendered or parsed at a time: bounds the objects alive at once
+_CHUNK_ROWS = 4096  # rows rendered or parsed at a time: bounds the objects alive at once
+_BLOCK_CHARS = 1 << 16  # characters of a results file read at a time
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
 
 
 def _csv_field(text: str) -> str:
@@ -399,7 +422,7 @@ def render_results_csv(batch: RecordBatch) -> str:
 
 
 def write_results(batch: RecordBatch, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(render_results_csv(batch))
 
 
@@ -419,10 +442,12 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: boo
     # a longer cell is too long anyway, so the loop need not reach its end
     for k in range(min(int(width.max(initial=0)), _MAX_DIGITS + 1)):
         inside = k < width
-        char = buf[np.minimum(starts + k, len(buf) - 1)]
+        at = starts + k
+        char = buf[np.minimum(at, len(buf) - 1, out=at)]
         digit = char - np.uint8(ord("0"))  # wraps round below "0"
         is_digit = inside & (digit < 10)
-        value = np.where(is_digit, value * 10 + digit, value)
+        np.multiply(value, 10, out=value, where=is_digit)
+        np.add(value, digit, out=value, where=is_digit)
         if tenths and k > 0:
             # a point sits between a digit and the one digit that ends its cell
             point = (k == width - 2) & (char == ord("."))
@@ -431,45 +456,55 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: boo
         bad |= inside & ~is_digit
     bad |= width - has_point > _MAX_DIGITS
     if tenths:
-        value = np.where(has_point, value, value * TICKS_PER_US)
+        np.multiply(value, TICKS_PER_US, out=value, where=~has_point)
     value[width == 0] = -1
     return value, bad
 
 
 class _Rows:
     """A chunk of data rows, each split at its last 15 commas, so that only
-    the config name may hold a comma.  Cells are located by offsets into the
-    joined rows; only text cells are cut out as strings."""
+    the config name may hold a comma.  Cells are located by the offsets of
+    the separators that end them in the joined rows; only text cells are
+    cut out as strings."""
 
     def __init__(self, rows: Sequence[str], line_numbers: Sequence[int]):
-        self.rows = rows
         self.line_numbers = line_numbers
         self.text = "\n".join(rows) + "\n"
         # one byte per character: one that latin-1 lacks becomes "?", which no numeric cell accepts
         self.buf = np.frombuffer(self.text.encode("latin-1", "replace"), dtype=np.uint8)
-        row_ends = np.flatnonzero(self.buf == ord("\n"))
-        commas = np.flatnonzero(self.buf == ord(","))
-        commas_before = np.searchsorted(commas, row_ends)
-        short = np.diff(commas_before, prepend=0) < len(CSV_COLUMNS) - 1
+        is_separator = self.buf == ord(",")
+        is_separator |= self.buf == ord("\n")
+        separators = np.flatnonzero(is_separator)
+        row_ends = np.flatnonzero(self.buf[separators] == ord("\n"))  # indices into separators
+        short = np.diff(row_ends, prepend=-1) < len(CSV_COLUMNS)
         if short.any():
             i = int(np.argmax(short))
             fields = len(next(csv.reader([rows[i]])))
             raise self.error(i, f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
-        splits = commas[commas_before[:, None] + np.arange(1 - len(CSV_COLUMNS), 0)]
-        self.starts = np.column_stack((np.concatenate(([0], row_ends[:-1] + 1)), splits + 1))
-        self.ends = np.column_stack((splits, row_ends))
+        # ends[i, j]: the comma or line end after cell j of row i
+        self.ends = separators[row_ends[:, None] + np.arange(1 - len(CSV_COLUMNS), 1)]
+        self.row_starts = np.concatenate(([0], self.ends[:-1, -1] + 1))
+
+    def __len__(self) -> int:
+        return len(self.line_numbers)
 
     def error(self, i: int, message: str) -> SchemaError:
         return SchemaError(f"line {self.line_numbers[i]}: {message}")
 
+    def bounds(self, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end offsets of the cells of `columns`, one array row each."""
+        starts = [self.row_starts if c == 0 else self.ends[:, c - 1] + 1 for c in columns]
+        return np.array(starts), self.ends[:, columns].T
+
     def cell(self, i: int, column: int) -> str:
-        return self.text[self.starts[i, column] : self.ends[i, column]]
+        starts, ends = self.bounds([column])
+        return self.text[starts[0, i] : ends[0, i]]
 
     def codes(self, column: int, codes: dict, new_code) -> np.ndarray:
         """The code of each cell of `column` in `codes`.  A cell not seen
         before gets `new_code(cell)`, so each distinct cell is converted once."""
-        bounds = map(slice, self.starts[:, column].tolist(), self.ends[:, column].tolist())
-        cells = list(map(self.text.__getitem__, bounds))
+        starts, ends = self.bounds([column])
+        cells = list(map(self.text.__getitem__, map(slice, starts[0].tolist(), ends[0].tolist())))
         for cell in dict.fromkeys(cells):
             if cell not in codes:
                 try:
@@ -480,13 +515,13 @@ class _Rows:
 
     def numbers(self, columns: list[int], tenths: bool = False, empty_ok: bool = False) -> np.ndarray:
         """The numeric `columns`, one array row each."""
-        starts, ends = self.starts[:, columns].T.ravel(), self.ends[:, columns].T.ravel()
+        starts, ends = (bounds.ravel() for bounds in self.bounds(columns))
         values, bad = _decimals(self.buf, starts, ends, tenths, empty_ok)
         if bad.any():
-            k, i = divmod(int(np.argmax(bad)), len(self.rows))
+            k, i = divmod(int(np.argmax(bad)), len(self))
             what = "a time in us with at most one decimal place" if tenths else "a non-negative integer"
             raise self.error(i, f"{CSV_COLUMNS[columns[k]]} {self.cell(i, columns[k])!r} is not {what}")
-        return values.reshape(len(columns), len(self.rows))
+        return values.reshape(len(columns), len(self))
 
 
 def _decode_name(cell: str) -> str:
@@ -510,8 +545,103 @@ def _unknown_outcome(cell: str) -> int:
     raise ValueError(f"is not one of {', '.join(_OUTCOME_CODES)}")
 
 
-def parse_results_csv(text: str) -> RecordBatch:
+def _blocks(source: str | TextIO) -> Iterator[str]:
+    """`source`, a str or an open text file, _BLOCK_CHARS characters at a time."""
+    if isinstance(source, str):
+        return (source[i : i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS))
+    return iter(partial(source.read, _BLOCK_CHARS), "")
+
+
+def _line_blocks(source: str | TextIO) -> Iterator[tuple[int, list[str]]]:
+    """The lines `str.splitlines` makes of the whole text of `source`, a
+    block at a time, each list with the line number of its first line.
+
+    A block's last line waits for the next block unless it ends in a line
+    break other than "\r", which may be the first half of a "\r\n".
+    """
+    carry, line_no = "", 1
+    for block in _blocks(source):
+        text = carry + block
+        lines = text.splitlines()
+        end = text[-1]
+        if end not in _LINE_BREAKS:  # the last line goes on in the next block
+            carry = lines.pop()
+        elif end == "\r":  # it may be the first half of a "\r\n"
+            carry = lines.pop() + end
+        else:
+            carry = ""
+        yield line_no, lines
+        line_no += len(lines)
+    if carry:
+        yield line_no, carry.splitlines()
+
+
+def _row_chunks(blocks: Iterator[tuple[int, list[str]]]) -> Iterator[_Rows]:
+    """The non-blank lines of `blocks`, _CHUNK_ROWS at a time whatever the
+    block size.  A chunk's lines leave the pending list before it is
+    yielded, so only its joined text stays alive."""
+    rows: list[str] = []
+    numbers: list[int] = []
+    for first, lines in blocks:
+        keep = list(map(str.strip, lines))
+        rows += compress(lines, keep)
+        numbers += compress(range(first, first + len(lines)), keep)
+        while len(rows) >= _CHUNK_ROWS:
+            yield _Rows(_cut(rows, _CHUNK_ROWS), _cut(numbers, _CHUNK_ROWS))
+    if rows:
+        yield _Rows(_cut(rows, len(rows)), numbers)
+
+
+def _cut(items: list, n: int) -> list:
+    """Remove the first n items and return them."""
+    head = items[:n]
+    del items[:n]
+    return head
+
+
+def _size(source: str | TextIO) -> int:
+    """Characters in a str, bytes in a file; 0 when unknown."""
+    if isinstance(source, str):
+        return len(source)
+    try:
+        return os.fstat(source.fileno()).st_size
+    except (AttributeError, OSError):
+        return 0
+
+
+def _header(blocks: Iterator[tuple[int, list[str]]]) -> tuple[list[str], str | None, Iterator]:
+    """The comment lines before the column header, the header (None if
+    there is none) and the blocks of the lines after it."""
+    comments = []
+    for first, lines in blocks:
+        for i, line in enumerate(lines):
+            if line.startswith("#"):
+                comments.append(line)
+            elif line.strip():
+                return comments, line, chain([(first + i + 1, lines[i + 1 :])], blocks)
+    return comments, None, iter(())
+
+
+_COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates_delivered")
+_PARSED_COLUMNS = ("config_index", "seed_index", *_COUNT_COLUMNS, "delivered_copy", "outcome")
+
+
+def _resize(columns: dict[str, np.ndarray], n: int) -> None:
+    """Give every column n rows, in place; the rows kept keep their values."""
+    for column in columns.values():
+        column.resize((n, *column.shape[1:]), refcheck=False)
+
+
+def parse_results_csv(source: str | TextIO) -> RecordBatch:
     """Records of a results CSV written with this format and RNG scheme.
+
+    `source` is the text or a text file open for reading with newline="".
+    It is read _BLOCK_CHARS characters at a time and split into lines as
+    `str.splitlines` splits the whole text; the rows are decoded
+    _CHUNK_ROWS at a time.  Beyond the int64 columns (128 bytes a row) it
+    holds one block and one chunk at once.  The columns are allocated for
+    the row count that the source's size and the rows read so far predict,
+    and trimmed to the rows read.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
@@ -520,74 +650,63 @@ def parse_results_csv(text: str) -> RecordBatch:
     numeric cells a column at a time.  A malformed row raises SchemaError
     with its line number; a probe must be a time on the 0.1 us grid.
     """
-    lines = text.splitlines()
-    hashes: dict[str, str] = {}
-    comments = []
-    header_at = len(lines)
-    for line_no, line in enumerate(lines):
-        if line.startswith("#"):
-            comments.append(line)
-            if line.startswith("# config "):
-                name, sep, config_hash = line.removeprefix("# config ").rpartition(" hash=")
-                if sep:
-                    hashes[name] = config_hash
-        elif line.strip():
-            header_at = line_no
-            break
+    comments, header, blocks = _header(_line_blocks(source))
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
         if expected not in comments:
             raise SchemaError(f"results file lacks the {expected!r} header line")
-    if header_at == len(lines):
+    if header is None:
         raise SchemaError("no header row in results file")
-    header = tuple(next(csv.reader([lines[header_at]])))
-    if header != CSV_COLUMNS:
-        raise SchemaError(f"unexpected columns {header!r}")
+    header_cells = tuple(next(csv.reader([header])))
+    if header_cells != CSV_COLUMNS:
+        raise SchemaError(f"unexpected columns {header_cells!r}")
+    hashes: dict[str, str] = {}
+    for line in comments:
+        if line.startswith("# config "):
+            name, sep, config_hash = line.removeprefix("# config ").rpartition(" hash=")
+            if sep:
+                hashes[name] = config_hash
 
-    body = lines[header_at + 1 :]
-    rows = list(compress(body, map(str.strip, body)))  # blank lines are skipped
-    line_numbers: Sequence[int] = range(header_at + 2, len(lines) + 1)
-    if len(rows) != len(body):
-        line_numbers = list(compress(line_numbers, map(str.strip, body)))
     names: dict[str, int] = {}
     seeds: dict[int, int] = {}
     name_codes: dict[str, int] = {}
     seed_codes: dict[str, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
-    # every column is allocated once for all rows and filled a chunk at a time
-    n = len(rows)
-    counts = np.empty((4, n), dtype=np.int64)  # round, attempt and the two duplicate counts
-    codes = np.empty((3, n), dtype=np.int64)  # config, seed and outcome
-    probes = np.empty((n, len(PROBES)), dtype=np.int64)
-    delivered_copy = np.empty(n, dtype=np.int64)
-    for first in range(0, n, _CHUNK_ROWS):
-        part = slice(first, first + _CHUNK_ROWS)
-        chunk = _Rows(rows[part], line_numbers[part])
-        counts[:, part] = chunk.numbers([1, 2, 14, 15])
-        codes[0, part] = chunk.codes(0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names)))
-        codes[1, part] = chunk.codes(3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds)))
-        probes[part] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
-        delivered_copy[part] = chunk.numbers([12], empty_ok=True)[0]
-        codes[2, part] = chunk.codes(13, outcome_codes, _unknown_outcome)
-    round_index, attempt, suppressed, delivered = counts
+    columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
+    columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
+    size, n, chars = _size(source), 0, 0
+    for chunk in _row_chunks(blocks):
+        part = slice(n, n + len(chunk))
+        n, chars = part.stop, chars + len(chunk.text)
+        if n > len(columns["attempt"]):
+            # room for the rows the size predicts at the density so far, 1/16
+            # spare; ndarray.resize reallocates, so no part is copied twice
+            predicted = n * size // chars
+            _resize(columns, max(n, predicted + predicted // 16))
+        for column, values in zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])):
+            columns[column][part] = values
+        columns["config_index"][part] = chunk.codes(
+            0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))
+        )
+        columns["seed_index"][part] = chunk.codes(
+            3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds))
+        )
+        columns["probes"][part] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
+        columns["delivered_copy"][part] = chunk.numbers([12], empty_ok=True)[0]
+        columns["outcome"][part] = chunk.codes(13, outcome_codes, _unknown_outcome)
+        del chunk  # free it before the next one is built
+    _resize(columns, n)
     return RecordBatch(
         names=tuple(names),
         hashes=tuple(hashes.get(name, "") for name in names),
         seeds=tuple(seeds),
-        config_index=codes[0],
-        seed_index=codes[1],
-        round_index=round_index,
-        attempt=attempt,
-        probes=probes,
-        delivered_copy=delivered_copy,
-        outcome=codes[2],
-        duplicates_suppressed=suppressed,
-        duplicates_delivered=delivered,
+        **columns,
     )
 
 
 def read_results(path) -> RecordBatch:
-    with open(path, newline="") as fh:
-        return parse_results_csv(fh.read())
+    """`parse_results_csv` of the file at `path`, read in blocks."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return parse_results_csv(fh)
 
 
 REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
@@ -597,13 +716,16 @@ def summarize_by_config(
     batch: RecordBatch,
     intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS,
 ) -> dict[str, dict[str, SummaryStats]]:
+    """`summarize` of each interval over each config's rows, configs in order
+    of first appearance; an interval no row of a config has is left out.  A
+    config's rows are a mask, so no column is copied."""
     out: dict[str, dict[str, SummaryStats]] = {}
-    for name, rows in _by_config(batch).items():
-        out[name] = {}
+    for index in _config_order(batch):
+        rows = batch.config_index == index
+        out[batch.names[index]] = stats = {}
         for interval in intervals:
-            key = interval[0] + interval[1]
             try:
-                out[name][key] = summarize(rows, interval)
+                stats[interval[0] + interval[1]] = _summary(*_interval_ticks(batch, interval, rows), TICKS_PER_US)
             except EmptyInputError:
                 continue
     return out
@@ -616,9 +738,9 @@ def render_report(batch: RecordBatch, summaries: Mapping[str, Mapping[str, Summa
     attempts are excluded from latency statistics and shown as a separate
     count."""
     lines = []
-    by_config = _by_config(batch)
+    accounting = dict(zip(batch.names, _accounting(batch, batch.config_index, len(batch.names))))
     for name, intervals in summaries.items():
-        acct = accounting_for(by_config[name])
+        acct = accounting[name]
         lines.append(f"config {name}")
         lines.append(
             f"  sent {acct.sent}  received {acct.received}  unique {acct.unique}  "

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from esbsim import airtime, ble
+from esbsim import airtime, ble, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.ble import compare
 from esbsim.cli import main
@@ -126,6 +126,24 @@ def test_report_of_a_foreign_rng_file_is_a_validation_error(exp_file, tmp_path, 
     results.write_text(results.read_text().replace(f"# rng={RNG_ALGORITHM}\n", "# rng=mt19937\n"))
     assert main(["report", "--file", str(results)]) == 1
     assert f"rng={RNG_ALGORITHM}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["results", "experiment", "pipeline"])
+def test_a_file_that_is_not_utf8_exits_one_naming_it(exp_file, tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(sweep, "_BLOCK_CHARS", 64)  # the bad byte of a results file lies blocks in
+    out = tmp_path / "run"
+    assert main(["simulate", "--file", str(exp_file), "--attempts", "5", "--out", str(out)]) == 0
+    assert main(["calibrate", "--out", str(out)]) == 0
+    path, argv = {
+        "results": (out / "results.csv", ["report", "--file"]),
+        "experiment": (exp_file, ["sweep", "--out", str(out), "--file"]),
+        "pipeline": (out / "pipeline.cfg", ["sweep", "--out", str(out), "--file", str(exp_file), "--pipeline"]),
+    }[kind]
+    data = path.read_bytes()
+    path.write_bytes(data[:-10] + b"\xff" + data[-10:])
+    capsys.readouterr()
+    assert main([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == f"esbsim: error: {path}: not UTF-8 (invalid start byte)\n"
 
 
 def test_sweep_uses_calibrated_pipeline_file(exp_file, tmp_path):

@@ -76,6 +76,25 @@ class TestValidate:
         with pytest.raises(RangeError):
             validate(cfg)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["tx_power_dbm", "payload_len_bytes", "retransmit_count", "retransmit_delay_us"]
+    )
+    def test_non_finite_numbers_are_range_errors(self, field, value):
+        cfg = dataclasses.replace(olcfg_preset(), **{field: value})
+        with pytest.raises(RangeError) as err:
+            validate(cfg)
+        assert err.value.field == field
+
+    def test_a_refused_delay_never_reaches_the_simulator(self):
+        from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
+        from esbsim.link import run_attempt_series
+
+        pipeline = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+        cfg = dataclasses.replace(olcfg_preset(), retransmit_delay_us=float("nan"))
+        with pytest.raises(RangeError, match="retransmit_delay_us=nan"):
+            run_attempt_series(cfg, ChannelModel(), pipeline, 2, seed=1)
+
     def test_validated_config_is_immutable(self):
         cfg = validate(olcfg_preset())
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -90,6 +109,11 @@ class TestChannelModel:
         with pytest.raises(RangeError):
             ChannelModel(p_corrupt=-0.1)
 
+    @pytest.mark.parametrize("field", ["p_loss", "p_corrupt"])
+    def test_nan_probability(self, field):
+        with pytest.raises(RangeError):
+            ChannelModel(**{field: float("nan")})
+
 
 class TestBleConfig:
     def test_interval_floor(self):
@@ -100,6 +124,13 @@ class TestBleConfig:
     def test_transfer_time_non_negative(self):
         with pytest.raises(RangeError):
             BleConfig(transfer_time_us=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["connection_interval_us", "transfer_time_us"])
+    def test_non_finite_values_are_range_errors(self, field, value):
+        with pytest.raises(RangeError) as err:
+            BleConfig(**{field: value})
+        assert err.value.field == field
 
 
 def test_digest_is_stable_and_sensitive():

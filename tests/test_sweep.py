@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esbsim import __version__
+from esbsim import __version__, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
 from esbsim.config import ChannelModel, CrcMode, olcfg_preset
@@ -175,10 +177,10 @@ NAMES = st.sampled_from(
 
 
 @st.composite
-def record_lists(draw, max_size=20):
+def record_lists(draw, max_size=20, names=NAMES, min_size=0):
     """Records of up to four configs with arbitrary cells: any probe may be
     absent, seeds span 64 bits, so one file holds several."""
-    hashes = draw(st.dictionaries(NAMES, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
+    hashes = draw(st.dictionaries(names, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
     probe = st.none() | st.integers(0, 2**40)
     record = st.builds(
         TransmissionRecord,
@@ -193,7 +195,7 @@ def record_lists(draw, max_size=20):
         duplicates_suppressed=st.integers(0, 15),
         duplicates_delivered=st.integers(0, 15),
     )
-    records = draw(st.lists(record, max_size=max_size))
+    records = draw(st.lists(record, min_size=min_size, max_size=max_size))
     return [dataclasses.replace(r, config_hash=hashes[r.config_name]) for r in records]
 
 
@@ -650,3 +652,130 @@ def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
     spaced[header + 4] = spaced[header + 4].replace("delivered", "bogus", 1).replace("lost", "bogus", 1)
     with pytest.raises(SchemaError, match=f"^line {header + 5}: outcome 'bogus'"):
         parse_results_csv("\n".join(spaced))
+
+
+# --- reading in blocks ------------------------------------------------------------
+
+# the line ends str.splitlines knows, "\r\n" among them; names cross block edges too
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028")
+WIDE_NAMES = st.sampled_from(["名前", "ü,ß", "🎯 target", "é" * 5])
+
+
+@st.composite
+def results_texts(draw):
+    """Records and a results file of them put back together from its lines
+    with arbitrary line ends and blank or whitespace-only lines between them,
+    and whether characters of it were replaced (which may make rows
+    malformed)."""
+    records = draw(record_lists(max_size=12, names=NAMES | WIDE_NAMES, min_size=1))
+    lines = render_results_csv(batch_of(records)).splitlines()
+    header = lines.index(",".join(CSV_COLUMNS))
+    damages = draw(st.sampled_from([0, 0, 1, 2]))
+    for _ in range(damages):  # a row or, last in line, the column header
+        row = draw(st.sampled_from(range(len(lines) - 1, header - 1, -1)))
+        i = draw(st.integers(0, len(lines[row])))
+        lines[row] = lines[row][:i] + draw(st.sampled_from([",", "x", "\r", "\n", "#", "é"])) + lines[row][i + 1 :]
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", " ", "\t", "\x1f"])) + draw(st.sampled_from(LINE_ENDS)))
+        out.append(line + draw(st.sampled_from(LINE_ENDS)))
+    text = "".join(out)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(LINE_ENDS))
+    return records, text, damages > 0
+
+
+def _parsed(parse):
+    """The side tables and rows `parse()` returns, or its SchemaError message."""
+    try:
+        batch = parse()
+    except SchemaError as exc:
+        return str(exc)
+    return batch.names, batch.hashes, batch.seeds, batch
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=results_texts(), block=st.integers(1, 64), chunk=st.integers(1, 5))
+def test_reading_in_blocks_equals_reading_the_whole_text(tmp_path_factory, case, block, chunk):
+    records, text, damaged = case
+    path = tmp_path_factory.mktemp("blocks") / "results.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(sweep, "_BLOCK_CHARS", len(text) + 1):
+            whole = _parsed(lambda: parse_results_csv(text))
+        if not damaged:
+            assert whole[3] == batch_of(records)
+        with mock.patch.object(sweep, "_BLOCK_CHARS", block):
+            assert _parsed(lambda: parse_results_csv(text)) == whole
+            assert _parsed(lambda: read_results(path)) == whole
+
+
+def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tmp_path):
+    batch = run_attempt_series(
+        olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 6, seed=9, config_name="名前 ü"
+    )
+    lines = render_results_csv(batch).splitlines()
+    text = "\r\n".join(lines[:-2]) + "\r\n\x85 \u2028\r" + "\r\n".join(lines[-2:]) + "\r\n"
+    short = text + "名前 ü,0\r\n"
+    line_no = len(short.splitlines())
+    path = tmp_path / "results.csv"
+    for block in range(1, 65):
+        with mock.patch.object(sweep, "_BLOCK_CHARS", block):
+            assert parse_results_csv(text) == batch
+            with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
+                parse_results_csv(short)
+            path.write_text(short, encoding="utf-8", newline="")
+            with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
+                read_results(path)
+
+
+def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipeline, tmp_path, monkeypatch):
+    # a benchmark ends its set-up time at this entry by replacing the attribute
+    batch = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 5, seed=2)
+    path = tmp_path / "results.csv"
+    write_results(batch, path)
+    sources = []
+    parse = sweep.parse_results_csv
+    monkeypatch.setattr(sweep, "parse_results_csv", lambda source: sources.append(source) or parse(source))
+    assert read_results(path) == batch
+    assert len(sources) == 1 and not isinstance(sources[0], str)
+
+
+# --- memory -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_results(pipeline, tmp_path_factory):
+    """A 100k-row results file and the bytes of its columns (128 a row)."""
+    batch = run_attempt_series(
+        olcfg_preset(), ChannelModel(p_loss=0.3, p_corrupt=0.05), pipeline, 100_000, seed=5, config_name="olcfg"
+    )
+    path = tmp_path_factory.mktemp("large") / "results.csv"
+    write_results(batch, path)
+    return path, sum(column.nbytes for column in vars(batch).values() if isinstance(column, np.ndarray))
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the memory it allocated, numpy's included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_results_takes_the_columns_and_one_chunk(large_results):
+    path, column_bytes = large_results
+    batch, peak = _traced_peak(lambda: read_results(path))
+    assert len(batch) == 100_000
+    # at most 1/16 spare rows, plus one chunk of rows and one block of text in flight
+    assert peak <= 1.1 * column_bytes + 8 * 2**20
+
+
+def test_summaries_copy_no_column(large_results):
+    path, column_bytes = large_results
+    batch = read_results(path)
+    report, peak = _traced_peak(lambda: render_report(batch, summarize_by_config(batch)))
+    assert "config olcfg" in report
+    assert peak <= 0.5 * column_bytes
