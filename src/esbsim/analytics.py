@@ -1,4 +1,4 @@
-"""Closed-form retransmission math, loss estimation, accounting, calibration.
+"""Closed-form retransmission math, accounting, calibration.
 
 The calibration solver turns three measured interval medians (device-to-device
 d0-d7, radio-core-to-radio-core d2-d5, and air d3-d4) into per-stage base
@@ -57,26 +57,15 @@ def retransmission_delay_moments(p_loss: float, delay_us: float, copies: int) ->
     return mean, sqrt(second - mean**2)
 
 
-def estimate_loss_prob(sent: int, never_received: int, copies: int) -> float:
-    """Invert the independent-loss model: if `never_received` of `sent`
-    attempts produced no copy at all, the per-copy loss probability is
-    (never_received/sent)^(1/copies)."""
-    if sent <= 0:
-        raise DomainError("sent must be positive")
-    if not 0 <= never_received <= sent:
-        raise DomainError(f"never_received {never_received} outside [0, {sent}]")
-    if copies < 1:
-        raise DomainError(f"copies must be >= 1: {copies}")
-    return (never_received / sent) ** (1.0 / copies)
-
-
 @dataclass(frozen=True)
 class AccountingRow:
     """Packet bookkeeping for one configuration series.
 
     `received` counts payloads that reached the receiver application
-    (duplicates included), `unique` counts attempts that delivered, and
-    `valid` counts unique deliveries with uncorrupted payloads.
+    (duplicates included: received - unique of them), `unique` counts
+    attempts that delivered, and `valid` counts unique deliveries with
+    uncorrupted payloads (unique - valid were corrupted), so valid / sent
+    is the share of attempts that delivered one clean payload.
     """
 
     sent: int
@@ -85,24 +74,8 @@ class AccountingRow:
     valid: int
 
     @property
-    def duplicates(self) -> int:
-        return self.received - self.unique
-
-    @property
-    def corrupted(self) -> int:
-        return self.unique - self.valid
-
-    @property
     def lost(self) -> int:
         return self.sent - self.unique
-
-
-def success_rate(row: AccountingRow) -> float:
-    """Fraction of attempts that produced a clean, non-duplicate delivery:
-    (received - corrupted - duplicates) / sent."""
-    if row.sent <= 0:
-        raise DomainError("sent must be positive")
-    return (row.received - row.corrupted - row.duplicates) / row.sent
 
 
 @dataclass(frozen=True)

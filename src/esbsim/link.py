@@ -14,7 +14,7 @@ of the first surviving copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from math import pi, sqrt
 from typing import Mapping, NamedTuple, Sequence
@@ -133,9 +133,6 @@ class PipelineModel:
         extras = stage_modifiers_us(self.modifiers_us, config)
         return tuple(self.stage_base_us(stage) + extra for stage, extra in zip(STAGES, extras))
 
-    def zero_jitter(self) -> "PipelineModel":
-        return replace(self, jitter_family="off")
-
 
 class Outcome(str, Enum):
     DELIVERED = "delivered"
@@ -145,39 +142,6 @@ class Outcome(str, Enum):
 
 OUTCOMES = tuple(Outcome)  # RecordBatch.outcome holds an index into this
 DELIVERED, DELIVERED_CORRUPTED, LOST = range(len(OUTCOMES))
-
-
-@dataclass
-class TransmissionRecord:
-    """One broadcast attempt: probe timestamps and delivery accounting.
-
-    A row view of a `RecordBatch`.  Probe times are absolute clock ticks
-    (0.1 us); entries are None for probes never reached.  `delivered_copy` is
-    the index of the copy that surfaced to the receiver application, or None
-    when the attempt was lost.
-    """
-
-    config_name: str
-    config_hash: str
-    round_index: int
-    attempt: int
-    seed: int
-    probes_ticks: tuple[int | None, ...]
-    delivered_copy: int | None
-    outcome: Outcome
-    duplicates_suppressed: int = 0
-    duplicates_delivered: int = 0
-
-    def probe_us(self, name: str) -> float | None:
-        ticks = self.probes_ticks[PROBES.index(name)]
-        return None if ticks is None else ticks_to_us(ticks)
-
-    def interval_us(self, start: str, end: str) -> float | None:
-        a = self.probes_ticks[PROBES.index(start)]
-        b = self.probes_ticks[PROBES.index(end)]
-        if a is None or b is None:
-            return None
-        return ticks_to_us(b - a)
 
 
 _COLUMNS = (
@@ -202,8 +166,8 @@ class RecordBatch:
     2**64 - 1, which no int64 column holds.  `probes[i]` holds the eight
     probe times in clock ticks (0.1 us), -1 for a probe never reached;
     `delivered_copy` is -1 for a lost attempt, and `outcome` indexes
-    OUTCOMES.  Indexing or iterating yields `TransmissionRecord` row views;
-    two batches are equal when their rows are.
+    OUTCOMES.  Two batches are equal when every cell agrees once the side
+    table indices are resolved to their entries.
     """
 
     names: tuple[str, ...]
@@ -232,26 +196,6 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.attempt)
 
-    def __getitem__(self, i: int) -> TransmissionRecord:
-        i = range(len(self))[i]
-        config = self.config_index[i]
-        copy = int(self.delivered_copy[i])
-        return TransmissionRecord(
-            config_name=self.names[config],
-            config_hash=self.hashes[config],
-            round_index=int(self.round_index[i]),
-            attempt=int(self.attempt[i]),
-            seed=self.seeds[self.seed_index[i]],
-            probes_ticks=tuple(None if t < 0 else t for t in self.probes[i].tolist()),
-            delivered_copy=None if copy < 0 else copy,
-            outcome=OUTCOMES[self.outcome[i]],
-            duplicates_suppressed=int(self.duplicates_suppressed[i]),
-            duplicates_delivered=int(self.duplicates_delivered[i]),
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __eq__(self, other):
         if not isinstance(other, RecordBatch):
             return NotImplemented
@@ -270,11 +214,6 @@ class RecordBatch:
             )
         ]
         return looked_up + [getattr(self, column) for column in _COLUMNS[2:]]
-
-    def select(self, rows) -> "RecordBatch":
-        """The rows picked by a boolean mask or an index array, over the same
-        side tables."""
-        return replace(self, **{column: getattr(self, column)[rows] for column in _COLUMNS})
 
     @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .analytics import AccountingRow
+from .analytics import AccountingRow, DomainError
 from .config import ChannelModel, ConfigError, EsbConfig, validate
 from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, block_uniforms
 from .link import (
@@ -36,6 +36,7 @@ from .link import (
 DEFAULT_HISTOGRAM_BIN_US = 5.0
 DEFAULT_MODE_SPACING_US = 435.0
 MODE_FLOOR = 0.01  # a histogram peak below this share of the tallest bin is no mode
+MAX_HISTOGRAM_BINS = 10**6  # a latency span wider than this many bins is refused, not allocated
 
 RESULTS_FORMAT = "esbsim-results-v1"
 
@@ -84,10 +85,6 @@ class SweepPlan:
             raise ValueError("seed must fit in 64 bits")
         for _, config in self.configs:
             validate(config)
-
-    @property
-    def attempts_per_config(self) -> int:
-        return self.rounds * self.attempts_per_round
 
     def config_index(self, name: str) -> int:
         for index, (cfg_name, _) in enumerate(self.configs):
@@ -245,16 +242,15 @@ def _interval_ticks(
     return ticks, len(a) - int(np.count_nonzero(present))
 
 
-def interval_values_us(batch: RecordBatch, interval: tuple[str, str]) -> tuple[np.ndarray, int]:
-    """Interval durations for delivered records plus the lost count."""
-    ticks, lost = _interval_ticks(batch, interval)
-    return ticks / TICKS_PER_US, lost
-
-
 def _histogram(values_us: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:
     lo = np.floor(values_us[0] / bin_width_us) * bin_width_us
     hi = np.ceil(values_us[-1] / bin_width_us) * bin_width_us
     n_bins = max(1, int(round((hi - lo) / bin_width_us)))
+    if n_bins > MAX_HISTOGRAM_BINS:
+        raise DomainError(
+            f"latencies from {values_us[0]} to {values_us[-1]} us span {n_bins} histogram bins "
+            f"of {bin_width_us} us, more than {MAX_HISTOGRAM_BINS}"
+        )
     return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * bin_width_us))
 
 
@@ -302,42 +298,23 @@ def _summary(
     )
 
 
-def bulge_masses(
-    batch: RecordBatch, modes_us: Sequence[float], interval=("d0", "d7")
-) -> tuple[float, ...]:
-    """Fraction of delivered attempts nearest each detected mode."""
-    values, _ = interval_values_us(batch, interval)
-    if values.size == 0:
-        raise EmptyInputError("no delivered samples")
-    modes = np.asarray(modes_us, dtype=float)
-    nearest = np.argmin(np.abs(values[:, None] - modes[None, :]), axis=1)
-    return tuple(float((nearest == i).sum() / values.size) for i in range(modes.size))
-
-
-def _accounting(batch: RecordBatch, groups: np.ndarray, n_groups: int) -> list[AccountingRow]:
-    """Sent/received/unique/valid accounting of the rows of each group
-    0..n_groups-1, where `groups` holds each row's group."""
-    outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_groups * len(OUTCOMES))
-    outcomes = outcomes.reshape(n_groups, len(OUTCOMES)).tolist()
-    sent = np.bincount(groups, minlength=n_groups).tolist()
+def accounting_by_config(batch: RecordBatch) -> dict[str, AccountingRow]:
+    """Sent/received/unique/valid accounting of each config's rows, keyed by
+    name in side-table order: counts over `config_index`, so no column is
+    copied."""
+    n_configs = len(batch.names)
+    groups = batch.config_index
+    outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_configs * len(OUTCOMES))
+    outcomes = outcomes.reshape(n_configs, len(OUTCOMES)).tolist()
+    sent = np.bincount(groups, minlength=n_configs).tolist()
     # the weights are small counts, so their float sums are exact
-    duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_groups).tolist()
-    rows = []
-    for n, counts, dups in zip(sent, outcomes, duplicates):
+    duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_configs).tolist()
+    accounting = {}
+    for name, n, counts, dups in zip(batch.names, sent, outcomes, duplicates):
         unique = n - counts[LOST]
         valid = unique - counts[DELIVERED_CORRUPTED]
-        rows.append(AccountingRow(sent=n, received=unique + int(dups), unique=unique, valid=valid))
-    return rows
-
-
-def accounting_for(batch: RecordBatch) -> AccountingRow:
-    """Sent/received/unique/valid accounting of a batch."""
-    return _accounting(batch, np.zeros_like(batch.outcome), 1)[0]
-
-
-def crc_accounting_table(batches_by_mode: Mapping[str, RecordBatch]) -> dict[str, AccountingRow]:
-    """Sent/received/unique/valid accounting per CRC mode."""
-    return {mode: accounting_for(batch) for mode, batch in batches_by_mode.items()}
+        accounting[name] = AccountingRow(sent=n, received=unique + int(dups), unique=unique, valid=valid)
+    return accounting
 
 
 def _config_order(batch: RecordBatch) -> list[int]:
@@ -718,7 +695,8 @@ def summarize_by_config(
 ) -> dict[str, dict[str, SummaryStats]]:
     """`summarize` of each interval over each config's rows, configs in order
     of first appearance; an interval no row of a config has is left out.  A
-    config's rows are a mask, so no column is copied."""
+    config's rows are a mask, so no column is copied.  An interval wider
+    than MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
     out: dict[str, dict[str, SummaryStats]] = {}
     for index in _config_order(batch):
         rows = batch.config_index == index
@@ -728,6 +706,8 @@ def summarize_by_config(
                 stats[interval[0] + interval[1]] = _summary(*_interval_ticks(batch, interval, rows), TICKS_PER_US)
             except EmptyInputError:
                 continue
+            except DomainError as exc:
+                raise DomainError(f"config {batch.names[index]!r}, interval {'-'.join(interval)}: {exc}") from None
     return out
 
 
@@ -738,7 +718,7 @@ def render_report(batch: RecordBatch, summaries: Mapping[str, Mapping[str, Summa
     attempts are excluded from latency statistics and shown as a separate
     count."""
     lines = []
-    accounting = dict(zip(batch.names, _accounting(batch, batch.config_index, len(batch.names))))
+    accounting = accounting_by_config(batch)
     for name, intervals in summaries.items():
         acct = accounting[name]
         lines.append(f"config {name}")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -14,11 +15,9 @@ from esbsim.analytics import (
     InfeasibleError,
     calibrate_pipeline,
     delivered_copy_distribution,
-    estimate_loss_prob,
     modifier_table_from_medians,
     olcfg_calibration_targets,
     retransmission_delay_moments,
-    success_rate,
 )
 from esbsim.config import (
     TX_POWER_MAX_DBM,
@@ -138,42 +137,28 @@ class TestRetransmissionDelayMoments:
                 retransmission_delay_moments(p, 435.0, copies)
 
 
-class TestEstimateLossProb:
-    def test_reference_accounting_inversion(self):
-        # cube root of 14/750
-        assert estimate_loss_prob(750, 14, 3) == pytest.approx((14 / 750) ** (1 / 3))
-        assert estimate_loss_prob(750, 14, 3) == pytest.approx(0.2653, abs=5e-4)
-
-    def test_no_losses(self):
-        assert estimate_loss_prob(1000, 0, 3) == 0.0
-
-    def test_everything_lost(self):
-        assert estimate_loss_prob(1000, 1000, 3) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            estimate_loss_prob(0, 0, 3)
-        with pytest.raises(DomainError):
-            estimate_loss_prob(10, 11, 3)
-        with pytest.raises(DomainError):
-            estimate_loss_prob(10, 1, 0)
-
-
 class TestSuccessRate:
+    """The success rate, clean non-duplicate deliveries over attempts, is
+    valid / sent by the accounting identities."""
+
     def test_reference_crc_off_series(self):
         # 735 received with 15 corrupted and 1 duplicate out of 750 sent
         row = AccountingRow(sent=750, received=735, unique=734, valid=719)
-        assert row.corrupted == 15
-        assert row.duplicates == 1
-        assert success_rate(row) == pytest.approx(719 / 750)
-        assert success_rate(row) == pytest.approx(0.9587, abs=5e-5)
+        corrupted, duplicates = row.unique - row.valid, row.received - row.unique
+        assert (corrupted, duplicates, row.lost) == (15, 1, 16)
+        rate = (row.received - corrupted - duplicates) / row.sent
+        assert rate == row.valid / row.sent == pytest.approx(0.9587, abs=5e-5)
 
     def test_clean_run(self):
-        assert success_rate(AccountingRow(100, 100, 100, 100)) == 1.0
+        from esbsim.config import ChannelModel
+        from esbsim.link import run_attempt_series
+        from esbsim.sweep import accounting_by_config
 
-    def test_zero_sent_rejected(self):
-        with pytest.raises(DomainError):
-            success_rate(AccountingRow(0, 0, 0, 0))
+        pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+        records = run_attempt_series(olcfg_preset(), ChannelModel(), pipe, 100, seed=3, config_name="clean")
+        row = accounting_by_config(records)["clean"]
+        assert row.valid / row.sent == 1.0
+        assert row.lost == 0
 
 
 class TestCalibratePipeline:
@@ -330,13 +315,13 @@ def lossy_run():
     from esbsim.config import ChannelModel
     from esbsim.link import run_attempt_series
 
-    pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()).zero_jitter()
+    pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+    pipe = dataclasses.replace(pipe, jitter_family="off")
     records = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.043), pipe, 30_000, seed=14
     )
-    return np.array(
-        [r.interval_us("d0", "d7") - 486.3 for r in records if r.delivered_copy is not None]
-    )
+    delivered = records.delivered_copy >= 0
+    return (records.probes[delivered, 7] - records.probes[delivered, 0] - 4863) / 10
 
 
 class TestSimulationAgreesWithClosedForms:
@@ -364,7 +349,7 @@ class TestSimulationAgreesWithClosedForms:
     def test_simulated_crc_off_series_success_rate(self):
         from esbsim.config import ChannelModel
         from esbsim.link import run_attempt_series
-        from esbsim.sweep import accounting_for
+        from esbsim.sweep import accounting_by_config
 
         pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
         records = run_attempt_series(
@@ -373,6 +358,8 @@ class TestSimulationAgreesWithClosedForms:
             pipe,
             750,
             seed=16,
+            config_name="olcfg",
         )
-        rate = success_rate(accounting_for(records))
+        row = accounting_by_config(records)["olcfg"]
+        rate = row.valid / row.sent
         assert rate == pytest.approx(0.9587, abs=0.015)

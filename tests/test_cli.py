@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -295,9 +296,9 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     n = 13
     assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "sweep")]) == 0
     swept = read_results(tmp_path / "sweep" / "results.csv")
-    series = swept.select(
-        (swept.config_index == swept.names.index(config)) & (swept.round_index == 0) & (swept.attempt < n)
-    )
+    picked = (swept.config_index == swept.names.index(config)) & (swept.round_index == 0) & (swept.attempt < n)
+    columns = [f.name for f in dataclasses.fields(swept)[3:]]  # the fields after the side tables
+    series = dataclasses.replace(swept, **{column: getattr(swept, column)[picked] for column in columns})
     assert len(series) == n
 
     assert main(["simulate", "--file", str(exp), "--config", config, "--attempts", str(n),
@@ -378,3 +379,20 @@ def test_calibrate_reference_is_the_named_config_or_the_preset(tmp_path, capsys,
     assert f"# reference config={config or 'olcfg'} hash={reference.digest()}\n" in text
     radio_overhead = olcfg_calibration_targets().d3d4_us - airtime.on_air_time_us(reference)
     assert parse_pipeline_file(text).radio_overhead_us == radio_overhead
+
+
+def test_report_refuses_a_latency_span_too_wide_to_histogram(exp_file, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--file", str(exp_file), "--attempts", "3", "--out", str(out)]) == 0
+    results = out / "results.csv"
+    lines = results.read_text().splitlines()
+    row = lines.index(",".join(sweep.CSV_COLUMNS)) + 1
+    cells = lines[row].split(",")
+    cells[sweep.CSV_COLUMNS.index("d7")] = "99999999999999.9"  # a time the parser accepts
+    lines[row] = ",".join(cells)
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--file", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("esbsim: error: config 'olcfg', interval d0-d7: latencies from ")
+    assert f"more than {sweep.MAX_HISTOGRAM_BINS}" in err

@@ -64,7 +64,6 @@ class TestParse:
         exp = parse_experiment_file(SAMPLE)
         assert exp.plan.rounds == 5
         assert exp.plan.attempts_per_round == 150
-        assert exp.plan.attempts_per_config == 750
 
     def test_inline_and_multiline_pairs_are_equivalent(self):
         exp = parse_experiment_file(SAMPLE)

@@ -53,3 +53,82 @@ def test_the_rule_sees_imports_and_attribute_reads():
         "self._own = 1\n"
     )
     assert _foreign_private_uses(tree) == [(1, "_hidden"), (4, "link._table"), (5, "np.random._philox")]
+
+
+# Public names that no other code in the package reads, each with the reason
+# it stays public.  Every other public name needs a reader in the package:
+# one that only tests read is dead code.
+API = {
+    "retransmission_delay_moments": "the closed-form copy mixture the attempt kernel is tested against (README)",
+    "modifier_table_from_medians": "turns published per-parameter medians into a modifier table (README)",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(label, name, node, is_method) of each public top-level name and each
+    public method and property of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if not name.startswith("_"):
+                yield name, name, node, False
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item, True
+
+
+def _unread_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Labels of the public definitions with no read outside their own
+    body.  A read is a loaded name or, for a method, a loaded attribute of
+    that name; the match is by name, so a read of an equal name elsewhere
+    counts."""
+    reads: dict[str, list[tuple[str, int, bool]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno, False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno, True))
+    unread = []
+    for module, tree in trees.items():
+        for label, name, node, is_method in _public_definitions(tree):
+            if not any(
+                (where != module or not node.lineno <= line <= node.end_lineno) and (attribute or not is_method)
+                for where, line, attribute in reads.get(name, [])
+            ):
+                unread.append(label)
+    return sorted(unread)
+
+
+def test_every_public_name_has_a_reader_in_the_package_or_a_reason():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_public_names(trees) == sorted(API)
+
+
+def test_the_reader_rule_sees_definitions_reads_and_bodies():
+    defining = ast.parse(
+        "LIMIT = 3\n"
+        "A, B = 1, 2\n"
+        "def used(): return LIMIT\n"
+        "def recursive(): return recursive()\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    size: int = A\n"
+        "    def read(self): return self.write()\n"
+        "    def write(self): return Box\n"
+        "    @property\n"
+        "    def depth(self): return 0\n"
+        "    def __len__(self): return 0\n"
+    )
+    # a bare `read` is no read of the method Box.read
+    reading = ast.parse("from .defining import used\ndef _run(box):\n    return used(), box.depth, read\n")
+    assert _unread_public_names({"defining.py": defining, "reading.py": reading}) == [
+        "B", "Box", "Box.read", "recursive",
+    ]

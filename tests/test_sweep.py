@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
 from esbsim.config import ChannelModel, CrcMode, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
-from esbsim.link import LOST, PROBES, Outcome, RecordBatch, TransmissionRecord, run_attempt_series
+from esbsim.link import DELIVERED, DELIVERED_CORRUPTED, LOST, OUTCOMES, PROBES, Outcome, RecordBatch, run_attempt_series
 from esbsim.sweep import (
     CSV_COLUMNS,
     DEFAULT_HISTOGRAM_BIN_US,
@@ -24,9 +25,7 @@ from esbsim.sweep import (
     SchemaError,
     SummaryStats,
     SweepPlan,
-    accounting_for,
-    bulge_masses,
-    crc_accounting_table,
+    accounting_by_config,
     detect_modes,
     parse_results_csv,
     read_results,
@@ -43,6 +42,32 @@ from esbsim.sweep import (
 # --- row-wise oracles ------------------------------------------------------------
 # The record-at-a-time CSV writer, reader and per-config summary that the
 # columnar paths replaced; the fast paths must agree with them exactly.
+
+
+class Row(NamedTuple):
+    """One record as the oracles see it: probe times in ticks, None for a
+    probe never reached and for the delivered copy of a lost attempt."""
+
+    config_name: str
+    config_hash: str
+    round_index: int
+    attempt: int
+    seed: int
+    probes_ticks: tuple
+    delivered_copy: int | None
+    outcome: Outcome
+    duplicates_suppressed: int
+    duplicates_delivered: int
+
+
+def rows_of(batch: RecordBatch) -> list[Row]:
+    """The rows of `batch`, with its side tables looked up."""
+    columns = (getattr(batch, field.name).tolist() for field in dataclasses.fields(batch)[3:])
+    return [
+        Row(batch.names[c], batch.hashes[c], r, a, batch.seeds[s], tuple(None if t < 0 else t for t in probes),
+            None if copy < 0 else copy, OUTCOMES[o], suppressed, delivered)
+        for c, s, r, a, probes, copy, o, suppressed, delivered in zip(*columns)
+    ]
 
 
 def batch_of(records) -> RecordBatch:
@@ -104,7 +129,7 @@ def oracle_render(records) -> str:
     return out.getvalue()
 
 
-def oracle_parse(text: str) -> list[TransmissionRecord]:
+def oracle_parse(text: str) -> list[Row]:
     hashes, rows = {}, []
     for line in text.splitlines():
         if not rows and line.startswith("#"):
@@ -117,7 +142,7 @@ def oracle_parse(text: str) -> list[TransmissionRecord]:
     reader = csv.reader(rows)
     assert tuple(next(reader)) == CSV_COLUMNS
     return [
-        TransmissionRecord(
+        Row(
             config_name=row[0],
             config_hash=hashes.get(row[0], ""),
             round_index=int(row[1]),
@@ -183,7 +208,7 @@ def record_lists(draw, max_size=20, names=NAMES, min_size=0):
     hashes = draw(st.dictionaries(names, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
     probe = st.none() | st.integers(0, 2**40)
     record = st.builds(
-        TransmissionRecord,
+        Row,
         config_name=st.sampled_from(sorted(hashes)),
         config_hash=st.just(""),
         round_index=st.integers(0, 10**4),
@@ -196,7 +221,7 @@ def record_lists(draw, max_size=20, names=NAMES, min_size=0):
         duplicates_delivered=st.integers(0, 15),
     )
     records = draw(st.lists(record, min_size=min_size, max_size=max_size))
-    return [dataclasses.replace(r, config_hash=hashes[r.config_name]) for r in records]
+    return [r._replace(config_hash=hashes[r.config_name]) for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +231,7 @@ def pipeline():
 
 @pytest.fixture(scope="module")
 def quiet_pipeline(pipeline):
-    return pipeline.zero_jitter()
+    return dataclasses.replace(pipeline, jitter_family="off")
 
 
 @pytest.fixture(scope="module")
@@ -222,14 +247,17 @@ def small_plan():
 
 
 class TestSweepPlan:
-    def test_counts(self, small_plan):
-        assert small_plan.attempts_per_config == 150
+    def test_counts(self, small_plan, quiet_pipeline):
+        # every (config, round) series holds attempts_per_round rows
+        records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
+        per_series = np.bincount(records.config_index * small_plan.rounds + records.round_index)
+        assert per_series.tolist() == [small_plan.attempts_per_round] * len(small_plan.configs) * small_plan.rounds
 
-    def test_protocol_count_arithmetic(self):
+    def test_protocol_count_arithmetic(self, quiet_pipeline):
         five = SweepPlan(configs=(("a", olcfg_preset()),), rounds=5, attempts_per_round=150)
         three = SweepPlan(configs=(("a", olcfg_preset()),), rounds=3, attempts_per_round=150)
-        assert five.attempts_per_config == 750
-        assert three.attempts_per_config == 450
+        assert len(run_sweep(five, ChannelModel(), quiet_pipeline)) == 750
+        assert len(run_sweep(three, ChannelModel(), quiet_pipeline)) == 450
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
@@ -266,15 +294,13 @@ class TestShuffle:
 class TestRunSweep:
     def test_record_counts_per_config(self, small_plan, quiet_pipeline):
         records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
-        assert len(records) == 2 * small_plan.attempts_per_config
-        per_config = {}
-        for r in records:
-            per_config[r.config_name] = per_config.get(r.config_name, 0) + 1
+        assert len(records) == 2 * small_plan.rounds * small_plan.attempts_per_round
+        per_config = dict(zip(records.names, np.bincount(records.config_index).tolist()))
         assert per_config == {"olcfg": 150, "crc16": 150}
 
     def test_lossless_channel_delivers_everything(self, small_plan, quiet_pipeline):
         records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
-        assert all(r.outcome is Outcome.DELIVERED for r in records)
+        assert (records.outcome == DELIVERED).all()
 
     def test_shuffling_does_not_change_the_record_multiset(self, small_plan, quiet_pipeline):
         ordered = dataclasses.replace(small_plan, shuffle=False)
@@ -286,6 +312,31 @@ class TestRunSweep:
         serial = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=1)
         parallel = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=4)
         assert serial == parallel
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_configs=st.integers(1, 3),
+        rounds=st.integers(1, 3),
+        attempts=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+        shuffle=st.booleans(),
+        p_loss=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_any_execution_order_gives_the_sweeps_csv(
+        self, pipeline, n_configs, rounds, attempts, seed, shuffle, p_loss, data
+    ):
+        configs = (
+            ("olcfg", olcfg_preset()),
+            ("crc16", dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.CRC16)),
+            ("single", dataclasses.replace(olcfg_preset(), retransmit_count=0)),
+        )[:n_configs]
+        plan = SweepPlan(configs=configs, rounds=rounds, attempts_per_round=attempts, shuffle=shuffle, seed=seed)
+        channel = ChannelModel(p_loss=p_loss, p_corrupt=0.1)
+        tasks = data.draw(st.permutations([(c, r) for c in range(n_configs) for r in range(rounds)]))
+        series = {task: sweep.run_series(plan, channel, pipeline, *task, attempts) for task in tasks}
+        joined = RecordBatch.concat([series[c, r] for c in range(n_configs) for r in range(rounds)])
+        assert render_results_csv(joined) == render_results_csv(run_sweep(plan, channel, pipeline))
 
 
 class TestSummarize:
@@ -309,7 +360,7 @@ class TestSummarize:
             olcfg_preset(), ChannelModel(p_loss=0.6), quiet_pipeline, 200, seed=2
         )
         stats = summarize(records)
-        lost = sum(1 for r in records if r.outcome is Outcome.LOST)
+        lost = int((records.outcome == LOST).sum())
         assert stats.n == 200 - lost
         assert stats.n_lost == lost
 
@@ -334,8 +385,9 @@ class TestSummarize:
             olcfg_preset(), ChannelModel(p_loss=0.4), quiet_pipeline, 400, seed=4
         )
         stats = summarize(records)
-        values = [r.interval_us("d0", "d7") for r in records if r.delivered_copy is not None]
-        assert min(values) <= stats.median_us <= max(values)
+        delivered = records.delivered_copy >= 0
+        values = (records.probes[delivered, 7] - records.probes[delivered, 0]) / 10
+        assert values.min() <= stats.median_us <= values.max()
         assert stats.sd_us >= 0
 
 
@@ -359,8 +411,12 @@ class TestDetectModes:
             olcfg_preset(), ChannelModel(p_loss=0.2655), quiet_pipeline, 5000, seed=6
         )
         stats = summarize(records)
-        masses = bulge_masses(records, stats.modes_us)
-        assert sum(masses) == pytest.approx(1.0)
+        delivered = records.delivered_copy >= 0
+        values = (records.probes[delivered, 7] - records.probes[delivered, 0]) / 10
+        nearest = np.argmin(np.abs(values[:, None] - np.asarray(stats.modes_us)), axis=1)
+        # without jitter the delivered copy alone sets the latency: one bulge per copy
+        assert np.array_equal(nearest, records.delivered_copy[delivered])
+        masses = np.bincount(nearest) / nearest.size
         assert masses[0] > masses[1] > masses[2]
 
     def test_synthetic_histogram(self):
@@ -393,32 +449,38 @@ class TestAccounting:
             by_mode[mode.value] = run_attempt_series(
                 cfg, channel, quiet_pipeline, 750, seed=7, config_name=mode.value
             )
-        table = crc_accounting_table(by_mode)
+        table = accounting_by_config(RecordBatch.concat(list(by_mode.values())))
+        assert list(table) == ["16", "off"]
         for mode, row in table.items():
+            series = by_mode[mode]
             assert row.sent == 750
-            assert row.received == row.unique + row.duplicates
-            assert row.unique == row.valid + row.corrupted
-            assert row.sent == row.unique + row.lost
+            assert row.received - row.unique == int(series.duplicates_delivered.sum())
+            assert row.unique - row.valid == int((series.outcome == DELIVERED_CORRUPTED).sum())
+            assert row.lost == row.sent - row.unique == int((series.outcome == LOST).sum())
 
     def test_crc16_has_no_duplicates_and_no_corruption(self, quiet_pipeline):
         cfg = dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.CRC16)
         records = run_attempt_series(
-            cfg, ChannelModel(p_loss=0.2655, p_corrupt=15 / 735), quiet_pipeline, 750, seed=7
+            cfg, ChannelModel(p_loss=0.2655, p_corrupt=15 / 735), quiet_pipeline, 750, seed=7, config_name="16"
         )
-        row = crc_accounting_table({"16": records})["16"]
+        row = accounting_by_config(records)["16"]
         assert row.received == row.unique
         assert row.valid == row.unique
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists(max_size=40))
     def test_identities_hold_for_arbitrary_batches(self, records):
-        row = accounting_for(batch_of(records))
-        lost = sum(r.outcome is Outcome.LOST for r in records)
-        corrupted = sum(r.outcome is Outcome.DELIVERED_CORRUPTED for r in records)
-        duplicates = sum(r.duplicates_delivered for r in records)
-        assert row.sent == len(records) == row.unique + lost
-        assert row.received == row.unique + duplicates
-        assert row.valid == row.unique - corrupted
+        table = accounting_by_config(batch_of(records))
+        assert list(table) == list(dict.fromkeys(r.config_name for r in records))
+        for name, row in table.items():
+            rows = [r for r in records if r.config_name == name]
+            lost = sum(r.outcome is Outcome.LOST for r in rows)
+            corrupted = sum(r.outcome is Outcome.DELIVERED_CORRUPTED for r in rows)
+            duplicates = sum(r.duplicates_delivered for r in rows)
+            assert row.sent == len(rows) == row.unique + lost
+            assert row.lost == lost
+            assert row.received == row.unique + duplicates
+            assert row.valid == row.unique - corrupted
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -433,15 +495,15 @@ class TestAccounting:
         pipe = dataclasses.replace(quiet_pipeline, dedup_escape_prob=1.0)
         batch = run_attempt_series(cfg, ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt), pipe, 50, seed=seed)
         assert not batch.duplicates_delivered.any()
-        row = accounting_for(batch)
+        (row,) = accounting_by_config(batch).values()
         assert row.sent == row.unique + int((batch.outcome == LOST).sum())
         assert row.received == row.unique
 
     def test_no_corruption_means_valid_equals_unique(self, quiet_pipeline):
         records = run_attempt_series(
-            olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 300, seed=8
+            olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 300, seed=8, config_name="off"
         )
-        row = crc_accounting_table({"off": records})["off"]
+        row = accounting_by_config(records)["off"]
         assert row.valid == row.unique
 
 
@@ -490,7 +552,7 @@ class TestPersistence:
         assert f"# config {name} hash={olcfg_preset().digest()}\n" in text
         parsed = parse_results_csv(text)
         assert parsed == records
-        assert parsed[0].config_hash == olcfg_preset().digest()
+        assert parsed.hashes == (olcfg_preset().digest(),)
 
     @pytest.mark.parametrize("name", ["a\nb", "a\rb", "trailing\n", "a\x0bb", "a\x85b", "a\u2028b"])
     def test_config_name_with_a_line_break_is_refused(self, quiet_pipeline, name):
@@ -513,7 +575,7 @@ class TestPersistence:
     @given(records=record_lists())
     def test_columnar_parse_matches_the_row_oracle(self, records):
         text = oracle_render(records)
-        assert list(parse_results_csv(text)) == oracle_parse(text)
+        assert rows_of(parse_results_csv(text)) == oracle_parse(text)
 
     def test_renders_and_parses_across_chunks(self, quiet_pipeline):
         # more rows than one parse or render chunk, with lost rows between delivered ones
@@ -521,7 +583,7 @@ class TestPersistence:
             olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 20000, seed=3, config_name="olcfg"
         )
         text = render_results_csv(batch)
-        assert text == oracle_render(list(batch))
+        assert text == oracle_render(rows_of(batch))
         assert parse_results_csv(text) == batch
 
     @pytest.mark.parametrize(
@@ -565,15 +627,14 @@ class TestPersistence:
         plan = SweepPlan(configs=configs, rounds=3, attempts_per_round=400, seed=11)
         pipe = dataclasses.replace(pipeline, dedup_escape_prob=0.3)
         batch = run_sweep(plan, ChannelModel(p_loss=0.5, p_corrupt=0.1), pipe)
-        records = list(batch)
-        assert {r.outcome for r in records} == set(Outcome)
+        assert set(batch.outcome.tolist()) == set(range(len(OUTCOMES)))
         # the same configs in the same order, with equal statistics
-        assert list(summarize_by_config(batch).items()) == list(oracle_summarize_by_config(records).items())
+        assert list(summarize_by_config(batch).items()) == list(oracle_summarize_by_config(rows_of(batch)).items())
         # a config whose every attempt is lost keeps its name and no intervals
         lost = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=1.0), pipeline, 5, seed=1, config_name="x"
         )
-        assert summarize_by_config(lost) == oracle_summarize_by_config(list(lost)) == {"x": {}}
+        assert summarize_by_config(lost) == oracle_summarize_by_config(rows_of(lost)) == {"x": {}}
 
     def test_summaries_are_pure_functions_of_the_records(
         self, small_plan, quiet_pipeline, tmp_path
@@ -640,7 +701,7 @@ def test_probe_cells_on_the_grid_parse_exactly(quiet_pipeline):
     cells[4:8] = ["12", "12.3", "007.5", "99999999999999.9"]
     lines[row] = ",".join(cells)
     parsed = parse_results_csv("\n".join(lines))
-    assert parsed[0].probes_ticks[:4] == (120, 123, 75, 999999999999999)
+    assert parsed.probes[0, :4].tolist() == [120, 123, 75, 999999999999999]
 
 
 def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
