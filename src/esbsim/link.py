@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import pi, sqrt
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -214,36 +214,6 @@ class RecordBatch:
             )
         ]
         return looked_up + [getattr(self, column) for column in _COLUMNS[2:]]
-
-    @classmethod
-    def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
-        """The rows of `batches` in order, over merged side tables.  A config
-        name must have one hash in every batch."""
-        names: dict[str, int] = {}
-        hashes: list[str] = []
-        seeds: dict[int, int] = {}
-        # an empty first part gives every column its shape when `batches` is empty
-        parts = {column: [np.zeros(0, dtype=np.int64)] for column in _COLUMNS}
-        parts["probes"] = [np.zeros((0, len(PROBES)), dtype=np.int64)]
-        for batch in batches:
-            for name, digest in zip(batch.names, batch.hashes):
-                if name not in names:
-                    names[name] = len(hashes)
-                    hashes.append(digest)
-                elif hashes[names[name]] != digest:
-                    raise ValueError(f"config {name!r} has two hashes: {hashes[names[name]]} and {digest}")
-            for column in _COLUMNS[2:]:
-                parts[column].append(getattr(batch, column))
-            config_map = np.array([names[name] for name in batch.names], dtype=np.int64)
-            seed_map = np.array([seeds.setdefault(s, len(seeds)) for s in batch.seeds], dtype=np.int64)
-            parts["config_index"].append(config_map[batch.config_index])
-            parts["seed_index"].append(seed_map[batch.seed_index])
-        return cls(
-            names=tuple(names),
-            hashes=tuple(hashes),
-            seeds=tuple(seeds),
-            **{column: np.concatenate(part) for column, part in parts.items()},
-        )
 
 
 def copy_offsets_ticks(config: EsbConfig) -> list[int]:

@@ -136,13 +136,16 @@ def run_sweep(
 
     Each (config, round) series is a `run_series` call, whose draws are
     addressed by the plan seed and its own indices, so the output is
-    identical for any worker count and any execution order.  The series are
-    joined in (config, round) order, so the rows come back sorted by
-    (config, round, attempt).  The per-round shuffle fixes the execution
-    order, as in the lab protocol; it cannot affect record content because
-    series are independent.
+    identical for any worker count and any execution order.  The columns
+    are allocated once and each series is copied into its (config, round)
+    slot as it arrives, so the rows come back sorted by (config, round,
+    attempt) and only one series is alive beside them.  The side tables
+    are the plan's.  The per-round shuffle fixes the execution order, as in
+    the lab protocol; it cannot affect record content because series are
+    independent.
     """
     n_configs = len(plan.configs)
+    n = plan.attempts_per_round
     tasks = [
         (config_index, round_index)
         for round_index in range(plan.rounds)
@@ -150,18 +153,32 @@ def run_sweep(
             shuffle_round_order(plan.seed, round_index, n_configs) if plan.shuffle else range(n_configs)
         )
     ]
-    run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
+    rows = n_configs * plan.rounds * n
+    columns = {column: np.empty(rows, dtype=np.int64) for column in _PARSED_COLUMNS}
+    columns["probes"] = np.empty((rows, len(PROBES)), dtype=np.int64)
+
+    def fill(results: Iterator[RecordBatch]) -> None:
+        for (c, r), series in zip(tasks, results):
+            start = (c * plan.rounds + r) * n
+            part = slice(start, start + n)
+            for column in (*_PARSED_COLUMNS[2:], "probes"):
+                columns[column][part] = getattr(series, column)
+            columns["config_index"][part] = c
+            columns["seed_index"][part] = 0
+
+    run = partial(run_series, plan, channel, pipeline, n=n)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, *zip(*tasks)))
+            fill(pool.map(run, *zip(*tasks)))
     else:
-        chunks = [run(c, r) for c, r in tasks]
-
-    series = dict(zip(tasks, chunks))
-    return RecordBatch.concat(
-        [series[c, r] for c in range(len(plan.configs)) for r in range(plan.rounds)]
+        fill(map(run, *zip(*tasks)))
+    return RecordBatch(
+        names=tuple(name for name, _ in plan.configs),
+        hashes=tuple(config.digest() for _, config in plan.configs),
+        seeds=(plan.seed,),
+        **columns,
     )
 
 
@@ -291,11 +308,26 @@ def _summary(
         mean_us=float(values.mean() / scale),
         median_us=float(np.median(values) / scale),
         sd_us=float(values.std() / scale),
-        p99_us=float(np.percentile(values, 99) / scale),
+        p99_us=float(_percentile_99(values) / scale),
         hist_counts=tuple(int(c) for c in counts),
         hist_edges=tuple(float(e) for e in edges),
         modes_us=detect_modes(counts, edges, mode_spacing_us),
     )
+
+
+def _percentile_99(values: np.ndarray):
+    """`np.percentile(values, 99)` of sorted `values`, bit for bit: numpy's
+    "linear" rule, which interpolates between the neighbours of the virtual
+    index (n - 1) * 0.99.  np.percentile itself would import numpy.ma."""
+    index = (values.size - 1) * np.true_divide(99, 100)
+    if index >= values.size - 1:  # numpy takes the last value twice, a gamma past 1
+        below, above, gamma = -1, -1, index + 1
+    else:
+        below = int(index)
+        above, gamma = below + 1, index - below
+    a, b = values[below], values[above]
+    d = b - a
+    return b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma
 
 
 def accounting_by_config(batch: RecordBatch) -> dict[str, AccountingRow]:
@@ -325,8 +357,9 @@ def _config_order(batch: RecordBatch) -> list[int]:
 
 # --- persistence --------------------------------------------------------------
 
-_CHUNK_ROWS = 4096  # rows rendered or parsed at a time: bounds the objects alive at once
+_CHUNK_ROWS = 4096  # rows parsed at a time: bounds the objects alive at once
 _BLOCK_CHARS = 1 << 16  # characters of a results file read at a time
+_WRITE_ROWS = 2048  # rows rendered and written at a time
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
 
 
@@ -359,31 +392,42 @@ def _row_template(batch: RecordBatch, row: int) -> str:
     return ",".join(fields) + "\n"
 
 
-def render_results_csv(batch: RecordBatch) -> str:
-    """Results CSV with provenance header comments; lossless round-trip.
+def _write_csv(batch: RecordBatch, fh: TextIO) -> None:
+    """The results CSV of `batch` to the open file `fh`, _WRITE_ROWS rows at
+    a time.
 
     Rows sharing a config, seed, outcome and set of present cells share one
-    %-template, so the CSV quoting of a name happens once per template.
+    %-template, built once per file, so the CSV quoting of a name happens
+    once per template.  A chunk finds its rows' templates from their shape
+    keys, so no array spans the whole batch.
     """
-    out = [f"# {RESULTS_FORMAT}\n", f"# tool=esbsim {__version__}\n", f"# rng={RNG_ALGORITHM}\n"]
-    seeds = sorted(batch.seeds[i] for i in np.unique(batch.seed_index).tolist())
+    fh.write(f"# {RESULTS_FORMAT}\n# tool=esbsim {__version__}\n# rng={RNG_ALGORITHM}\n")
+    used = np.bincount(batch.seed_index, minlength=len(batch.seeds))
+    seeds = sorted(batch.seeds[i] for i in np.flatnonzero(used).tolist())
     if seeds:
-        out.append(f"# seed={','.join(map(str, seeds))}\n")
+        fh.write(f"# seed={','.join(map(str, seeds))}\n")
     for index in _config_order(batch):
         name = batch.names[index]
         # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
         if "".join(name.splitlines()) != name:
             raise SchemaError(f"config name {name!r} contains a line break")
-        out.append(f"# config {name} hash={batch.hashes[index]}\n")
-    out.append(",".join(CSV_COLUMNS) + "\n")
+        fh.write(f"# config {name} hash={batch.hashes[index]}\n")
+    fh.write(",".join(CSV_COLUMNS) + "\n")
 
-    present = np.column_stack((batch.probes >= 0, batch.delivered_copy >= 0))
-    shape = (batch.config_index * len(batch.seeds) + batch.seed_index) * len(OUTCOMES) + batch.outcome
-    shape = shape << present.shape[1] | present @ (1 << np.arange(present.shape[1]))
-    _, first, inverse = np.unique(shape, return_index=True, return_inverse=True)
-    templates = [_row_template(batch, row) for row in first.tolist()]
-    for start in range(0, len(batch), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    templates: dict[int, str] = {}
+    bits = 1 << np.arange(len(PROBES) + 1)
+    for start in range(0, len(batch), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        present = np.column_stack((batch.probes[rows] >= 0, batch.delivered_copy[rows] >= 0))
+        shape = (batch.config_index[rows] * len(batch.seeds) + batch.seed_index[rows]) * len(OUTCOMES)
+        shape += batch.outcome[rows]
+        shape = shape << len(bits) | present @ bits
+        keys, first, inverse = np.unique(shape, return_index=True, return_inverse=True)
+        keys = keys.tolist()
+        for key, row in zip(keys, first.tolist()):
+            if key not in templates:
+                templates[key] = _row_template(batch, start + row)
+        chunk_templates = [templates[key] for key in keys]
         whole, tenth = np.divmod(batch.probes[rows], TICKS_PER_US)
         cells = (
             batch.round_index[rows],
@@ -394,13 +438,28 @@ def render_results_csv(batch: RecordBatch) -> str:
             batch.duplicates_delivered[rows],
         )
         values = zip(*(column.tolist() for column in cells))
-        out.append("".join(map(str.__mod__, map(templates.__getitem__, inverse[rows].tolist()), values)))
-    return "".join(out)
+        fh.write("".join(map(str.__mod__, map(chunk_templates.__getitem__, inverse.tolist()), values)))
 
 
 def write_results(batch: RecordBatch, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(render_results_csv(batch))
+    """Write `batch` to `path` as a results CSV with provenance header
+    comments; `read_results` gives the batch back.
+
+    The file appears whole or not at all: it is written to a temporary file
+    beside `path`, which replaces `path` once complete and is removed on
+    failure.  Beyond the columns it holds one chunk of rows and their text.
+    """
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as fh:
+            _write_csv(batch, fh)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.remove(temp)
+        except OSError:
+            pass
+        raise
 
 
 _OUTCOME_CODES = {outcome.value: code for code, outcome in enumerate(OUTCOMES)}

@@ -1,9 +1,15 @@
 import dataclasses
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import esbsim
 from esbsim import airtime, ble, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.ble import compare
@@ -396,3 +402,60 @@ def test_report_refuses_a_latency_span_too_wide_to_histogram(exp_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("esbsim: error: config 'olcfg', interval d0-d7: latencies from ")
     assert f"more than {sweep.MAX_HISTOGRAM_BINS}" in err
+
+
+# sha256 of the outputs of a fixed sweep: three configs, 9000 rows, more than
+# one chunk of the writer and of the parser
+PINNED_SWEEP = {
+    "results.csv": "2f09526eda62bf1c6e3ab3164d1bee04e4437b5e7ea194083e3c51f28dc8d069",
+    "summary.json": "289b682bb32d7764eac3b40af27cc923e2c9c11ab8da9a6f6de2cf25d3b91d72",
+    "summary.txt": "1a03671baaaed0c68e10208a93d9f1b033404361f209aaac603d241a27fb7257",
+}
+
+
+def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path):
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(EXPERIMENT + MORE_CONFIGS)
+    out = tmp_path / "out"
+    overrides = ["sweep.attempts=1500", "channel.p_loss=0.3", "channel.p_corrupt=0.05"]
+    assert main(["sweep", "--file", str(exp), "--out", str(out), *(f"--set={o}" for o in overrides)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SWEEP} == PINNED_SWEEP
+    assert sorted(os.listdir(out)) == sorted(PINNED_SWEEP)
+
+
+NUMPY_MA_PROBE = """\
+import sys
+from esbsim.cli import main
+imported = []
+for argv in map(str.split, sys.argv[1:]):
+    assert main(argv) == 0, argv
+    imported.append(f"{argv[0]} {'numpy.ma' in sys.modules}")
+print(", ".join(imported))
+"""
+
+
+def test_no_command_imports_numpy_ma(exp_file, tmp_path):
+    # numpy.ma costs every command tens of milliseconds and about a megabyte
+    out = tmp_path / "out"
+    commands = [
+        f"sweep --file {exp_file} --out {out}",
+        f"simulate --file {exp_file} --out {out}",
+        f"report --file {out / 'results.csv'} --out {out}",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(esbsim.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, *commands], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "sweep False, simulate False, report False"
+
+
+def test_a_config_name_with_a_line_break_exits_one_and_writes_no_results(exp_file, tmp_path, capsys, monkeypatch):
+    run_series = sweep.run_series
+    monkeypatch.setattr(
+        sweep, "run_series", lambda *args: dataclasses.replace(run_series(*args), names=("a\u2028b",))
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--file", str(exp_file), "--out", str(out)]) == 1
+    assert "line break" in capsys.readouterr().err
+    assert os.listdir(out) == []

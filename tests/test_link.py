@@ -307,7 +307,8 @@ class TestRunAttemptSeries:
         tail = run_attempt_series(
             olcfg_preset(), channel, pipeline, 15, seed=9, config_name="olcfg", start_attempt=25
         )
-        assert full == RecordBatch.concat([head, tail])
+        assert rows(full, slice(0, 25)) == head
+        assert rows(full, slice(25, None)) == tail
 
     def test_records_carry_provenance(self, quiet_pipeline):
         records = run_attempt_series(
@@ -388,21 +389,6 @@ class TestRecordBatch:
         assert batch != dataclasses.replace(batch, seeds=(0,))
         assert batch != rows(batch, slice(1, None))
 
-    def test_concat_merges_the_side_tables(self, batch, pipeline):
-        other = run_attempt_series(olcfg_preset(), LOSSLESS, pipeline, 5, seed=7, config_name="b")
-        joined = RecordBatch.concat([batch, other, batch])
-        assert joined.names == ("a", "b") and joined.seeds == (2**64 - 1, 7)
-        assert len(joined) == 65
-        assert rows(joined, slice(0, 30)) == batch
-        assert rows(joined, slice(30, 35)) == other
-        assert rows(joined, slice(35, None)) == batch
-        assert RecordBatch.concat([joined]) == joined
-        assert len(RecordBatch.concat([])) == 0
-
-    def test_a_name_keeps_one_hash(self, batch):
-        with pytest.raises(ValueError, match="two hashes"):
-            RecordBatch.concat([batch, dataclasses.replace(batch, hashes=("0",))])
-
     def test_columns_must_agree_in_length(self, batch):
         with pytest.raises(ValueError, match="rows"):
             dataclasses.replace(batch, attempt=batch.attempt[:-1])
@@ -467,7 +453,8 @@ class TestTimelineProperties:
         assert np.array_equal(rx_absent, np.repeat((records.outcome == LOST)[:, None], 4, axis=1))
 
         split = data.draw(st.integers(1, n - 1))
-        assert RecordBatch.concat([series(split), series(n - split, split)]) == records
+        assert rows(records, slice(0, split)) == series(split)
+        assert rows(records, slice(split, None)) == series(n - split, split)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -510,9 +497,10 @@ class TestTimelineProperties:
             cfg, channel, pipe, n, seed=seed, round_index=round_index, start_attempt=start_attempt
         )
         split = data.draw(st.integers(0, n))
-        head = [series(split, start_attempt)] if split else []
-        tail = [series(n - split, start_attempt + split)] if split < n else []
-        assert RecordBatch.concat(head + tail) == records
+        if split:
+            assert rows(records, slice(0, split)) == series(split, start_attempt)
+        if split < n:
+            assert rows(records, slice(split, None)) == series(n - split, start_attempt + split)
 
 
 class TestDraws:

@@ -1,13 +1,15 @@
 import csv
 import dataclasses
 import io
+import os
+import tempfile
 import tracemalloc
 from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esbsim import __version__, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
@@ -30,7 +32,6 @@ from esbsim.sweep import (
     parse_results_csv,
     read_results,
     render_report,
-    render_results_csv,
     run_sweep,
     shuffle_round_order,
     summarize,
@@ -97,6 +98,21 @@ def batch_of(records) -> RecordBatch:
         duplicates_suppressed=column(r.duplicates_suppressed for r in records),
         duplicates_delivered=column(r.duplicates_delivered for r in records),
     )
+
+
+def join(batches) -> RecordBatch:
+    """The rows of `batches` in order, over side tables in order of first
+    appearance."""
+    return batch_of([row for batch in batches for row in rows_of(batch)])
+
+
+def written(batch: RecordBatch) -> str:
+    """The text of the results file `write_results` writes for `batch`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        write_results(batch, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
 
 
 def oracle_render(records) -> str:
@@ -199,6 +215,8 @@ def oracle_summarize_by_config(records, intervals=REPORT_INTERVALS) -> dict:
 NAMES = st.sampled_from(
     ["", "two words", "#hash-led", "comma,name", ' spaced " quote ', "odd hash=name", "100%"]
 ) | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+WIDE_NAMES = st.sampled_from(["名前", "ü,ß", "🎯 target", "é" * 5])
 
 
 @st.composite
@@ -335,8 +353,20 @@ class TestRunSweep:
         channel = ChannelModel(p_loss=p_loss, p_corrupt=0.1)
         tasks = data.draw(st.permutations([(c, r) for c in range(n_configs) for r in range(rounds)]))
         series = {task: sweep.run_series(plan, channel, pipeline, *task, attempts) for task in tasks}
-        joined = RecordBatch.concat([series[c, r] for c in range(n_configs) for r in range(rounds)])
-        assert render_results_csv(joined) == render_results_csv(run_sweep(plan, channel, pipeline))
+        joined = join([series[c, r] for c in range(n_configs) for r in range(rounds)])
+        assert written(joined) == written(run_sweep(plan, channel, pipeline))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_sweep_is_the_join_of_its_series_in_canonical_order(self, small_plan, pipeline, workers):
+        channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
+        joined = join(
+            sweep.run_series(small_plan, channel, pipeline, c, r, small_plan.attempts_per_round)
+            for c in range(len(small_plan.configs))
+            for r in range(small_plan.rounds)
+        )
+        swept = run_sweep(small_plan, channel, pipeline, workers=workers)
+        assert swept == joined
+        assert (swept.names, swept.hashes, swept.seeds) == (joined.names, joined.hashes, joined.seeds)
 
 
 class TestSummarize:
@@ -449,7 +479,7 @@ class TestAccounting:
             by_mode[mode.value] = run_attempt_series(
                 cfg, channel, quiet_pipeline, 750, seed=7, config_name=mode.value
             )
-        table = accounting_by_config(RecordBatch.concat(list(by_mode.values())))
+        table = accounting_by_config(join(list(by_mode.values())))
         assert list(table) == ["16", "off"]
         for mode, row in table.items():
             series = by_mode[mode]
@@ -516,7 +546,7 @@ class TestPersistence:
 
     def test_header_only_for_empty_record_set(self, tmp_path):
         path = tmp_path / "empty.csv"
-        empty = RecordBatch.concat([])
+        empty = join([])
         write_results(empty, path)
         text = path.read_text()
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
@@ -527,19 +557,19 @@ class TestPersistence:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=9, config_name="olcfg"
         )
-        text = render_results_csv(records)
+        text = written(records)
         assert "# seed=9\n" in text
         assert f"# config olcfg hash={olcfg_preset().digest()}" in text
         assert "# rng=" in text
 
     def test_every_seed_in_the_provenance_header(self, quiet_pipeline):
-        records = RecordBatch.concat(
+        records = join(
             [
                 run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9, config_name="a"),
                 run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=3, config_name="b"),
             ]
         )
-        text = render_results_csv(records)
+        text = written(records)
         assert "# seed=3,9\n" in text
         assert parse_results_csv(text) == records
 
@@ -548,28 +578,31 @@ class TestPersistence:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 3, seed=4, config_name=name
         )
-        text = render_results_csv(records)
+        text = written(records)
         assert f"# config {name} hash={olcfg_preset().digest()}\n" in text
         parsed = parse_results_csv(text)
         assert parsed == records
         assert parsed.hashes == (olcfg_preset().digest(),)
 
     @pytest.mark.parametrize("name", ["a\nb", "a\rb", "trailing\n", "a\x0bb", "a\x85b", "a\u2028b"])
-    def test_config_name_with_a_line_break_is_refused(self, quiet_pipeline, name):
+    def test_config_name_with_a_line_break_is_refused(self, quiet_pipeline, name, tmp_path):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=4, config_name=name)
         with pytest.raises(SchemaError, match="line break"):
-            render_results_csv(records)
+            write_results(records, tmp_path / "results.csv")
+        assert os.listdir(tmp_path) == []  # neither an empty file nor a temporary one
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
     def test_round_trip_of_arbitrary_records(self, records):
         batch = batch_of(records)
-        assert parse_results_csv(render_results_csv(batch)) == batch
+        assert parse_results_csv(written(batch)) == batch
 
     @settings(max_examples=100, deadline=None)
-    @given(records=record_lists())
-    def test_columnar_render_matches_the_row_oracle(self, records):
-        assert render_results_csv(batch_of(records)) == oracle_render(records)
+    @given(records=record_lists(names=NAMES | WIDE_NAMES), chunk=st.integers(1, 5))
+    def test_columnar_render_matches_the_row_oracle(self, records, chunk):
+        # rows written a few at a time, so templates are found across chunks
+        with mock.patch.object(sweep, "_WRITE_ROWS", chunk):
+            assert written(batch_of(records)) == oracle_render(records)
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
@@ -582,7 +615,7 @@ class TestPersistence:
         batch = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 20000, seed=3, config_name="olcfg"
         )
-        text = render_results_csv(batch)
+        text = written(batch)
         assert text == oracle_render(rows_of(batch))
         assert parse_results_csv(text) == batch
 
@@ -597,7 +630,7 @@ class TestPersistence:
     )
     def test_foreign_format_or_rng_rejected(self, quiet_pipeline, line, replacement):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=9)
-        text = render_results_csv(records)
+        text = written(records)
         assert line in text
         with pytest.raises(SchemaError):
             parse_results_csv(text.replace(line, replacement))
@@ -651,7 +684,7 @@ def _valid_results(quiet_pipeline) -> list[str]:
     batch = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 4, seed=9, config_name="olcfg"
     )
-    return render_results_csv(batch).splitlines()
+    return written(batch).splitlines()
 
 
 def _set_cell(column, value):
@@ -719,7 +752,6 @@ def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
 
 # the line ends str.splitlines knows, "\r\n" among them; names cross block edges too
 LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028")
-WIDE_NAMES = st.sampled_from(["名前", "ü,ß", "🎯 target", "é" * 5])
 
 
 @st.composite
@@ -729,7 +761,7 @@ def results_texts(draw):
     and whether characters of it were replaced (which may make rows
     malformed)."""
     records = draw(record_lists(max_size=12, names=NAMES | WIDE_NAMES, min_size=1))
-    lines = render_results_csv(batch_of(records)).splitlines()
+    lines = written(batch_of(records)).splitlines()
     header = lines.index(",".join(CSV_COLUMNS))
     damages = draw(st.sampled_from([0, 0, 1, 2]))
     for _ in range(damages):  # a row or, last in line, the column header
@@ -776,7 +808,7 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
     batch = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 6, seed=9, config_name="名前 ü"
     )
-    lines = render_results_csv(batch).splitlines()
+    lines = written(batch).splitlines()
     text = "\r\n".join(lines[:-2]) + "\r\n\x85 \u2028\r" + "\r\n".join(lines[-2:]) + "\r\n"
     short = text + "名前 ü,0\r\n"
     line_no = len(short.splitlines())
@@ -803,18 +835,67 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
     assert len(sources) == 1 and not isinstance(sources[0], str)
 
 
+# --- writing ----------------------------------------------------------------------
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+    # the second row has a shape of its own, so its template is built after the first chunk
+    delivered = Row("olcfg", "abc", 0, 0, 1, tuple(range(8)), 0, Outcome.DELIVERED, 0, 0)
+    lost = delivered._replace(attempt=1, probes_ticks=(1, 2, 3, 4) + (None,) * 4, delivered_copy=None,
+                              outcome=Outcome.LOST)
+    path = tmp_path / "results.csv"
+    path.write_text("old\n")
+    template = sweep._row_template
+
+    def failing_after_the_first_chunk(batch, row):
+        if row == 0:
+            return template(batch, row)
+        assert len(os.listdir(tmp_path)) == 2  # the old file and the one being written
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(sweep, "_WRITE_ROWS", 1)
+    monkeypatch.setattr(sweep, "_row_template", failing_after_the_first_chunk)
+    with pytest.raises(RuntimeError, match="injected"):
+        write_results(batch_of([delivered, lost]), path)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["results.csv"]
+
+
+_TICKS = st.integers(-(2**53), 2**53)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_TICKS, min_size=1, max_size=400) | st.lists(_FLOATS, min_size=1, max_size=400))
+@example(values=[0.0] * 49 + [0.1, 0.7])  # a gamma of exactly 0.5, where numpy interpolates from above
+def test_p99_is_numpys_percentile_bit_for_bit(values):
+    values = np.sort(np.asarray(values))
+    expected = np.float64(np.percentile(values, 99))
+    assert np.float64(sweep._percentile_99(values)).tobytes() == expected.tobytes()
+
+
 # --- memory -----------------------------------------------------------------------
+
+
+def _column_bytes(batch: RecordBatch) -> int:
+    return sum(column.nbytes for column in vars(batch).values() if isinstance(column, np.ndarray))
+
+
+class LargeResults(NamedTuple):
+    batch: RecordBatch
+    path: object
+    column_bytes: int
 
 
 @pytest.fixture(scope="module")
 def large_results(pipeline, tmp_path_factory):
-    """A 100k-row results file and the bytes of its columns (128 a row)."""
+    """A 100k-row batch, its results file and the bytes of its columns (128 a row)."""
     batch = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.3, p_corrupt=0.05), pipeline, 100_000, seed=5, config_name="olcfg"
     )
     path = tmp_path_factory.mktemp("large") / "results.csv"
     write_results(batch, path)
-    return path, sum(column.nbytes for column in vars(batch).values() if isinstance(column, np.ndarray))
+    return LargeResults(batch, path, _column_bytes(batch))
 
 
 def _traced_peak(fn):
@@ -827,7 +908,7 @@ def _traced_peak(fn):
 
 
 def test_reading_results_takes_the_columns_and_one_chunk(large_results):
-    path, column_bytes = large_results
+    _, path, column_bytes = large_results
     batch, peak = _traced_peak(lambda: read_results(path))
     assert len(batch) == 100_000
     # at most 1/16 spare rows, plus one chunk of rows and one block of text in flight
@@ -835,8 +916,28 @@ def test_reading_results_takes_the_columns_and_one_chunk(large_results):
 
 
 def test_summaries_copy_no_column(large_results):
-    path, column_bytes = large_results
+    _, path, column_bytes = large_results
     batch = read_results(path)
     report, peak = _traced_peak(lambda: render_report(batch, summarize_by_config(batch)))
     assert "config olcfg" in report
     assert peak <= 0.5 * column_bytes
+
+
+def test_writing_results_takes_one_chunk_beyond_the_columns(large_results, tmp_path):
+    # the whole text, or any array over every row, would take 0.25 of the columns or more
+    _, peak = _traced_peak(lambda: write_results(large_results.batch, tmp_path / "results.csv"))
+    assert (tmp_path / "results.csv").read_bytes() == large_results.path.read_bytes()
+    assert peak <= 0.25 * large_results.column_bytes + 2 * 2**20
+
+
+def test_a_sweep_takes_its_columns_and_one_series(pipeline):
+    shapes = ((CrcMode.OFF, 2), (CrcMode.CRC8, 3), (CrcMode.CRC16, 1), (CrcMode.CRC16, 0))
+    configs = tuple(
+        (f"crc-{mode.value}-r{n}", dataclasses.replace(olcfg_preset(), crc_mode=mode, retransmit_count=n))
+        for mode, n in shapes
+    )
+    plan = SweepPlan(configs=configs, rounds=5, attempts_per_round=5000, seed=11)
+    batch, peak = _traced_peak(lambda: run_sweep(plan, ChannelModel(p_loss=0.2655, p_corrupt=0.0204), pipeline))
+    assert len(batch) == 100_000
+    # a copy of every series beside the columns would take their size again
+    assert peak <= 1.25 * _column_bytes(batch) + 2 * 2**20
