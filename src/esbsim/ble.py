@@ -17,6 +17,8 @@ from .config import BleConfig
 from .engine import PURPOSE_BLE_WAIT, block_uniforms
 from .sweep import SummaryStats, summarize
 
+BIN_WIDTH_US = 100.0  # coarser than the broadcast link's: the support spans a whole interval
+
 
 class MismatchError(ValueError):
     """Comparison inputs of unequal (or zero) sample counts."""
@@ -52,9 +54,8 @@ def compare(esb_summary: SummaryStats, ble_summary: SummaryStats) -> ComparisonR
     )
 
 
-def summarize_ble(values_us: np.ndarray, bin_width_us: float = 100.0) -> SummaryStats:
-    # coarser bins than the broadcast link: the support spans a whole interval
-    return summarize(values_us, bin_width_us=bin_width_us, mode_spacing_us=float("inf"))
+def summarize_ble(values_us: np.ndarray) -> SummaryStats:
+    return summarize(values_us, bin_width_us=BIN_WIDTH_US, mode_spacing_us=float("inf"))
 
 
 def render_comparison(report: ComparisonReport) -> str:

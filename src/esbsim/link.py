@@ -278,7 +278,7 @@ def draw_series(
     )
 
 
-DEFAULT_ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
+ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
 
 
 def run_attempt_series(
@@ -292,11 +292,10 @@ def run_attempt_series(
     namespace: tuple[int, ...] = (),
     round_index: int = 0,
     start_attempt: int = 0,
-    spacing_us: float = DEFAULT_ATTEMPT_SPACING_US,
 ) -> RecordBatch:
     """Run `n` attempts with independent randomness, deterministic per seed.
 
-    Attempt starts are spaced `spacing_us` apart on a per-config timeline,
+    Attempt starts are spaced ATTEMPT_SPACING_US apart on a per-config timeline,
     and draws are addressed by attempt index, so a record is identical no
     matter which worker produced it or how the series was split.  The whole
     series is laid out at once: stage ticks, the first surviving copy and the
@@ -307,10 +306,10 @@ def run_attempt_series(
     validate(config)
     offsets = copy_offsets_ticks(config)
     on_air = airtime.on_air_ticks(config)
-    spacing = us_to_ticks(spacing_us)
+    spacing = us_to_ticks(ATTEMPT_SPACING_US)
     if spacing < offsets[-1] + on_air:
         raise ScheduleError(
-            f"attempt spacing {spacing_us} us overlaps the copy train "
+            f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train "
             f"({ticks_to_us(offsets[-1] + on_air)} us)"
         )
     totals = np.asarray(pipeline.stage_totals_us(config))

@@ -53,8 +53,8 @@ CSV_COLUMNS = (
 )
 
 
-class EmptyInputError(ValueError):
-    """No delivered records to summarize."""
+class EmptyInputError(DomainError):
+    """No delivered records to summarize: no statistic is defined."""
 
 
 class SchemaError(ValueError):
@@ -360,6 +360,7 @@ def _config_order(batch: RecordBatch) -> list[int]:
 _CHUNK_ROWS = 4096  # rows parsed at a time: bounds the objects alive at once
 _BLOCK_CHARS = 1 << 16  # characters of a results file read at a time
 _WRITE_ROWS = 2048  # rows rendered and written at a time
+_UNUSED = -1  # a byte of a written cell's block that the cell leaves out
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
 
 
@@ -370,75 +371,72 @@ def _csv_field(text: str) -> str:
     return line.getvalue()[: -len(",\n")]
 
 
-def _row_template(batch: RecordBatch, row: int) -> str:
-    """The %-template of the CSV rows shaped like `row`: the same config,
-    seed and outcome, and the same probes and delivered copy present.
+def _number_cells(values: np.ndarray, min_digits: int = 1) -> np.ndarray:
+    """Each of `values` in digits, at least `min_digits`, right-aligned as wide as the largest needs; -1 is empty."""
+    if values.min(initial=-1) < -1:  # it would write no digit, which reads back as -1
+        raise SchemaError(f"cannot write {values.min()} in a results cell: only -1, an empty cell, is negative")
+    width = max(min_digits, len(str(int(values.max(initial=0)))))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    # a place is written from the value's leading digit on, and the last min_digits places always
+    lowest = np.where(np.arange(width) < width - min_digits, powers, 0)
+    column = values[:, None]
+    return np.where(column >= lowest, column // powers % 10 + ord("0"), _UNUSED).astype(np.int16)
 
-    It takes the round, the attempt, divmod(ticks, 10) of each probe, the
-    delivered copy and the two duplicate counts; an absent cell consumes its
-    values with %.0s and writes nothing.
-    """
-    fields = [
-        _csv_field(batch.names[batch.config_index[row]]).replace("%", "%%"),
-        "%d",
-        "%d",
-        str(batch.seeds[batch.seed_index[row]]),
-        *("%d.%d" if ticks >= 0 else "%.0s%.0s" for ticks in batch.probes[row]),
-        "%d" if batch.delivered_copy[row] >= 0 else "%.0s",
-        OUTCOMES[batch.outcome[row]].value,
-        "%d",
-        "%d",
+
+def _time_cells(ticks: np.ndarray) -> np.ndarray:
+    """Each of `ticks` in microseconds: the tick digits, at least two, with a point before the last."""
+    point = np.where(ticks >= 0, ord("."), _UNUSED)
+    return np.insert(_number_cells(ticks, min_digits=2), -1, point, axis=1)
+
+
+def _byte_table(texts: Iterator[str]) -> np.ndarray:
+    """The UTF-8 bytes of each of `texts`, left-aligned in its row of a table as wide as the longest."""
+    encoded = [text.encode() for text in texts]
+    lengths = np.array([len(text) for text in encoded], dtype=np.int64)
+    table = np.full((len(encoded), lengths.max(initial=0)), _UNUSED, dtype=np.int16)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return table
+
+
+def _csv_rows(batch: RecordBatch, rows: slice, names: np.ndarray, seeds: np.ndarray, outcomes: np.ndarray) -> bytes:
+    """The CSV lines of `batch`'s `rows`: its cells side by side with their separators, bytes in use in order."""
+    cells = [
+        names[batch.config_index[rows]],
+        _number_cells(batch.round_index[rows]),
+        _number_cells(batch.attempt[rows]),
+        seeds[batch.seed_index[rows]],
+        *map(_time_cells, batch.probes[rows].T),
+        _number_cells(batch.delivered_copy[rows]),
+        outcomes[batch.outcome[rows]],
+        _number_cells(batch.duplicates_suppressed[rows]),
+        _number_cells(batch.duplicates_delivered[rows]),
     ]
-    return ",".join(fields) + "\n"
+    comma = np.full((len(cells[0]), 1), ord(","), dtype=np.int16)
+    text = np.concatenate([block for cell in cells for block in (cell, comma)], axis=1)
+    text[:, -1] = ord("\n")  # the last separator ends the line
+    return text[text != _UNUSED].astype(np.uint8).tobytes()
 
 
-def _write_csv(batch: RecordBatch, fh: TextIO) -> None:
-    """The results CSV of `batch` to the open file `fh`, _WRITE_ROWS rows at
-    a time.
-
-    Rows sharing a config, seed, outcome and set of present cells share one
-    %-template, built once per file, so the CSV quoting of a name happens
-    once per template.  A chunk finds its rows' templates from their shape
-    keys, so no array spans the whole batch.
-    """
-    fh.write(f"# {RESULTS_FORMAT}\n# tool=esbsim {__version__}\n# rng={RNG_ALGORITHM}\n")
+def _write_csv(batch: RecordBatch, fh: io.BufferedIOBase) -> None:
+    """The results CSV of `batch` to the binary file `fh`, _WRITE_ROWS rows at a time."""
+    fh.write(f"# {RESULTS_FORMAT}\n# tool=esbsim {__version__}\n# rng={RNG_ALGORITHM}\n".encode())
     used = np.bincount(batch.seed_index, minlength=len(batch.seeds))
     seeds = sorted(batch.seeds[i] for i in np.flatnonzero(used).tolist())
     if seeds:
-        fh.write(f"# seed={','.join(map(str, seeds))}\n")
+        fh.write(f"# seed={','.join(map(str, seeds))}\n".encode())
     for index in _config_order(batch):
         name = batch.names[index]
         # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
         if "".join(name.splitlines()) != name:
             raise SchemaError(f"config name {name!r} contains a line break")
-        fh.write(f"# config {name} hash={batch.hashes[index]}\n")
-    fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(f"# config {name} hash={batch.hashes[index]}\n".encode())
+    fh.write((",".join(CSV_COLUMNS) + "\n").encode())
 
-    templates: dict[int, str] = {}
-    bits = 1 << np.arange(len(PROBES) + 1)
+    name_table = _byte_table(map(_csv_field, batch.names))
+    seed_table = _byte_table(map(str, batch.seeds))
+    outcome_table = _byte_table(outcome.value for outcome in OUTCOMES)
     for start in range(0, len(batch), _WRITE_ROWS):
-        rows = slice(start, start + _WRITE_ROWS)
-        present = np.column_stack((batch.probes[rows] >= 0, batch.delivered_copy[rows] >= 0))
-        shape = (batch.config_index[rows] * len(batch.seeds) + batch.seed_index[rows]) * len(OUTCOMES)
-        shape += batch.outcome[rows]
-        shape = shape << len(bits) | present @ bits
-        keys, first, inverse = np.unique(shape, return_index=True, return_inverse=True)
-        keys = keys.tolist()
-        for key, row in zip(keys, first.tolist()):
-            if key not in templates:
-                templates[key] = _row_template(batch, start + row)
-        chunk_templates = [templates[key] for key in keys]
-        whole, tenth = np.divmod(batch.probes[rows], TICKS_PER_US)
-        cells = (
-            batch.round_index[rows],
-            batch.attempt[rows],
-            *chain.from_iterable(zip(whole.T, tenth.T)),
-            batch.delivered_copy[rows],
-            batch.duplicates_suppressed[rows],
-            batch.duplicates_delivered[rows],
-        )
-        values = zip(*(column.tolist() for column in cells))
-        fh.write("".join(map(str.__mod__, map(chunk_templates.__getitem__, inverse.tolist()), values)))
+        fh.write(_csv_rows(batch, slice(start, start + _WRITE_ROWS), name_table, seed_table, outcome_table))
 
 
 def write_results(batch: RecordBatch, path) -> None:
@@ -451,7 +449,7 @@ def write_results(batch: RecordBatch, path) -> None:
     """
     temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", newline="", encoding="utf-8") as fh:
+        with open(temp, "wb") as fh:
             _write_csv(batch, fh)
         os.replace(temp, path)
     except BaseException:

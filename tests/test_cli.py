@@ -286,6 +286,8 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, co
         ("simulate", "--set", "config.olcfg.retransmit_delay_us=inf"),
         ("compare-ble", "--set", "ble.transfer_us=nan"),
         ("compare-ble", "--set", "ble.connection_interval_us=inf"),
+        ("compare-ble", "--set", "channel.p_loss=1.0"),  # nothing delivered to summarize
+        ("simulate", "--set", "config.olcfg.retransmits=14"),  # the copy train outruns the attempt window
         ("calibrate", "--targets", "abc,1,2"),
     ],
 )

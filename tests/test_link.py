@@ -30,7 +30,7 @@ from esbsim.engine import (
     us_to_ticks,
 )
 from esbsim.link import (
-    DEFAULT_ATTEMPT_SPACING_US,
+    ATTEMPT_SPACING_US,
     DELIVERED,
     DELIVERED_CORRUPTED,
     LOST,
@@ -58,7 +58,7 @@ def oracle_series(config, channel, pipeline, n, *, seed, round_index=0, start_at
     on_air = airtime.on_air_ticks(config)
     totals = pipeline.stage_totals_us(config)
     crc_on = config.crc_mode is not CrcMode.OFF
-    spacing = us_to_ticks(DEFAULT_ATTEMPT_SPACING_US)
+    spacing = us_to_ticks(ATTEMPT_SPACING_US)
     rows = []
     for i in range(n):
         lost, corrupted, escaped, jitter = (column[i].tolist() for column in draws)
@@ -285,16 +285,15 @@ class TestRunAttemptSeries:
         assert 2 <= lost <= 26
 
     def test_attempts_are_spaced_on_the_capture_grid(self, quiet_pipeline):
-        records = run_attempt_series(
-            olcfg_preset(), LOSSLESS, quiet_pipeline, 5, seed=3, spacing_us=6000.0
-        )
+        records = run_attempt_series(olcfg_preset(), LOSSLESS, quiet_pipeline, 5, seed=3)
         assert records.probes[:, 0].tolist() == [i * 60000 for i in range(5)]
 
     def test_overlapping_spacing_rejected(self, quiet_pipeline):
-        with pytest.raises(ScheduleError):
-            run_attempt_series(
-                olcfg_preset(), LOSSLESS, quiet_pipeline, 5, seed=3, spacing_us=900.0
-            )
+        # 14 retransmissions 435 us apart: the last copy starts at 6090 us, past the 6000 us window
+        config = dataclasses.replace(olcfg_preset(), retransmit_count=14)
+        assert config.retransmit_delay_us == 435.0
+        with pytest.raises(ScheduleError, match="overlaps the copy train"):
+            run_attempt_series(config, LOSSLESS, quiet_pipeline, 5, seed=3)
 
     def test_chunked_execution_reproduces_the_full_series(self, pipeline):
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)

@@ -4,6 +4,7 @@ import io
 import os
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from typing import NamedTuple
 from unittest import mock
 
@@ -135,7 +136,7 @@ def oracle_render(records) -> str:
                 r.round_index,
                 r.attempt,
                 r.seed,
-                *("" if t is None else f"{t / 10:.1f}" for t in r.probes_ticks),
+                *("" if t is None else f"{t // 10}.{t % 10}" for t in r.probes_ticks),
                 "" if r.delivered_copy is None else r.delivered_copy,
                 r.outcome.value,
                 r.duplicates_suppressed,
@@ -164,7 +165,7 @@ def oracle_parse(text: str) -> list[Row]:
             round_index=int(row[1]),
             attempt=int(row[2]),
             seed=int(row[3]),
-            probes_ticks=tuple(None if cell == "" else round(float(cell) * 10) for cell in row[4:12]),
+            probes_ticks=tuple(None if cell == "" else round(Decimal(cell) * 10) for cell in row[4:12]),
             delivered_copy=None if row[12] == "" else int(row[12]),
             outcome=Outcome(row[13]),
             duplicates_suppressed=int(row[14]),
@@ -240,6 +241,20 @@ def record_lists(draw, max_size=20, names=NAMES, min_size=0):
     )
     records = draw(st.lists(record, min_size=min_size, max_size=max_size))
     return [r._replace(config_hash=hashes[r.config_name]) for r in records]
+
+
+# A writer chunk sizes its digit blocks from its largest value: values at
+# each change of digit count, up to the parser's 17 digits, in one chunk or
+# across chunks, and chunks whose every d4-d7 cell is empty.
+WIDTH_EDGES = (0, 9, 10, 99, 100, 10**17 - 1)
+WIDE_ROWS = [
+    Row("edges", "abc", v, v, v, (v,) * 8, v, Outcome.DELIVERED, v, v)
+    for v in WIDTH_EDGES + WIDTH_EDGES[::-1]
+]
+LOST_ROWS = [
+    Row("lost", "abc", 0, a, 1, probes, None, Outcome.LOST, 3, 0)
+    for a, probes in enumerate([(1, 2, 3, 10**17 - 1) + (None,) * 4, (None,) * 8] * 3)
+]
 
 
 @pytest.fixture(scope="module")
@@ -591,21 +606,37 @@ class TestPersistence:
             write_results(records, tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []  # neither an empty file nor a temporary one
 
+    @pytest.mark.parametrize("column", ["round_index", "probes", "delivered_copy"])
+    def test_a_negative_cell_other_than_minus_one_is_refused(self, quiet_pipeline, tmp_path, column):
+        # the format has no sign, and -1 is an empty cell
+        batch = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=4)
+        batch = dataclasses.replace(batch, **{column: np.full_like(getattr(batch, column), -2)})
+        with pytest.raises(SchemaError, match="cannot write -2 in a results cell"):
+            write_results(batch, tmp_path / "results.csv")
+        assert os.listdir(tmp_path) == []
+
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
+    @example(records=WIDE_ROWS)
+    @example(records=LOST_ROWS)
     def test_round_trip_of_arbitrary_records(self, records):
         batch = batch_of(records)
         assert parse_results_csv(written(batch)) == batch
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists(names=NAMES | WIDE_NAMES), chunk=st.integers(1, 5))
+    @example(records=WIDE_ROWS, chunk=1)
+    @example(records=WIDE_ROWS, chunk=5)
+    @example(records=LOST_ROWS, chunk=2)
     def test_columnar_render_matches_the_row_oracle(self, records, chunk):
-        # rows written a few at a time, so templates are found across chunks
+        # rows written a few at a time, so digit widths differ across chunks
         with mock.patch.object(sweep, "_WRITE_ROWS", chunk):
             assert written(batch_of(records)) == oracle_render(records)
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
+    @example(records=WIDE_ROWS)
+    @example(records=LOST_ROWS)
     def test_columnar_parse_matches_the_row_oracle(self, records):
         text = oracle_render(records)
         assert rows_of(parse_results_csv(text)) == oracle_parse(text)
@@ -839,22 +870,21 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
-    # the second row has a shape of its own, so its template is built after the first chunk
     delivered = Row("olcfg", "abc", 0, 0, 1, tuple(range(8)), 0, Outcome.DELIVERED, 0, 0)
     lost = delivered._replace(attempt=1, probes_ticks=(1, 2, 3, 4) + (None,) * 4, delivered_copy=None,
                               outcome=Outcome.LOST)
     path = tmp_path / "results.csv"
     path.write_text("old\n")
-    template = sweep._row_template
+    csv_rows = sweep._csv_rows
 
-    def failing_after_the_first_chunk(batch, row):
-        if row == 0:
-            return template(batch, row)
+    def failing_after_the_first_chunk(batch, rows, *tables):
+        if rows.start == 0:
+            return csv_rows(batch, rows, *tables)
         assert len(os.listdir(tmp_path)) == 2  # the old file and the one being written
         raise RuntimeError("injected")
 
     monkeypatch.setattr(sweep, "_WRITE_ROWS", 1)
-    monkeypatch.setattr(sweep, "_row_template", failing_after_the_first_chunk)
+    monkeypatch.setattr(sweep, "_csv_rows", failing_after_the_first_chunk)
     with pytest.raises(RuntimeError, match="injected"):
         write_results(batch_of([delivered, lost]), path)
     assert path.read_text() == "old\n"
