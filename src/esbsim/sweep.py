@@ -9,15 +9,17 @@ full provenance (seed, RNG algorithm, config hashes).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
-from typing import Iterator, Mapping, Sequence, TextIO
+from itertools import chain
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .analytics import AccountingRow, DomainError
@@ -358,10 +360,10 @@ def _config_order(batch: RecordBatch) -> list[int]:
 # --- persistence --------------------------------------------------------------
 
 _CHUNK_ROWS = 4096  # rows parsed at a time: bounds the objects alive at once
-_BLOCK_CHARS = 1 << 16  # characters of a results file read at a time
+_BLOCK_BYTES = 1 << 16  # bytes of a results file read at a time
 _WRITE_ROWS = 2048  # rows rendered and written at a time
 _UNUSED = -1  # a byte of a written cell's block that the cell leaves out
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits
+_MAX_DIGITS = 17  # digits in a number cell: ten times the value still fits in an int64
 
 
 def _csv_field(text: str) -> str:
@@ -375,6 +377,8 @@ def _number_cells(values: np.ndarray, min_digits: int = 1) -> np.ndarray:
     """Each of `values` in digits, at least `min_digits`, right-aligned as wide as the largest needs; -1 is empty."""
     if values.min(initial=-1) < -1:  # it would write no digit, which reads back as -1
         raise SchemaError(f"cannot write {values.min()} in a results cell: only -1, an empty cell, is negative")
+    if values.max(initial=0) >= 10**_MAX_DIGITS:  # the parser refuses a longer cell
+        raise SchemaError(f"cannot write {values.max()} in a results cell: a cell holds at most {_MAX_DIGITS} digits")
     width = max(min_digits, len(str(int(values.max(initial=0)))))
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     # a place is written from the value's leading digit on, and the last min_digits places always
@@ -426,7 +430,7 @@ def _write_csv(batch: RecordBatch, fh: io.BufferedIOBase) -> None:
         fh.write(f"# seed={','.join(map(str, seeds))}\n".encode())
     for index in _config_order(batch):
         name = batch.names[index]
-        # the parser splits the file with str.splitlines, so no name may hold a boundary it knows
+        # the parser splits lines where str.splitlines does, so no name may hold a boundary it knows
         if "".join(name.splitlines()) != name:
             raise SchemaError(f"config name {name!r} contains a line break")
         fh.write(f"# config {name} hash={batch.hashes[index]}\n".encode())
@@ -460,64 +464,73 @@ def write_results(batch: RecordBatch, path) -> None:
         raise
 
 
-_OUTCOME_CODES = {outcome.value: code for code, outcome in enumerate(OUTCOMES)}
-_MAX_DIGITS = 17  # ten times the value still fits in an int64
+_OUTCOME_CODES = {outcome.value.encode(): code for code, outcome in enumerate(OUTCOMES)}
+_SEPARATORS = len(CSV_COLUMNS) - 1  # the commas that end a row's cells before its last
 
 
 def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: bool, empty_ok: bool):
     """The cells buf[starts[i]:ends[i]] of decimal digits as int64, -1 for an
     empty cell.  With `tenths` a cell is a time in microseconds with at most
     one decimal place, and comes back in ticks.  Also returns a mask of the
-    malformed cells."""
+    malformed cells.
+
+    The cells are read from their last byte back, one place of all of them
+    at a time, each digit added at its place value; a cell longer than
+    _MAX_DIGITS + 1 is too long anyway, so the loop need not reach its start.
+    """
     width = ends - starts
+    places = min(int(width.max(initial=0)), _MAX_DIGITS + 1)
+    inside_width = np.minimum(width, places).astype(np.uint8)
     value = np.zeros(len(starts), dtype=np.int64)
     bad = np.zeros(len(starts), dtype=bool) if empty_ok else width == 0
-    has_point = np.zeros(len(starts), dtype=bool)
-    # a longer cell is too long anyway, so the loop need not reach its end
-    for k in range(min(int(width.max(initial=0)), _MAX_DIGITS + 1)):
-        inside = k < width
-        at = starts + k
-        char = buf[np.minimum(at, len(buf) - 1, out=at)]
+    point = np.zeros(len(starts), dtype=bool)
+    at = ends - 1  # an offset left of the buffer wraps round, to a byte outside the cell
+    for place in range(places):
+        char = buf.take(at)
+        at -= 1
         digit = char - np.uint8(ord("0"))  # wraps round below "0"
-        is_digit = inside & (digit < 10)
-        np.multiply(value, 10, out=value, where=is_digit)
-        np.add(value, digit, out=value, where=is_digit)
-        if tenths and k > 0:
+        inside = inside_width > place
+        other = digit >= 10
+        if tenths and place == 1:
             # a point sits between a digit and the one digit that ends its cell
-            point = (k == width - 2) & (char == ord("."))
-            has_point |= point
-            is_digit |= point
-        bad |= inside & ~is_digit
-    bad |= width - has_point > _MAX_DIGITS
+            point = (char == ord(".")) & (width >= 3)
+            other &= ~point
+            digit *= ~point
+        bad |= inside & other
+        digit *= inside > other
+        value += digit * np.int64(10**place)
+    bad |= width - point > _MAX_DIGITS
     if tenths:
-        np.multiply(value, TICKS_PER_US, out=value, where=~has_point)
+        # ticks, in place: a cell in whole us times ten; a point cell has its
+        # tenth at place 0 and its units from place 2, 90 too many per hundred
+        units = value // 100
+        units *= 90
+        np.multiply(value, TICKS_PER_US, out=value, where=~point)
+        np.subtract(value, units, out=value, where=point)
     value[width == 0] = -1
     return value, bad
 
 
 class _Rows:
-    """A chunk of data rows, each split at its last 15 commas, so that only
-    the config name may hold a comma.  Cells are located by the offsets of
-    the separators that end them in the joined rows; only text cells are
-    cut out as strings."""
+    """A chunk of data rows in the bytes `buf`, each split at its last 15
+    commas, so that only the config name may hold a comma.  Cells are located
+    by the offsets of the separators that end them; only distinct text cells
+    and the cells an error names are decoded."""
 
-    def __init__(self, rows: Sequence[str], line_numbers: Sequence[int]):
+    def __init__(
+        self, buf: np.ndarray, commas: np.ndarray, starts: np.ndarray, ends: np.ndarray, line_numbers: np.ndarray
+    ):
+        self.buf = buf
         self.line_numbers = line_numbers
-        self.text = "\n".join(rows) + "\n"
-        # one byte per character: one that latin-1 lacks becomes "?", which no numeric cell accepts
-        self.buf = np.frombuffer(self.text.encode("latin-1", "replace"), dtype=np.uint8)
-        is_separator = self.buf == ord(",")
-        is_separator |= self.buf == ord("\n")
-        separators = np.flatnonzero(is_separator)
-        row_ends = np.flatnonzero(self.buf[separators] == ord("\n"))  # indices into separators
-        short = np.diff(row_ends, prepend=-1) < len(CSV_COLUMNS)
+        last = np.searchsorted(commas, ends)  # one past each row's last comma
+        short = last - np.searchsorted(commas, starts) < _SEPARATORS
         if short.any():
             i = int(np.argmax(short))
-            fields = len(next(csv.reader([rows[i]])))
+            fields = len(next(csv.reader([buf[starts[i] : ends[i]].tobytes().decode()])))
             raise self.error(i, f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
-        # ends[i, j]: the comma or line end after cell j of row i
-        self.ends = separators[row_ends[:, None] + np.arange(1 - len(CSV_COLUMNS), 1)]
-        self.row_starts = np.concatenate(([0], self.ends[:-1, -1] + 1))
+        # ends[i, j]: the comma or line break after cell j of row i
+        self.ends = np.column_stack((commas[last[:, None] + np.arange(-_SEPARATORS, 0)], ends))
+        self.row_starts = starts
 
     def __len__(self) -> int:
         return len(self.line_numbers)
@@ -530,31 +543,51 @@ class _Rows:
         starts = [self.row_starts if c == 0 else self.ends[:, c - 1] + 1 for c in columns]
         return np.array(starts), self.ends[:, columns].T
 
-    def cell(self, i: int, column: int) -> str:
-        starts, ends = self.bounds([column])
-        return self.text[starts[0, i] : ends[0, i]]
-
-    def codes(self, column: int, codes: dict, new_code) -> np.ndarray:
-        """The code of each cell of `column` in `codes`.  A cell not seen
-        before gets `new_code(cell)`, so each distinct cell is converted once."""
-        starts, ends = self.bounds([column])
-        cells = list(map(self.text.__getitem__, map(slice, starts[0].tolist(), ends[0].tolist())))
-        for cell in dict.fromkeys(cells):
+    def codes(self, column: int, codes: dict[bytes, int], new_code) -> np.ndarray:
+        """The code of each cell of `column` in `codes`, keyed by the cell's
+        bytes.  A cell not seen before gets `new_code` of its text, so each
+        distinct cell is decoded and converted once, in order of first
+        appearance.  Equal cells are found a width at a time, as equal rows of
+        a table of the cells' bytes."""
+        (starts,), (ends,) = self.bounds([column])
+        widths = ends - starts
+        groups = []  # per width: its rows, the distinct cells and the one of each row
+        firsts = []  # (row, cell) of the first row of each distinct cell
+        for width in np.flatnonzero(np.bincount(widths)).tolist():
+            rows = np.flatnonzero(widths == width)
+            if width:
+                table = sliding_window_view(self.buf, width)[starts[rows]]
+                keys = table.view(np.dtype((np.void, width))).ravel()
+                distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
+                cells = [key.tobytes() for key in distinct]
+            else:  # no bytes to compare: every empty cell is the one cell b""
+                cells, first, index = [b""], [0], np.zeros(len(rows), dtype=np.int64)
+            groups.append((rows, cells, index))
+            firsts += zip(rows[first].tolist(), cells)
+        for row, cell in sorted(firsts):
             if cell not in codes:
+                text = cell.decode()
                 try:
-                    codes[cell] = new_code(cell)
+                    codes[cell] = new_code(text)
                 except ValueError as exc:
-                    raise self.error(cells.index(cell), f"{CSV_COLUMNS[column]} {cell!r} {exc}") from None
-        return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
+                    raise self.error(row, f"{CSV_COLUMNS[column]} {text!r} {exc}") from None
+        out = np.empty(len(self), dtype=np.int64)
+        for rows, cells, index in groups:
+            out[rows] = np.array([codes[cell] for cell in cells], dtype=np.int64)[index]
+        return out
 
     def numbers(self, columns: list[int], tenths: bool = False, empty_ok: bool = False) -> np.ndarray:
         """The numeric `columns`, one array row each."""
         starts, ends = (bounds.ravel() for bounds in self.bounds(columns))
         values, bad = _decimals(self.buf, starts, ends, tenths, empty_ok)
         if bad.any():
-            k, i = divmod(int(np.argmax(bad)), len(self))
+            first = int(np.argmax(bad))
+            k, i = divmod(first, len(self))
+            cell = self.buf[starts[first] : ends[first]].tobytes().decode()
             what = "a time in us with at most one decimal place" if tenths else "a non-negative integer"
-            raise self.error(i, f"{CSV_COLUMNS[columns[k]]} {self.cell(i, columns[k])!r} is not {what}")
+            if len(cell) - ("." in cell) > _MAX_DIGITS:
+                what += f": a cell holds at most {_MAX_DIGITS} digits"
+            raise self.error(i, f"{CSV_COLUMNS[columns[k]]} {cell!r} is not {what}")
         return values.reshape(len(columns), len(self))
 
 
@@ -576,64 +609,130 @@ def _parse_seed(cell: str) -> int:
 
 
 def _unknown_outcome(cell: str) -> int:
-    raise ValueError(f"is not one of {', '.join(_OUTCOME_CODES)}")
+    raise ValueError(f"is not one of {', '.join(outcome.value for outcome in OUTCOMES)}")
 
 
-def _blocks(source: str | TextIO) -> Iterator[str]:
-    """`source`, a str or an open text file, _BLOCK_CHARS characters at a time."""
+def _source_blocks(source: str | BinaryIO) -> Iterator[bytes]:
+    """The UTF-8 of `source`, a str or a binary file, _BLOCK_BYTES bytes at a
+    time.  The bytes are checked as they are read: a block holding a byte
+    that is not UTF-8, or a source that ends inside a character, raises
+    UnicodeDecodeError."""
     if isinstance(source, str):
-        return (source[i : i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS))
-    return iter(partial(source.read, _BLOCK_CHARS), "")
+        source = io.BytesIO(source.encode())
+    check = codecs.getincrementaldecoder("utf-8")().decode
+    for block in iter(partial(source.read, _BLOCK_BYTES), b""):
+        check(block)
+        yield block
+    check(b"", final=True)
 
 
-def _line_blocks(source: str | TextIO) -> Iterator[tuple[int, list[str]]]:
-    """The lines `str.splitlines` makes of the whole text of `source`, a
-    block at a time, each list with the line number of its first line.
+def _line_breaks(buf: np.ndarray, final: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets where each line break of the UTF-8 `buf` starts and ends.
+    The breaks are those of str.splitlines: the bytes \\n \\v \\f \\r \\x1c
+    \\x1d \\x1e, "\\r\\n" as one break, and U+0085, U+2028 and U+2029.  Unless
+    `final`, a "\\r" that ends buf is no break: it may be the first half of
+    a "\\r\\n"."""
+    candidate = buf < 0x1F
+    if buf.max(initial=0) >= 0xC2:  # a lead byte of U+0085 or U+2028/9 may be present
+        candidate |= (buf == 0xC2) | (buf == 0xE2)
+    at = np.flatnonzero(candidate)
+    kind = buf[at]
+    # an offset past either end of buf is clipped to a byte that completes no break
+    before, after, third = (np.take(buf, at + k, mode="clip") for k in (-1, 1, 2))
+    single = ((kind - np.uint8(0x0A)) < 4) | ((kind - np.uint8(0x1C)) < 3)
+    single &= (kind != ord("\n")) | (before != ord("\r"))  # the "\n" of a "\r\n" is none of its own
+    if not final:
+        single &= (kind != ord("\r")) | (at != len(buf) - 1)
+    size = single.astype(np.int64)
+    size += (kind == ord("\r")) & (after == ord("\n"))
+    size += 2 * ((kind == 0xC2) & (after == 0x85))
+    size += 3 * ((kind == 0xE2) & (after == 0x80) & ((third | 1) == 0xA9))
+    breaks = np.flatnonzero(size)
+    return at[breaks], at[breaks] + size[breaks]
 
-    A block's last line waits for the next block unless it ends in a line
-    break other than "\r", which may be the first half of a "\r\n".
+
+def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The lines `str.splitlines` makes of the text of `source`, a block at
+    a time: the bytes of the block's whole lines, the offsets where each line
+    starts and where its line break starts, and the number of its first line.
+
+    A block's last line waits for the next block unless it ends in a whole
+    line break other than "\\r", which may be the first half of a "\\r\\n".
     """
-    carry, line_no = "", 1
-    for block in _blocks(source):
-        text = carry + block
-        lines = text.splitlines()
-        end = text[-1]
-        if end not in _LINE_BREAKS:  # the last line goes on in the next block
-            carry = lines.pop()
-        elif end == "\r":  # it may be the first half of a "\r\n"
-            carry = lines.pop() + end
+    carry, line_no = b"", 1
+    for block in chain(_source_blocks(source), [b""]):
+        final = not block
+        data = carry + block
+        buf = np.frombuffer(data, dtype=np.uint8)
+        breaks, ends = _line_breaks(buf, final)
+        whole = int(ends[-1]) if len(ends) else 0
+        if final and whole < len(buf):  # a last line with no line break
+            breaks, ends, whole = np.append(breaks, len(buf)), np.append(ends, len(buf)), len(buf)
+        if len(breaks):
+            yield buf[:whole], np.concatenate(([0], ends[:-1])), breaks, line_no
+            line_no += len(breaks)
+        carry = data[whole:]
+
+
+def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
+    """The comment lines before the column header, the header (None if
+    there is none) and the lines after it."""
+    comments = []
+    for buf, starts, ends, first in lines:
+        for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            line = buf[start:end].tobytes().decode()
+            if line.startswith("#"):
+                comments.append(line)
+            elif line.strip():
+                return comments, line, chain([(buf, starts[i + 1 :], ends[i + 1 :], first + i + 1)], lines)
+    return comments, None, iter(())
+
+
+def _row_chunks(lines: Iterator) -> Iterator[_Rows]:
+    """The non-blank lines of `lines`, _CHUNK_ROWS at a time whatever the
+    block size.  A line is decoded only if it has fewer commas than a row,
+    to tell a blank line from a short row."""
+    pending: list[tuple[np.ndarray, ...]] = []
+    count = 0
+    for buf, starts, ends, first in lines:
+        commas = np.flatnonzero(buf == ord(","))
+        few = np.searchsorted(commas, ends) - np.searchsorted(commas, starts) < _SEPARATORS
+        blank = [i for i in np.flatnonzero(few).tolist() if not buf[starts[i] : ends[i]].tobytes().decode().strip()]
+        numbers = np.arange(first, first + len(starts))
+        if blank:
+            starts, ends, numbers = (np.delete(a, blank) for a in (starts, ends, numbers))
+        if len(starts):
+            pending.append((buf, commas, starts, ends, numbers))
+            count += len(starts)
+        while count >= _CHUNK_ROWS:
+            yield _take_rows(pending, _CHUNK_ROWS)
+            count -= _CHUNK_ROWS
+    if count:
+        yield _take_rows(pending, count)
+
+
+def _take_rows(pending: list, n: int) -> _Rows:
+    """The first n rows of the `pending` (buffer, commas, starts, ends, line
+    numbers) pieces, which lose them, as one chunk over the bytes they span."""
+    parts: list[tuple[np.ndarray, ...]] = []
+    offset = 0
+    while n:
+        buf, commas, starts, ends, numbers = pending[0]
+        k = min(n, len(starts))
+        lo, hi = starts[0], ends[k - 1]
+        inside = commas[np.searchsorted(commas, lo) : np.searchsorted(commas, hi)]
+        shift = offset - lo
+        parts.append((buf[lo:hi], inside + shift, starts[:k] + shift, ends[:k] + shift, numbers[:k]))
+        offset += hi - lo
+        if k == len(starts):
+            pending.pop(0)
         else:
-            carry = ""
-        yield line_no, lines
-        line_no += len(lines)
-    if carry:
-        yield line_no, carry.splitlines()
+            pending[0] = (buf, commas, starts[k:], ends[k:], numbers[k:])
+        n -= k
+    return _Rows(*map(np.concatenate, zip(*parts)))
 
 
-def _row_chunks(blocks: Iterator[tuple[int, list[str]]]) -> Iterator[_Rows]:
-    """The non-blank lines of `blocks`, _CHUNK_ROWS at a time whatever the
-    block size.  A chunk's lines leave the pending list before it is
-    yielded, so only its joined text stays alive."""
-    rows: list[str] = []
-    numbers: list[int] = []
-    for first, lines in blocks:
-        keep = list(map(str.strip, lines))
-        rows += compress(lines, keep)
-        numbers += compress(range(first, first + len(lines)), keep)
-        while len(rows) >= _CHUNK_ROWS:
-            yield _Rows(_cut(rows, _CHUNK_ROWS), _cut(numbers, _CHUNK_ROWS))
-    if rows:
-        yield _Rows(_cut(rows, len(rows)), numbers)
-
-
-def _cut(items: list, n: int) -> list:
-    """Remove the first n items and return them."""
-    head = items[:n]
-    del items[:n]
-    return head
-
-
-def _size(source: str | TextIO) -> int:
+def _size(source: str | BinaryIO) -> int:
     """Characters in a str, bytes in a file; 0 when unknown."""
     if isinstance(source, str):
         return len(source)
@@ -641,19 +740,6 @@ def _size(source: str | TextIO) -> int:
         return os.fstat(source.fileno()).st_size
     except (AttributeError, OSError):
         return 0
-
-
-def _header(blocks: Iterator[tuple[int, list[str]]]) -> tuple[list[str], str | None, Iterator]:
-    """The comment lines before the column header, the header (None if
-    there is none) and the blocks of the lines after it."""
-    comments = []
-    for first, lines in blocks:
-        for i, line in enumerate(lines):
-            if line.startswith("#"):
-                comments.append(line)
-            elif line.strip():
-                return comments, line, chain([(first + i + 1, lines[i + 1 :])], blocks)
-    return comments, None, iter(())
 
 
 _COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates_delivered")
@@ -666,13 +752,13 @@ def _resize(columns: dict[str, np.ndarray], n: int) -> None:
         column.resize((n, *column.shape[1:]), refcheck=False)
 
 
-def parse_results_csv(source: str | TextIO) -> RecordBatch:
+def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
     """Records of a results CSV written with this format and RNG scheme.
 
-    `source` is the text or a text file open for reading with newline="".
-    It is read _BLOCK_CHARS characters at a time and split into lines as
-    `str.splitlines` splits the whole text; the rows are decoded
-    _CHUNK_ROWS at a time.  Beyond the int64 columns (128 bytes a row) it
+    `source` is the text or a binary file open for reading, whose bytes must
+    be UTF-8.  It is read _BLOCK_BYTES bytes at a time and split into lines
+    where `str.splitlines` splits the text; the rows are decoded _CHUNK_ROWS
+    at a time, from bytes.  Beyond the int64 columns (128 bytes a row) it
     holds one block and one chunk at once.  The columns are allocated for
     the row count that the source's size and the rows read so far predict,
     and trimmed to the rows read.
@@ -680,11 +766,12 @@ def parse_results_csv(source: str | TextIO) -> RecordBatch:
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
     which keeps the hash of an empty name or a name with spaces.  Config
-    names, seeds and outcomes are converted once per distinct cell and the
-    numeric cells a column at a time.  A malformed row raises SchemaError
-    with its line number; a probe must be a time on the 0.1 us grid.
+    names, seeds and outcomes are decoded and converted once per distinct
+    cell and the numeric cells a column at a time.  A malformed row raises
+    SchemaError with its line number; a probe must be a time on the 0.1 us
+    grid.
     """
-    comments, header, blocks = _header(_line_blocks(source))
+    comments, header, lines = _header(_lines(source))
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
         if expected not in comments:
             raise SchemaError(f"results file lacks the {expected!r} header line")
@@ -702,19 +789,19 @@ def parse_results_csv(source: str | TextIO) -> RecordBatch:
 
     names: dict[str, int] = {}
     seeds: dict[int, int] = {}
-    name_codes: dict[str, int] = {}
-    seed_codes: dict[str, int] = {}
+    name_codes: dict[bytes, int] = {}
+    seed_codes: dict[bytes, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
     columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
     columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
-    size, n, chars = _size(source), 0, 0
-    for chunk in _row_chunks(blocks):
+    size, n, nbytes = _size(source), 0, 0
+    for chunk in _row_chunks(lines):
         part = slice(n, n + len(chunk))
-        n, chars = part.stop, chars + len(chunk.text)
+        n, nbytes = part.stop, nbytes + len(chunk.buf)
         if n > len(columns["attempt"]):
             # room for the rows the size predicts at the density so far, 1/16
             # spare; ndarray.resize reallocates, so no part is copied twice
-            predicted = n * size // chars
+            predicted = n * size // nbytes
             _resize(columns, max(n, predicted + predicted // 16))
         for column, values in zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])):
             columns[column][part] = values
@@ -738,8 +825,8 @@ def parse_results_csv(source: str | TextIO) -> RecordBatch:
 
 
 def read_results(path) -> RecordBatch:
-    """`parse_results_csv` of the file at `path`, read in blocks."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """`parse_results_csv` of the file at `path`, opened in binary and read in blocks."""
+    with open(path, "rb") as fh:
         return parse_results_csv(fh)
 
 

@@ -137,7 +137,6 @@ def test_report_of_a_foreign_rng_file_is_a_validation_error(exp_file, tmp_path, 
 
 @pytest.mark.parametrize("kind", ["results", "experiment", "pipeline"])
 def test_a_file_that_is_not_utf8_exits_one_naming_it(exp_file, tmp_path, capsys, monkeypatch, kind):
-    monkeypatch.setattr(sweep, "_BLOCK_CHARS", 64)  # the bad byte of a results file lies blocks in
     out = tmp_path / "run"
     assert main(["simulate", "--file", str(exp_file), "--attempts", "5", "--out", str(out)]) == 0
     assert main(["calibrate", "--out", str(out)]) == 0
@@ -147,10 +146,18 @@ def test_a_file_that_is_not_utf8_exits_one_naming_it(exp_file, tmp_path, capsys,
         "pipeline": (out / "pipeline.cfg", ["sweep", "--out", str(out), "--file", str(exp_file), "--pipeline"]),
     }[kind]
     data = path.read_bytes()
-    path.write_bytes(data[:-10] + b"\xff" + data[-10:])
-    capsys.readouterr()
+    # a results file is read in blocks, some bytes in: its bad byte falls at every offset from a block edge
+    cases = [(block, len(data) - 10 - shift) for block in (7, 64) for shift in range(block)]
+    for block, at in cases if kind == "results" else [(None, len(data) - 10)]:
+        if block:
+            monkeypatch.setattr(sweep, "_BLOCK_BYTES", block)
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == 1
+        assert capsys.readouterr().err == f"esbsim: error: {path}: not UTF-8 (invalid start byte)\n"
+    path.write_bytes(data + "é".encode()[:1])  # a file that ends inside a character
     assert main([*argv, str(path)]) == 1
-    assert capsys.readouterr().err == f"esbsim: error: {path}: not UTF-8 (invalid start byte)\n"
+    assert capsys.readouterr().err == f"esbsim: error: {path}: not UTF-8 (unexpected end of data)\n"
 
 
 def test_sweep_uses_calibrated_pipeline_file(exp_file, tmp_path):

@@ -615,6 +615,17 @@ class TestPersistence:
             write_results(batch, tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("column", ["attempt", "probes"])
+    def test_a_cell_of_more_than_17_digits_is_refused(self, quiet_pipeline, tmp_path, column):
+        # the parser reads at most 17 digits a cell; 10**17 - 1 round-trips (WIDE_ROWS)
+        batch = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=4)
+        values = getattr(batch, column).copy()
+        values.flat[-1] = 10**17
+        message = f"cannot write {10**17} in a results cell: a cell holds at most 17 digits"
+        with pytest.raises(SchemaError, match=message):
+            write_results(dataclasses.replace(batch, **{column: values}), tmp_path / "results.csv")
+        assert os.listdir(tmp_path) == []
+
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
     @example(records=WIDE_ROWS)
@@ -735,7 +746,16 @@ MALFORMED_ROWS = {
     "probe off the 0.1 us grid": (_set_cell("d1", "12.34"), "d1 '12.34'"),
     "negative probe": (_set_cell("d2", "-0.1"), "d2 '-0.1'"),
     "probe point without a tenth": (_set_cell("d0", "12."), "d0 '12.'"),
+    "probe point without a unit": (_set_cell("d0", ".5"), "d0 '.5'"),
     "seed beyond 64 bits": (_set_cell("seed", str(2**64)), "seed"),
+    "18-digit count": (
+        _set_cell("attempt", "1" * 18),
+        f"attempt '{'1' * 18}' is not a non-negative integer: a cell holds at most 17 digits",
+    ),
+    "18-digit probe": (
+        _set_cell("d3", "1" * 18 + ".5"),
+        f"d3 '{'1' * 18}.5' is not a time in us with at most one decimal place: a cell holds at most 17 digits",
+    ),
     "missing field": (lambda cells: cells[:-1], "row with 15 fields"),
     "extra field": (lambda cells: cells + ["0"], "17 fields"),
     "broken quoted name": (_set_cell("config_name", '"olcfg'), "config_name"),
@@ -781,8 +801,9 @@ def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
 
 # --- reading in blocks ------------------------------------------------------------
 
-# the line ends str.splitlines knows, "\r\n" among them; names cross block edges too
-LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028")
+# the line ends str.splitlines knows, "\r\n" among them; line ends and names of
+# several bytes cross block edges too
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 @st.composite
@@ -826,11 +847,12 @@ def test_reading_in_blocks_equals_reading_the_whole_text(tmp_path_factory, case,
     path = tmp_path_factory.mktemp("blocks") / "results.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
-        with mock.patch.object(sweep, "_BLOCK_CHARS", len(text) + 1):
+        with mock.patch.object(sweep, "_BLOCK_BYTES", len(text.encode()) + 1):
             whole = _parsed(lambda: parse_results_csv(text))
-        if not damaged:
-            assert whole[3] == batch_of(records)
-        with mock.patch.object(sweep, "_BLOCK_CHARS", block):
+        if not damaged:  # the side tables in order of first appearance, too
+            expected = batch_of(records)
+            assert whole == (expected.names, expected.hashes, expected.seeds, expected)
+        with mock.patch.object(sweep, "_BLOCK_BYTES", block):
             assert _parsed(lambda: parse_results_csv(text)) == whole
             assert _parsed(lambda: read_results(path)) == whole
 
@@ -840,12 +862,12 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
         olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 6, seed=9, config_name="名前 ü"
     )
     lines = written(batch).splitlines()
-    text = "\r\n".join(lines[:-2]) + "\r\n\x85 \u2028\r" + "\r\n".join(lines[-2:]) + "\r\n"
+    text = "\r\n".join(lines[:-2]) + "\r\n\x85 \u2028\r\u2029" + "\r\n".join(lines[-2:]) + "\r\n"
     short = text + "名前 ü,0\r\n"
     line_no = len(short.splitlines())
     path = tmp_path / "results.csv"
     for block in range(1, 65):
-        with mock.patch.object(sweep, "_BLOCK_CHARS", block):
+        with mock.patch.object(sweep, "_BLOCK_BYTES", block):
             assert parse_results_csv(text) == batch
             with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
                 parse_results_csv(short)
@@ -855,15 +877,24 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
 
 
 def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipeline, tmp_path, monkeypatch):
-    # a benchmark ends its set-up time at this entry by replacing the attribute
+    # a benchmark ends its set-up time at this entry by replacing the attribute,
+    # so read_results must have opened the file and read nothing from it yet
     batch = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 5, seed=2)
     path = tmp_path / "results.csv"
     write_results(batch, path)
-    sources = []
+    entries = []
     parse = sweep.parse_results_csv
-    monkeypatch.setattr(sweep, "parse_results_csv", lambda source: sources.append(source) or parse(source))
+
+    def entered(source):
+        entries.append((source, source.mode, source.closed, source.tell()))
+        return parse(source)
+
+    monkeypatch.setattr(sweep, "parse_results_csv", entered)
     assert read_results(path) == batch
-    assert len(sources) == 1 and not isinstance(sources[0], str)
+    ((source, mode, closed, position),) = entries
+    assert isinstance(source, io.BufferedReader) and os.fspath(source.name) == os.fspath(path)
+    assert (mode, closed, position) == ("rb", False, 0)
+    assert source.closed  # read_results opened it, so read_results closed it
 
 
 # --- writing ----------------------------------------------------------------------
