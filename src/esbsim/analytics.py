@@ -16,7 +16,7 @@ from typing import Mapping
 
 from . import airtime
 from .config import EsbConfig, validate
-from .link import MODIFIER_STAGE, PipelineModel, STAGES, stage_modifiers_us
+from .link import PipelineModel, STAGES, stage_modifiers_us
 
 
 class DomainError(ValueError):
@@ -141,26 +141,3 @@ def calibrate_pipeline(
             )
         bases[stage + "_us"] = base
     return PipelineModel(**bases, modifiers_us=modifiers_us)
-
-
-def modifier_table_from_medians(
-    group_medians: Mapping[str, Mapping[str, float]],
-) -> dict[tuple[str, str], float]:
-    """Turn per-parameter median tables into additive modifiers.
-
-    For each parameter group, a value's modifier is its median minus the
-    group's minimum median, so the fastest value carries zero.  The result is
-    a modeling convention: published medians mix jitter, environment, and
-    mixture effects, so attribution to a single stage is a choice, not a
-    measurement.
-    """
-    table: dict[tuple[str, str], float] = {}
-    for param, medians in group_medians.items():
-        if param not in MODIFIER_STAGE:
-            raise DomainError(f"unknown parameter group {param!r}")
-        if not medians:
-            continue
-        floor = min(medians.values())
-        for value, median in medians.items():
-            table[(param, value)] = median - floor
-    return table

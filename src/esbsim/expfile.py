@@ -38,16 +38,20 @@ from .sweep import SweepPlan
 
 
 class ParseError(ValueError):
-    def __init__(self, line_no: int, reason: str):
+    """A malformed file or `--set` override.  `line_no` is the file's line at
+    fault, or None for a fault of the whole file or of an override, whose
+    reason then names the override."""
+
+    def __init__(self, line_no: int | None, reason: str):
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
 
 
 class UnknownKeyError(ParseError):
-    def __init__(self, line_no: int, name: str):
+    def __init__(self, line_no: int | None, name: str, context: str = ""):
         self.name = name
-        super().__init__(line_no, f"unknown key {name!r}")
+        super().__init__(line_no, f"{context}unknown key {name!r}")
 
 
 @dataclass(frozen=True)
@@ -200,16 +204,16 @@ def parse_experiment_file(text: str) -> Experiment:
     """
     sections = _read_sections(text, _SECTIONS, named=frozenset({"config"}))
     if not sections:
-        raise ParseError(0, "empty experiment file")
+        raise ParseError(None, "empty experiment file")
     configs = tuple((name, fields) for section, name, fields in sections if section == "config")
     if not configs:
-        raise ParseError(0, "no [config <name>] sections")
+        raise ParseError(None, "no [config <name>] sections")
     found = {section: fields for section, _, fields in sections if section != "config"}
     targets_kv = found.get("targets")
     if targets_kv:
         missing = [key for key, (field, _) in _SECTIONS["targets"].items() if field not in targets_kv]
         if missing:
-            raise ParseError(0, f"[targets] missing {sorted(missing)}")
+            raise ParseError(None, f"[targets] missing {sorted(missing)}")
     try:
         plan = SweepPlan(
             configs=tuple((name, EsbConfig(**fields)) for name, fields in configs),
@@ -219,7 +223,7 @@ def parse_experiment_file(text: str) -> Experiment:
         ble = BleConfig(**found["ble"]) if found.get("ble") else None
         targets = CalibrationTargets(**targets_kv) if targets_kv else None
     except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
     return Experiment(plan=plan, channel=channel, ble=ble, targets=targets)
 
 
@@ -229,33 +233,32 @@ def apply_override(exp: Experiment, assignment: str) -> Experiment:
     Paths: `sweep.<key>`, `channel.<key>`, `ble.<key>`, `targets.<key>`, and
     `config.<name>.<key>` with the same keys and value syntax as the file.
     """
+    override = f"--set {assignment!r}: "
     if "=" not in assignment:
-        raise ParseError(0, f"override needs key=value, got {assignment!r}")
+        raise ParseError(None, f"{override}needs key=value")
     path, _, value = assignment.partition("=")
     section, _, key = path.partition(".")
     name = None
     if section == "config":
         name, _, key = key.rpartition(".")
     if key not in _SECTIONS.get(section, {}) or name == "":
-        raise UnknownKeyError(0, path)
+        raise UnknownKeyError(None, path, override)
     field, conv = _SECTIONS[section][key]
     try:
         change = {field: conv(value)}
         if section == "config":
             if name not in dict(exp.plan.configs):
-                raise ParseError(0, f"no config named {name!r} to override")
+                raise ValueError(f"no config named {name!r} to override")
             configs = tuple((n, replace(c, **change) if n == name else c) for n, c in exp.plan.configs)
             return replace(exp, plan=replace(exp.plan, configs=configs))
         if section == "sweep":
             return replace(exp, plan=replace(exp.plan, **change))
         if section == "targets" and exp.targets is None:
-            raise ParseError(0, "cannot override targets: none defined")
+            raise ValueError("cannot override targets: none defined")
         base = getattr(exp, section) or BleConfig()  # only [ble] may be absent here
         return replace(exp, **{section: replace(base, **change)})
-    except ParseError:
-        raise
     except ValueError as exc:
-        raise ParseError(0, f"bad override {assignment!r}: {exc}") from exc
+        raise ParseError(None, f"{override}{exc}") from exc
 
 
 # --- pipeline files -------------------------------------------------------------
@@ -316,11 +319,11 @@ def parse_pipeline_file(text: str) -> PipelineModel:
             fields.update(found)
     missing = [stage for stage in STAGES if f"{stage}_us" not in fields]
     if missing:
-        raise ParseError(0, f"[stages] missing {sorted(missing)}")
+        raise ParseError(None, f"[stages] missing {sorted(missing)}")
     try:
         return PipelineModel(**fields)
     except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
 
 
 def render_pipeline_file(pipeline: PipelineModel, header: str = "") -> str:

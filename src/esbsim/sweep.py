@@ -13,9 +13,10 @@ import codecs
 import csv
 import io
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, starmap
 from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -204,7 +205,7 @@ def detect_modes(
     hist_edges: Sequence[float],
     expected_spacing_us: float = DEFAULT_MODE_SPACING_US,
 ) -> tuple[float, ...]:
-    """Locate well-separated peaks of a latency histogram.
+    """Locate well-separated peaks of a latency histogram, whose edges ascend.
 
     Local maxima at least `MODE_FLOOR` of the tallest bin are kept greedily
     by height subject to a minimum separation of half the expected spacing;
@@ -218,27 +219,28 @@ def detect_modes(
     edges = np.asarray(hist_edges, dtype=float)
     centers = (edges[:-1] + edges[1:]) / 2.0
     floor = counts.max() * MODE_FLOOR
-
-    peaks = [
-        i
-        for i in range(counts.size)
-        if counts[i] >= floor
-        and (i == 0 or counts[i] >= counts[i - 1])
-        and (i == counts.size - 1 or counts[i] > counts[i + 1])
-    ]
-    peaks.sort(key=lambda i: (-counts[i], i))
-    kept: list[int] = []
+    # no lower than the bin to the left, higher than the bin to the right
+    padded = np.concatenate(([-np.inf], counts, [-np.inf]))
+    peaks = np.flatnonzero((counts >= floor) & (counts >= padded[:-2]) & (counts > padded[2:]))
+    peaks = peaks[np.argsort(-counts[peaks], kind="stable")]  # tallest first, then leftmost
+    # |a - b| grows with the distance between sorted floats, so a peak that
+    # keeps clear of the nearest kept centre on each side keeps clear of all
+    kept: list[float] = []
     min_sep = expected_spacing_us / 2.0
-    for i in peaks:
-        if all(abs(centers[i] - centers[j]) >= min_sep for j in kept):
-            kept.append(i)
+    for center in centers[peaks].tolist():
+        at = bisect_left(kept, center)
+        if (at == 0 or center - kept[at - 1] >= min_sep) and (at == len(kept) or kept[at] - center >= min_sep):
+            kept.insert(at, center)
 
     positions = []
     half_window = expected_spacing_us / 4.0
-    for i in kept:
-        mask = np.abs(centers - centers[i]) <= half_window
-        weight = counts[mask].sum()
-        positions.append(float((counts[mask] * centers[mask]).sum() / weight))
+    ascending = centers.tolist()
+    for center in kept:
+        # the bins within the window, a run of the ascending centers
+        lo = bisect_left(ascending, True, key=lambda c: center - c <= half_window)
+        hi = bisect_left(ascending, True, lo=lo, key=lambda c: c - center > half_window)
+        weight = counts[lo:hi].sum()
+        positions.append(float((counts[lo:hi] * centers[lo:hi]).sum() / weight))
     return tuple(sorted(positions))
 
 
@@ -311,8 +313,8 @@ def _summary(
         median_us=float(np.median(values) / scale),
         sd_us=float(values.std() / scale),
         p99_us=float(_percentile_99(values) / scale),
-        hist_counts=tuple(int(c) for c in counts),
-        hist_edges=tuple(float(e) for e in edges),
+        hist_counts=tuple(counts.tolist()),
+        hist_edges=tuple(edges.tolist()),
         modes_us=detect_modes(counts, edges, mode_spacing_us),
     )
 
@@ -359,8 +361,7 @@ def _config_order(batch: RecordBatch) -> list[int]:
 
 # --- persistence --------------------------------------------------------------
 
-_CHUNK_ROWS = 4096  # rows parsed at a time: bounds the objects alive at once
-_BLOCK_BYTES = 1 << 16  # bytes of a results file read at a time
+_BLOCK_BYTES = 1 << 19  # bytes of a results file read at a time; their whole lines are parsed together
 _WRITE_ROWS = 2048  # rows rendered and written at a time
 _UNUSED = -1  # a byte of a written cell's block that the cell leaves out
 _MAX_DIGITS = 17  # digits in a number cell: ten times the value still fits in an int64
@@ -430,8 +431,8 @@ def _write_csv(batch: RecordBatch, fh: io.BufferedIOBase) -> None:
         fh.write(f"# seed={','.join(map(str, seeds))}\n".encode())
     for index in _config_order(batch):
         name = batch.names[index]
-        # the parser splits lines where str.splitlines does, so no name may hold a boundary it knows
-        if "".join(name.splitlines()) != name:
+        # the parser ends a line at every "\n", and the csv module leaves a "\r" unquoted
+        if "\n" in name or "\r" in name:
             raise SchemaError(f"config name {name!r} contains a line break")
         fh.write(f"# config {name} hash={batch.hashes[index]}\n".encode())
     fh.write((",".join(CSV_COLUMNS) + "\n").encode())
@@ -512,31 +513,43 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: boo
 
 
 class _Rows:
-    """A chunk of data rows in the bytes `buf`, each split at its last 15
-    commas, so that only the config name may hold a comma.  Cells are located
-    by the offsets of the separators that end them; only distinct text cells
-    and the cells an error names are decoded."""
+    """The data rows of a block of lines in the bytes `buf`, each split at
+    its last 15 commas, so that only the config name may hold a comma.
+    Blank and whitespace-only lines are dropped.  Cells are located by the
+    offsets of the separators that end them; only distinct text cells and
+    the lines with too few commas are decoded.
 
-    def __init__(
-        self, buf: np.ndarray, commas: np.ndarray, starts: np.ndarray, ends: np.ndarray, line_numbers: np.ndarray
-    ):
+    A malformed line leaves its row's values undefined and is recorded in
+    `fault` as (line number, message): the first in line order, and on that
+    line the first check to fail, so the fault reported does not depend on
+    where the blocks end."""
+
+    def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_line: int):
         self.buf = buf
-        self.line_numbers = line_numbers
-        last = np.searchsorted(commas, ends)  # one past each row's last comma
-        short = last - np.searchsorted(commas, starts) < _SEPARATORS
-        if short.any():
-            i = int(np.argmax(short))
-            fields = len(next(csv.reader([buf[starts[i] : ends[i]].tobytes().decode()])))
-            raise self.error(i, f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
-        # ends[i, j]: the comma or line break after cell j of row i
-        self.ends = np.column_stack((commas[last[:, None] + np.arange(-_SEPARATORS, 0)], ends))
-        self.row_starts = starts
+        self.fault: tuple[int, str] | None = None
+        commas = np.flatnonzero(buf == ord(","))
+        last = np.searchsorted(commas, ends)  # one past each line's last comma
+        few = last - np.searchsorted(commas, starts) < _SEPARATORS
+        line_numbers = np.arange(first_line, first_line + len(starts))
+        for i in np.flatnonzero(few).tolist():  # blank, or a short row
+            line = buf[starts[i] : ends[i]].tobytes().decode()
+            if line.strip():
+                # the csv module would end the record at a "\r", a byte of its cell here
+                fields = len(next(csv.reader([line.replace("\r", " ")])))
+                self.fail(line_numbers[i], f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
+                break
+        rows = ~few
+        self.line_numbers, self.row_starts, last = line_numbers[rows], starts[rows], last[rows]
+        # ends[i, j]: the comma or line end after cell j of row i
+        self.ends = np.column_stack((commas[last[:, None] + np.arange(-_SEPARATORS, 0)], ends[rows]))
 
     def __len__(self) -> int:
         return len(self.line_numbers)
 
-    def error(self, i: int, message: str) -> SchemaError:
-        return SchemaError(f"line {self.line_numbers[i]}: {message}")
+    def fail(self, line: int, message: str) -> None:
+        """Record a fault at `line` unless one at an earlier or the same line is."""
+        if self.fault is None or line < self.fault[0]:
+            self.fault = (int(line), message)
 
     def bounds(self, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Start and end offsets of the cells of `columns`, one array row each."""
@@ -564,14 +577,15 @@ class _Rows:
                 cells, first, index = [b""], [0], np.zeros(len(rows), dtype=np.int64)
             groups.append((rows, cells, index))
             firsts += zip(rows[first].tolist(), cells)
+        out = np.empty(len(self), dtype=np.int64)
         for row, cell in sorted(firsts):
             if cell not in codes:
                 text = cell.decode()
                 try:
                     codes[cell] = new_code(text)
-                except ValueError as exc:
-                    raise self.error(row, f"{CSV_COLUMNS[column]} {text!r} {exc}") from None
-        out = np.empty(len(self), dtype=np.int64)
+                except ValueError as exc:  # the first bad cell of the column
+                    self.fail(self.line_numbers[row], f"{CSV_COLUMNS[column]} {text!r} {exc}")
+                    return out
         for rows, cells, index in groups:
             out[rows] = np.array([codes[cell] for cell in cells], dtype=np.int64)[index]
         return out
@@ -580,14 +594,15 @@ class _Rows:
         """The numeric `columns`, one array row each."""
         starts, ends = (bounds.ravel() for bounds in self.bounds(columns))
         values, bad = _decimals(self.buf, starts, ends, tenths, empty_ok)
-        if bad.any():
-            first = int(np.argmax(bad))
-            k, i = divmod(first, len(self))
-            cell = self.buf[starts[first] : ends[first]].tobytes().decode()
+        bad = bad.reshape(len(columns), len(self))
+        if bad.any():  # the first row with a bad cell, and its first bad cell
+            i = int(np.argmax(bad.any(axis=0)))
+            k = int(np.argmax(bad[:, i]))
+            cell = self.buf[starts[k * len(self) + i] : ends[k * len(self) + i]].tobytes().decode()
             what = "a time in us with at most one decimal place" if tenths else "a non-negative integer"
             if len(cell) - ("." in cell) > _MAX_DIGITS:
                 what += f": a cell holds at most {_MAX_DIGITS} digits"
-            raise self.error(i, f"{CSV_COLUMNS[columns[k]]} {cell!r} is not {what}")
+            self.fail(self.line_numbers[i], f"{CSV_COLUMNS[columns[k]]} {cell!r} is not {what}")
         return values.reshape(len(columns), len(self))
 
 
@@ -626,52 +641,24 @@ def _source_blocks(source: str | BinaryIO) -> Iterator[bytes]:
     check(b"", final=True)
 
 
-def _line_breaks(buf: np.ndarray, final: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets where each line break of the UTF-8 `buf` starts and ends.
-    The breaks are those of str.splitlines: the bytes \\n \\v \\f \\r \\x1c
-    \\x1d \\x1e, "\\r\\n" as one break, and U+0085, U+2028 and U+2029.  Unless
-    `final`, a "\\r" that ends buf is no break: it may be the first half of
-    a "\\r\\n"."""
-    candidate = buf < 0x1F
-    if buf.max(initial=0) >= 0xC2:  # a lead byte of U+0085 or U+2028/9 may be present
-        candidate |= (buf == 0xC2) | (buf == 0xE2)
-    at = np.flatnonzero(candidate)
-    kind = buf[at]
-    # an offset past either end of buf is clipped to a byte that completes no break
-    before, after, third = (np.take(buf, at + k, mode="clip") for k in (-1, 1, 2))
-    single = ((kind - np.uint8(0x0A)) < 4) | ((kind - np.uint8(0x1C)) < 3)
-    single &= (kind != ord("\n")) | (before != ord("\r"))  # the "\n" of a "\r\n" is none of its own
-    if not final:
-        single &= (kind != ord("\r")) | (at != len(buf) - 1)
-    size = single.astype(np.int64)
-    size += (kind == ord("\r")) & (after == ord("\n"))
-    size += 2 * ((kind == 0xC2) & (after == 0x85))
-    size += 3 * ((kind == 0xE2) & (after == 0x80) & ((third | 1) == 0xA9))
-    breaks = np.flatnonzero(size)
-    return at[breaks], at[breaks] + size[breaks]
-
-
 def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The lines `str.splitlines` makes of the text of `source`, a block at
-    a time: the bytes of the block's whole lines, the offsets where each line
-    starts and where its line break starts, and the number of its first line.
-
-    A block's last line waits for the next block unless it ends in a whole
-    line break other than "\\r", which may be the first half of a "\\r\\n".
-    """
+    """The lines of the text of `source`, a block of whole lines at a time:
+    the block's bytes, the offsets where each line starts and ends, and the
+    number of its first line.  A line ends at "\\n" or at the end of the
+    text, and a "\\r" just before its end is dropped.  A block is the last
+    one's unended line and the next _BLOCK_BYTES bytes, cut after their
+    last "\\n"."""
     carry, line_no = b"", 1
-    for block in chain(_source_blocks(source), [b""]):
-        final = not block
+    for block in chain(_source_blocks(source), [b"\n"]):  # the "\n" ends the last line
         data = carry + block
-        buf = np.frombuffer(data, dtype=np.uint8)
-        breaks, ends = _line_breaks(buf, final)
-        whole = int(ends[-1]) if len(ends) else 0
-        if final and whole < len(buf):  # a last line with no line break
-            breaks, ends, whole = np.append(breaks, len(buf)), np.append(ends, len(buf)), len(buf)
-        if len(breaks):
-            yield buf[:whole], np.concatenate(([0], ends[:-1])), breaks, line_no
-            line_no += len(breaks)
+        whole = data.rfind(b"\n") + 1
         carry = data[whole:]
+        buf = np.frombuffer(data, dtype=np.uint8, count=whole)
+        breaks = np.flatnonzero(buf == ord("\n"))
+        # clipped, a "\n" at offset 0 looks at itself, which is no "\r"
+        ends = breaks - (np.take(buf, breaks - 1, mode="clip") == ord("\r"))
+        yield buf, np.concatenate(([0], breaks + 1))[:-1], ends, line_no
+        line_no += len(breaks)
 
 
 def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
@@ -686,50 +673,6 @@ def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
             elif line.strip():
                 return comments, line, chain([(buf, starts[i + 1 :], ends[i + 1 :], first + i + 1)], lines)
     return comments, None, iter(())
-
-
-def _row_chunks(lines: Iterator) -> Iterator[_Rows]:
-    """The non-blank lines of `lines`, _CHUNK_ROWS at a time whatever the
-    block size.  A line is decoded only if it has fewer commas than a row,
-    to tell a blank line from a short row."""
-    pending: list[tuple[np.ndarray, ...]] = []
-    count = 0
-    for buf, starts, ends, first in lines:
-        commas = np.flatnonzero(buf == ord(","))
-        few = np.searchsorted(commas, ends) - np.searchsorted(commas, starts) < _SEPARATORS
-        blank = [i for i in np.flatnonzero(few).tolist() if not buf[starts[i] : ends[i]].tobytes().decode().strip()]
-        numbers = np.arange(first, first + len(starts))
-        if blank:
-            starts, ends, numbers = (np.delete(a, blank) for a in (starts, ends, numbers))
-        if len(starts):
-            pending.append((buf, commas, starts, ends, numbers))
-            count += len(starts)
-        while count >= _CHUNK_ROWS:
-            yield _take_rows(pending, _CHUNK_ROWS)
-            count -= _CHUNK_ROWS
-    if count:
-        yield _take_rows(pending, count)
-
-
-def _take_rows(pending: list, n: int) -> _Rows:
-    """The first n rows of the `pending` (buffer, commas, starts, ends, line
-    numbers) pieces, which lose them, as one chunk over the bytes they span."""
-    parts: list[tuple[np.ndarray, ...]] = []
-    offset = 0
-    while n:
-        buf, commas, starts, ends, numbers = pending[0]
-        k = min(n, len(starts))
-        lo, hi = starts[0], ends[k - 1]
-        inside = commas[np.searchsorted(commas, lo) : np.searchsorted(commas, hi)]
-        shift = offset - lo
-        parts.append((buf[lo:hi], inside + shift, starts[:k] + shift, ends[:k] + shift, numbers[:k]))
-        offset += hi - lo
-        if k == len(starts):
-            pending.pop(0)
-        else:
-            pending[0] = (buf, commas, starts[k:], ends[k:], numbers[k:])
-        n -= k
-    return _Rows(*map(np.concatenate, zip(*parts)))
 
 
 def _size(source: str | BinaryIO) -> int:
@@ -756,20 +699,22 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
     """Records of a results CSV written with this format and RNG scheme.
 
     `source` is the text or a binary file open for reading, whose bytes must
-    be UTF-8.  It is read _BLOCK_BYTES bytes at a time and split into lines
-    where `str.splitlines` splits the text; the rows are decoded _CHUNK_ROWS
-    at a time, from bytes.  Beyond the int64 columns (128 bytes a row) it
-    holds one block and one chunk at once.  The columns are allocated for
-    the row count that the source's size and the rows read so far predict,
-    and trimmed to the rows read.
+    be UTF-8.  A line ends at "\\n", which the writer writes, or at the end
+    of the text, and a "\\r" just before its end is dropped, so "\\r\\n"
+    ends a line too; every other byte, another "\\r" among them, is a cell's.
+    It is read _BLOCK_BYTES bytes at a time, and the rows of each block of
+    whole lines are decoded together, from bytes.  Beyond the int64 columns
+    (128 bytes a row) it holds about one block and its cells at once.  The
+    columns are allocated for the row count that the source's size and the
+    rows read so far predict, and trimmed to the rows read.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
     which keeps the hash of an empty name or a name with spaces.  Config
     names, seeds and outcomes are decoded and converted once per distinct
-    cell and the numeric cells a column at a time.  A malformed row raises
-    SchemaError with its line number; a probe must be a time on the 0.1 us
-    grid.
+    cell and the numeric cells a column at a time.  The first malformed row
+    raises SchemaError with its line number; a probe must be a time on the
+    0.1 us grid.
     """
     comments, header, lines = _header(_lines(source))
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
@@ -777,7 +722,10 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
             raise SchemaError(f"results file lacks the {expected!r} header line")
     if header is None:
         raise SchemaError("no header row in results file")
-    header_cells = tuple(next(csv.reader([header])))
+    try:
+        header_cells = tuple(next(csv.reader([header])))
+    except csv.Error as exc:  # a "\r" outside quotes
+        raise SchemaError(f"column header {header!r} is badly quoted ({exc})") from None
     if header_cells != CSV_COLUMNS:
         raise SchemaError(f"unexpected columns {header_cells!r}")
     hashes: dict[str, str] = {}
@@ -795,7 +743,7 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
     columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
     columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
     size, n, nbytes = _size(source), 0, 0
-    for chunk in _row_chunks(lines):
+    for chunk in starmap(_Rows, lines):
         part = slice(n, n + len(chunk))
         n, nbytes = part.stop, nbytes + len(chunk.buf)
         if n > len(columns["attempt"]):
@@ -814,6 +762,8 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
         columns["probes"][part] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
         columns["delivered_copy"][part] = chunk.numbers([12], empty_ok=True)[0]
         columns["outcome"][part] = chunk.codes(13, outcome_codes, _unknown_outcome)
+        if chunk.fault:
+            raise SchemaError("line {}: {}".format(*chunk.fault))
         del chunk  # free it before the next one is built
     _resize(columns, n)
     return RecordBatch(

@@ -15,7 +15,6 @@ from esbsim.analytics import (
     InfeasibleError,
     calibrate_pipeline,
     delivered_copy_distribution,
-    modifier_table_from_medians,
     olcfg_calibration_targets,
     retransmission_delay_moments,
 )
@@ -283,27 +282,6 @@ def test_calibration_reproduces_the_targets_or_is_infeasible(case):
     assert sum(totals) + on_air == pytest.approx(targets.d0d7_us, **tolerance)
     assert sum(totals[2:5]) + on_air == pytest.approx(targets.d2d5_us, **tolerance)
     assert totals[3] + on_air == pytest.approx(targets.d3d4_us, **tolerance)
-
-
-class TestModifierTable:
-    def test_crc_group_from_observed_medians(self):
-        table = modifier_table_from_medians({"crc": {"16": 562.39, "8": 558.39, "off": 554.30}})
-        assert table[("crc", "16")] == pytest.approx(8.09)
-        assert table[("crc", "8")] == pytest.approx(4.09)
-        assert table[("crc", "off")] == 0.0
-
-    def test_protocol_group(self):
-        table = modifier_table_from_medians({"protocol": {"dynamic": 562.39, "static": 563.10}})
-        assert table[("protocol", "dynamic")] == 0.0
-        assert table[("protocol", "static")] == pytest.approx(0.71)
-
-    def test_single_entry_group_is_zero(self):
-        table = modifier_table_from_medians({"txmode": {"manual": 534.23}})
-        assert table[("txmode", "manual")] == 0.0
-
-    def test_unknown_group_rejected(self):
-        with pytest.raises(DomainError):
-            modifier_table_from_medians({"antenna": {"a": 1.0}})
 
 
 def test_stage_names_cover_the_probe_chain():

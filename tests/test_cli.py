@@ -277,30 +277,53 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, co
     assert f"unrecognized arguments: {option} {value}" in err
 
 
-@pytest.mark.parametrize(
-    "command, option, value",
-    [
-        ("sweep", "--seed", "-1"),
-        ("simulate", "--seed", "18446744073709551616"),
-        ("simulate", "--attempts", "-5"),
-        ("simulate", "--attempts", "0"),
-        ("compare-ble", "--samples", "0"),
-        ("simulate", "--config", "nope"),
-        ("compare-ble", "--config", "nope"),
-        ("sweep", "--workers", "0"),
-        ("sweep", "--workers", "-2"),
-        ("simulate", "--set", "config.olcfg.retransmit_delay_us=nan"),
-        ("simulate", "--set", "config.olcfg.retransmit_delay_us=inf"),
-        ("compare-ble", "--set", "ble.transfer_us=nan"),
-        ("compare-ble", "--set", "ble.connection_interval_us=inf"),
-        ("compare-ble", "--set", "channel.p_loss=1.0"),  # nothing delivered to summarize
-        ("simulate", "--set", "config.olcfg.retransmits=14"),  # the copy train outruns the attempt window
-        ("calibrate", "--targets", "abc,1,2"),
-    ],
-)
-def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, command, option, value):
-    assert main([command, option, value, "--file", str(exp_file), "--out", str(tmp_path / "out")]) == 1
-    assert "esbsim: error: " in capsys.readouterr().err
+# whole-file errors have no line; an override error names the override
+WHOLE_FILES = {"empty.cfg": "# nothing but a comment\n", "no-config.cfg": "[sweep] rounds=2\n"}
+
+# (command, option, value) -> the error it prints
+OUT_OF_RANGE = {
+    ("sweep", "--seed", "-1"): "argument --seed: '-1' is not an unsigned 64-bit integer",
+    ("simulate", "--seed", "18446744073709551616"):
+        "argument --seed: '18446744073709551616' is not an unsigned 64-bit integer",
+    ("simulate", "--attempts", "-5"): "argument --attempts: '-5' is not a positive integer",
+    ("simulate", "--attempts", "0"): "argument --attempts: '0' is not a positive integer",
+    ("compare-ble", "--samples", "0"): "argument --samples: '0' is not a positive integer",
+    ("simulate", "--config", "nope"): "no config named 'nope'",
+    ("compare-ble", "--config", "nope"): "no config named 'nope'",
+    ("sweep", "--workers", "0"): "argument --workers: '0' is not a positive integer",
+    ("sweep", "--workers", "-2"): "argument --workers: '-2' is not a positive integer",
+    ("simulate", "--set", "config.olcfg.retransmit_delay_us=nan"):
+        "--set 'config.olcfg.retransmit_delay_us=nan': expected a finite number, got 'nan'",
+    ("simulate", "--set", "config.olcfg.retransmit_delay_us=inf"):
+        "--set 'config.olcfg.retransmit_delay_us=inf': expected a finite number, got 'inf'",
+    ("compare-ble", "--set", "ble.transfer_us=nan"):
+        "--set 'ble.transfer_us=nan': expected a finite number, got 'nan'",
+    ("compare-ble", "--set", "ble.connection_interval_us=inf"):
+        "--set 'ble.connection_interval_us=inf': expected a finite number, got 'inf'",
+    # nothing delivered to summarize
+    ("compare-ble", "--set", "channel.p_loss=1.0"): "no delivered samples to summarize",
+    # the copy train outruns the attempt window
+    ("simulate", "--set", "config.olcfg.retransmits=14"):
+        "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)",
+    ("calibrate", "--targets", "abc,1,2"):
+        "--targets needs three comma-separated medians d0d7,d2d5,d3d4: could not convert string to float: 'abc'",
+    ("sweep", "--set", "sweep.rounds=0"): "--set 'sweep.rounds=0': rounds must be >= 1",
+    ("sweep", "--set", "sweep.cadence=3"): "--set 'sweep.cadence=3': unknown key 'sweep.cadence'",
+    ("sweep", "--set", "sweep.rounds"): "--set 'sweep.rounds': needs key=value",
+    ("sweep", "--set", "config.nope.crc=16"): "--set 'config.nope.crc=16': no config named 'nope' to override",
+    ("sweep", "--set", "targets.d0d7=500"): "--set 'targets.d0d7=500': cannot override targets: none defined",
+    ("sweep", "--file", "empty.cfg"): "empty experiment file",
+    ("sweep", "--file", "no-config.cfg"): "no [config <name>] sections",
+}
+
+
+@pytest.mark.parametrize("command, option, value", list(OUT_OF_RANGE))
+def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, monkeypatch, command, option, value):
+    for name, text in WHOLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--file", str(exp_file), option, value, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.endswith(f"esbsim: error: {OUT_OF_RANGE[command, option, value]}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -414,7 +437,7 @@ def test_report_refuses_a_latency_span_too_wide_to_histogram(exp_file, tmp_path,
 
 
 # sha256 of the outputs of a fixed sweep: three configs, 9000 rows, more than
-# one chunk of the writer and of the parser
+# one chunk of the writer and one block of the parser
 PINNED_SWEEP = {
     "results.csv": "2f09526eda62bf1c6e3ab3164d1bee04e4437b5e7ea194083e3c51f28dc8d069",
     "summary.json": "289b682bb32d7764eac3b40af27cc923e2c9c11ab8da9a6f6de2cf25d3b91d72",
@@ -422,7 +445,7 @@ PINNED_SWEEP = {
 }
 
 
-def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path):
+def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path, capsys):
     exp = tmp_path / "exp.cfg"
     exp.write_text(EXPERIMENT + MORE_CONFIGS)
     out = tmp_path / "out"
@@ -430,6 +453,17 @@ def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path):
     assert main(["sweep", "--file", str(exp), "--out", str(out), *(f"--set={o}" for o in overrides)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SWEEP} == PINNED_SWEEP
     assert sorted(os.listdir(out)) == sorted(PINNED_SWEEP)
+    # report reads the results back, with the writer's "\n" line ends or with "\r\n"
+    results = (out / "results.csv").read_bytes()
+    assert len(results) > sweep._BLOCK_BYTES
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(results.replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    for path in (out / "results.csv", crlf):
+        reported = tmp_path / f"report-{path.stem}"
+        assert main(["report", "--file", str(path), "--out", str(reported)]) == 0
+        assert capsys.readouterr().out == (out / "summary.txt").read_text() + "\n"
+        assert (reported / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
 
 
 NUMPY_MA_PROBE = """\
@@ -462,7 +496,7 @@ def test_no_command_imports_numpy_ma(exp_file, tmp_path):
 def test_a_config_name_with_a_line_break_exits_one_and_writes_no_results(exp_file, tmp_path, capsys, monkeypatch):
     run_series = sweep.run_series
     monkeypatch.setattr(
-        sweep, "run_series", lambda *args: dataclasses.replace(run_series(*args), names=("a\u2028b",))
+        sweep, "run_series", lambda *args: dataclasses.replace(run_series(*args), names=("a\nb",))
     )
     out = tmp_path / "out"
     assert main(["simulate", "--file", str(exp_file), "--out", str(out)]) == 1

@@ -60,7 +60,6 @@ def test_the_rule_sees_imports_and_attribute_reads():
 # one that only tests read is dead code.
 API = {
     "retransmission_delay_moments": "the closed-form copy mixture the attempt kernel is tested against (README)",
-    "modifier_table_from_medians": "turns published per-parameter medians into a modifier table (README)",
 }
 
 
