@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Mapping
 
 from . import airtime
 from .config import EsbConfig, validate
-from .link import PipelineModel, STAGES, stage_modifiers_us
+from .link import PipelineModel
 
 
 class DomainError(ValueError):
@@ -99,45 +98,32 @@ def olcfg_calibration_targets() -> CalibrationTargets:
     return CalibrationTargets(d0d7_us=486.30, d2d5_us=293.07, d3d4_us=185.86)
 
 
-def calibrate_pipeline(
-    targets: CalibrationTargets,
-    config: EsbConfig,
-    *,
-    modifiers_us: Mapping[tuple[str, str], float] | None = None,
-) -> PipelineModel:
+def calibrate_pipeline(targets: CalibrationTargets, config: EsbConfig) -> PipelineModel:
     """Solve stage base delays so that, with zero jitter and zero loss, the
     given config reproduces the target medians.
 
     The radio turnaround absorbs whatever the air interval leaves after the
     frame's on-air time; the d2-d5 remainder splits evenly between the two
     radio-stack stages and the d0-d7 remainder evenly across the four IPC
-    stages.  When a modifier table is supplied, the config's own modifier
-    contributions are subtracted from the matching stage bases, so the
-    calibrated config still hits the targets exactly while other configs
-    shift by their modifier deltas.  Jitter and dedup take the
-    `PipelineModel` defaults.
+    stages.  Jitter, dedup and modifiers (none) take the `PipelineModel`
+    defaults.
     """
     validate(config)
     on_air_us = airtime.on_air_time_us(config)
+    radio_overhead_us = targets.d3d4_us - on_air_us
+    if radio_overhead_us < 0:  # the nesting targets keep every other stage positive
+        raise InfeasibleError(
+            f"stage radio_overhead would be {radio_overhead_us} us: the d3-d4 target "
+            f"{targets.d3d4_us} us is shorter than the frame's on-air time {on_air_us} us"
+        )
     radio_stack_us = (targets.d2d5_us - targets.d3d4_us) / 2.0
     ipc_us = (targets.d0d7_us - targets.d2d5_us) / 4.0
-    solved = {
-        "radio_overhead": targets.d3d4_us - on_air_us,
-        "tx_esb_stack": radio_stack_us,
-        "rx_esb_stack": radio_stack_us,
-        "tx_app_to_ipc": ipc_us,
-        "tx_ipc_to_esb": ipc_us,
-        "rx_to_ipc": ipc_us,
-        "rx_ipc_to_app": ipc_us,
-    }
-    modifiers_us = dict(modifiers_us or {})
-    bases = {}
-    for stage, extra_us in zip(STAGES, stage_modifiers_us(modifiers_us, config)):
-        base = solved[stage] - extra_us
-        if base < 0:
-            raise InfeasibleError(
-                f"stage {stage} would be {base} us: the targets leave it {solved[stage]} us "
-                f"(on-air time {on_air_us} us) and the config's modifiers take {extra_us} us"
-            )
-        bases[stage + "_us"] = base
-    return PipelineModel(**bases, modifiers_us=modifiers_us)
+    return PipelineModel(
+        tx_app_to_ipc_us=ipc_us,
+        tx_ipc_to_esb_us=ipc_us,
+        tx_esb_stack_us=radio_stack_us,
+        radio_overhead_us=radio_overhead_us,
+        rx_esb_stack_us=radio_stack_us,
+        rx_to_ipc_us=ipc_us,
+        rx_ipc_to_app_us=ipc_us,
+    )

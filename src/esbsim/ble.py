@@ -9,8 +9,6 @@ management, and frequency hopping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import BleConfig
@@ -18,10 +16,6 @@ from .engine import PURPOSE_BLE_WAIT, block_uniforms
 from .sweep import SummaryStats, summarize
 
 BIN_WIDTH_US = 100.0  # coarser than the broadcast link's: the support spans a whole interval
-
-
-class MismatchError(ValueError):
-    """Comparison inputs of unequal (or zero) sample counts."""
 
 
 def sample_latencies(ble_config: BleConfig, n: int, seed: int) -> np.ndarray:
@@ -33,38 +27,18 @@ def sample_latencies(ble_config: BleConfig, n: int, seed: int) -> np.ndarray:
     return waits + ble_config.transfer_time_us
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    esb: SummaryStats
-    ble: SummaryStats
-    mean_ratio: float  # BLE mean over broadcast-link mean
-
-
-def compare(esb_summary: SummaryStats, ble_summary: SummaryStats) -> ComparisonReport:
-    """Side-by-side statistics; requires equal, non-zero sample counts so the
-    two columns describe equally powered experiments."""
-    if esb_summary.n == 0 or ble_summary.n == 0 or esb_summary.n != ble_summary.n:
-        raise MismatchError(
-            f"sample counts differ or are empty: {esb_summary.n} vs {ble_summary.n}"
-        )
-    return ComparisonReport(
-        esb=esb_summary,
-        ble=ble_summary,
-        mean_ratio=ble_summary.mean_us / esb_summary.mean_us,
-    )
-
-
 def summarize_ble(values_us: np.ndarray) -> SummaryStats:
     return summarize(values_us, bin_width_us=BIN_WIDTH_US, mode_spacing_us=float("inf"))
 
 
-def render_comparison(report: ComparisonReport) -> str:
+def render_comparison(esb: SummaryStats, ble: SummaryStats) -> str:
+    """The two summaries side by side, and the ratio of their means."""
     rows = [
-        ("n", report.esb.n, report.ble.n),
-        ("mean [us]", report.esb.mean_us, report.ble.mean_us),
-        ("median [us]", report.esb.median_us, report.ble.median_us),
-        ("sd [us]", report.esb.sd_us, report.ble.sd_us),
-        ("p99 [us]", report.esb.p99_us, report.ble.p99_us),
+        ("n", esb.n, ble.n),
+        ("mean [us]", esb.mean_us, ble.mean_us),
+        ("median [us]", esb.median_us, ble.median_us),
+        ("sd [us]", esb.sd_us, ble.sd_us),
+        ("p99 [us]", esb.p99_us, ble.p99_us),
     ]
     lines = [f"{'':<12} {'broadcast':>12} {'ble':>12}"]
     for label, a, b in rows:
@@ -72,5 +46,5 @@ def render_comparison(report: ComparisonReport) -> str:
             lines.append(f"{label:<12} {a:>12d} {b:>12d}")
         else:
             lines.append(f"{label:<12} {a:>12.2f} {b:>12.2f}")
-    lines.append(f"mean ratio (ble / broadcast): {report.mean_ratio:.2f}")
+    lines.append(f"mean ratio (ble / broadcast): {ble.mean_us / esb.mean_us:.2f}")
     return "\n".join(lines)

@@ -244,9 +244,7 @@ def _cmd_compare_ble(args) -> int:
     ble_config = exp.ble or BleConfig(transfer_time_us=airtime.on_air_time_us(config))
     # one baseline sample per *delivered* attempt keeps the two sides balanced
     totals = ble.sample_latencies(ble_config, esb_summary.n, exp.plan.seed)
-    ble_summary = ble.summarize_ble(totals)
-    report = ble.compare(esb_summary, ble_summary)
-    text = ble.render_comparison(report)
+    text = ble.render_comparison(esb_summary, ble.summarize_ble(totals))
     out = _out_dir(args)
     (out / "compare.txt").write_text(text + "\n", encoding="utf-8")
     print(text)

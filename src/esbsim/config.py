@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -105,6 +104,8 @@ class EsbConfig:
 
     def digest(self) -> str:
         """Short stable hash used for provenance in output files."""
+        import hashlib  # loads OpenSSL, which commands that hash no config should not pay for
+
         text = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
 

@@ -16,7 +16,6 @@ samples are single rows of it.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -47,6 +46,8 @@ def ticks_to_us(ticks: int) -> float:
 
 def _stream_key(seed: int, namespace: tuple[int, ...]) -> np.ndarray:
     """Derive a 128-bit Philox key from the run seed and a namespace tuple."""
+    import hashlib  # loads OpenSSL, which commands that draw nothing should not pay for
+
     packed = struct.pack(f"<Q{len(namespace)}q", seed, *namespace)
     digest = hashlib.blake2b(packed, digest_size=16).digest()
     return np.frombuffer(digest, dtype=np.uint64)

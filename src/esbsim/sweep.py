@@ -269,8 +269,8 @@ def _histogram(values_us: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, 
     n_bins = max(1, int(round((hi - lo) / bin_width_us)))
     if n_bins > MAX_HISTOGRAM_BINS:
         raise DomainError(
-            f"latencies from {values_us[0]} to {values_us[-1]} us span {n_bins} histogram bins "
-            f"of {bin_width_us} us, more than {MAX_HISTOGRAM_BINS}"
+            f"latencies from {values_us[0]} to {values_us[-1]} us span more than "
+            f"{MAX_HISTOGRAM_BINS} histogram bins of {bin_width_us} us"
         )
     return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * bin_width_us))
 
@@ -310,13 +310,24 @@ def _summary(
         n=int(values.size),
         n_lost=n_lost,
         mean_us=float(values.mean() / scale),
-        median_us=float(np.median(values) / scale),
+        median_us=float(_median(values) / scale),
         sd_us=float(values.std() / scale),
         p99_us=float(_percentile_99(values) / scale),
         hist_counts=tuple(counts.tolist()),
         hist_edges=tuple(edges.tolist()),
         modes_us=detect_modes(counts, edges, mode_spacing_us),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """`np.median(values)` of sorted `values`, bit for bit: the mean of the
+    middle one or two as np.mean forms it, a float sum that starts from 0.0
+    (so -0.0 reads 0.0), over the count.  np.median itself would import
+    numpy.ma on float input."""
+    middle = values.size // 2
+    if values.size % 2:
+        return 0.0 + float(values[middle])
+    return (0.0 + float(values[middle - 1]) + float(values[middle])) / 2
 
 
 def _percentile_99(values: np.ndarray):
@@ -355,8 +366,8 @@ def accounting_by_config(batch: RecordBatch) -> dict[str, AccountingRow]:
 
 def _config_order(batch: RecordBatch) -> list[int]:
     """Indices of the configs that have rows, in order of first appearance."""
-    indices, first = np.unique(batch.config_index, return_index=True)
-    return indices[np.argsort(first)].tolist()
+    present = np.flatnonzero(np.bincount(batch.config_index)).tolist()
+    return sorted(present, key=lambda index: int(np.argmax(batch.config_index == index)))
 
 
 # --- persistence --------------------------------------------------------------

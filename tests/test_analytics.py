@@ -29,7 +29,7 @@ from esbsim.config import (
     TxMode,
     olcfg_preset,
 )
-from esbsim.link import MODIFIER_STAGE, STAGES
+from esbsim.link import STAGES
 
 
 def _enumerate_loss_patterns(p: Fraction, copies: int):
@@ -192,33 +192,6 @@ class TestCalibratePipeline:
         with pytest.raises(DomainError):
             CalibrationTargets(d0d7_us=100.0, d2d5_us=120.0, d3d4_us=20.0)
 
-    def test_modifiers_are_subtracted_for_the_calibrated_config(self):
-        mods = {("crc", "off"): 2.0, ("crc", "16"): 10.0}
-        plain = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
-        with_mods = calibrate_pipeline(
-            olcfg_calibration_targets(), olcfg_preset(), modifiers_us=mods
-        )
-        # olcfg runs crc off, so its rx stage base gives the 2 us back ...
-        assert with_mods.rx_esb_stack_us == pytest.approx(plain.rx_esb_stack_us - 2.0)
-        # ... and the effective stage totals still reproduce the targets
-        totals = with_mods.stage_totals_us(olcfg_preset())
-        assert sum(totals) + airtime.on_air_time_us(olcfg_preset()) == pytest.approx(486.30)
-
-    def test_oversized_modifier_is_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            calibrate_pipeline(
-                olcfg_calibration_targets(),
-                olcfg_preset(),
-                modifiers_us={("crc", "off"): 100.0},
-            )
-
-
-def _modifier_keys():
-    """Every (parameter, value) a modifier table can hold."""
-    enums = {"crc": CrcMode, "protocol": ProtocolMode, "bitrate": BitrateMode, "txmode": TxMode, "payload": PayloadMode}
-    keys = [(param, member.value) for param, enum in enums.items() for member in enum]
-    return keys + [("power", str(dbm)) for dbm in range(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM + 1)]
-
 
 @st.composite
 def _calibration_cases(draw):
@@ -232,29 +205,15 @@ def _calibration_cases(draw):
         payload_len_bytes=draw(st.integers(1, 32)),
         retransmit_delay_us=5000.0,
     )
-    own = {
-        "crc": config.crc_mode.value,
-        "protocol": config.protocol_mode.value,
-        "bitrate": config.bitrate_mode.value,
-        "txmode": config.tx_mode.value,
-        "payload": config.payload_mode.value,
-        "power": str(config.tx_power_dbm),
-    }
-    add_us = st.floats(min_value=0.0, max_value=40.0)
-    table = draw(st.dictionaries(st.sampled_from(_modifier_keys()), add_us, max_size=12))
-    # protocol and txmode both land on the transmit stack, bitrate and power
-    # on the radio turnaround: the config's own values of all four apply
-    for param in ("protocol", "txmode", "bitrate", "power"):
-        table[(param, own[param])] = draw(add_us)
     d3d4 = draw(st.floats(min_value=1.0, max_value=400.0))
     d2d5 = d3d4 + draw(st.floats(min_value=0.01, max_value=400.0))
     d0d7 = d2d5 + draw(st.floats(min_value=0.01, max_value=400.0))
-    return CalibrationTargets(d0d7, d2d5, d3d4), config, table, own
+    return CalibrationTargets(d0d7, d2d5, d3d4), config
 
 
 @given(case=_calibration_cases())
 def test_calibration_reproduces_the_targets_or_is_infeasible(case):
-    targets, config, table, own = case
+    targets, config = case
     on_air = airtime.on_air_time_us(config)
     split = {
         "radio_overhead": targets.d3d4_us - on_air,
@@ -264,20 +223,16 @@ def test_calibration_reproduces_the_targets_or_is_infeasible(case):
             ("tx_app_to_ipc", "tx_ipc_to_esb", "rx_to_ipc", "rx_ipc_to_app"), (targets.d0d7_us - targets.d2d5_us) / 4
         ),
     }
-    taken = dict.fromkeys(STAGES, 0.0)  # the config's own modifiers, summed per stage
-    for (param, value), extra in table.items():
-        if own[param] == value:
-            taken[MODIFIER_STAGE[param]] += extra
     tolerance = dict(rel=1e-9, abs=1e-9)
     try:
-        pipe = calibrate_pipeline(targets, config, modifiers_us=table)
+        pipe = calibrate_pipeline(targets, config)
     except InfeasibleError:
-        # the symmetric split leaves some stage less than its modifiers
-        assert any(split[stage] < taken[stage] + 1e-6 for stage in STAGES)
+        # the frame takes longer on air than the d3-d4 target
+        assert split["radio_overhead"] < 0
         return
-    assert pipe.modifiers_us == table
+    assert pipe.modifiers_us == {}
     for stage in STAGES:
-        assert pipe.stage_base_us(stage) == pytest.approx(split[stage] - taken[stage], **tolerance)
+        assert pipe.stage_base_us(stage) == split[stage]
     totals = pipe.stage_totals_us(config)
     assert sum(totals) + on_air == pytest.approx(targets.d0d7_us, **tolerance)
     assert sum(totals[2:5]) + on_air == pytest.approx(targets.d2d5_us, **tolerance)

@@ -12,7 +12,6 @@ import pytest
 import esbsim
 from esbsim import airtime, ble, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
-from esbsim.ble import compare
 from esbsim.cli import main
 from esbsim.config import olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
@@ -302,9 +301,15 @@ OUT_OF_RANGE = {
         "--set 'ble.connection_interval_us=inf': expected a finite number, got 'inf'",
     # nothing delivered to summarize
     ("compare-ble", "--set", "channel.p_loss=1.0"): "no delivered samples to summarize",
+    # a baseline too wide to histogram: the message names the span and the limit
+    ("compare-ble", "--set", "ble.connection_interval_us=1e300"):
+        "latencies from 3.72859211283938e+293 to 9.999969577633004e+299 us span more than 1000000 histogram bins "
+        "of 100.0 us",
     # the copy train outruns the attempt window
     ("simulate", "--set", "config.olcfg.retransmits=14"):
         "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)",
+    ("calibrate", "--targets", "100,50,20"):
+        "stage radio_overhead would be -16.5 us: the d3-d4 target 20.0 us is shorter than the frame's on-air time 36.5 us",
     ("calibrate", "--targets", "abc,1,2"):
         "--targets needs three comma-separated medians d0d7,d2d5,d3d4: could not convert string to float: 'abc'",
     ("sweep", "--set", "sweep.rounds=0"): "--set 'sweep.rounds=0': rounds must be >= 1",
@@ -344,7 +349,8 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     assert read_results(tmp_path / "sim" / "results.csv") == series
 
     compared = []
-    monkeypatch.setattr(ble, "compare", lambda esb, baseline: compared.append(esb) or compare(esb, baseline))
+    render = ble.render_comparison
+    monkeypatch.setattr(ble, "render_comparison", lambda esb, baseline: compared.append(esb) or render(esb, baseline))
     assert main(["compare-ble", "--file", str(exp), "--config", config, "--samples", str(n),
                  "--out", str(tmp_path / "cmp")]) == 0
     assert compared == [summarize(series, ("d0", "d7"))]
@@ -466,15 +472,26 @@ def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path, capsys):
         assert (reported / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
 
 
-NUMPY_MA_PROBE = """\
+MODULE_PROBE = """\
 import sys
 from esbsim.cli import main
-imported = []
-for argv in map(str.split, sys.argv[1:]):
+module, *commands = sys.argv[1:]
+loaded = []
+for argv in map(str.split, commands):
     assert main(argv) == 0, argv
-    imported.append(f"{argv[0]} {'numpy.ma' in sys.modules}")
-print(", ".join(imported))
+    loaded.append(f"{argv[0]} {module in sys.modules}")
+print(", ".join(loaded))
 """
+
+
+def _loaded_after(module: str, *commands: str) -> str:
+    """Whether `module` is loaded after each of `commands`, run in turn in one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(esbsim.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, module, *commands], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
 
 
 def test_no_command_imports_numpy_ma(exp_file, tmp_path):
@@ -484,13 +501,19 @@ def test_no_command_imports_numpy_ma(exp_file, tmp_path):
         f"sweep --file {exp_file} --out {out}",
         f"simulate --file {exp_file} --out {out}",
         f"report --file {out / 'results.csv'} --out {out}",
+        f"compare-ble --file {exp_file} --out {out}",
+        f"calibrate --file {exp_file} --out {out}",
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(esbsim.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-c", NUMPY_MA_PROBE, *commands], capture_output=True, text=True, env=env, timeout=120
+    assert _loaded_after("numpy.ma", *commands) == (
+        "sweep False, simulate False, report False, compare-ble False, calibrate False"
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "sweep False, simulate False, report False"
+
+
+def test_report_loads_no_openssl(exp_file, tmp_path, capsys):
+    # hashlib's blake2b loads OpenSSL (_hashlib), several megabytes, which report never hashes with
+    out = tmp_path / "out"
+    assert main(["simulate", "--file", str(exp_file), "--out", str(out)]) == 0
+    assert _loaded_after("_hashlib", f"report --file {out / 'results.csv'} --out {out}") == "report False"
 
 
 def test_a_config_name_with_a_line_break_exits_one_and_writes_no_results(exp_file, tmp_path, capsys, monkeypatch):

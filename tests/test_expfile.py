@@ -213,9 +213,8 @@ class TestOverrides:
 
 class TestPipelineFile:
     def test_round_trip(self):
-        pipe = calibrate_pipeline(
-            olcfg_calibration_targets(),
-            olcfg_preset(),
+        pipe = dataclasses.replace(
+            calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()),
             modifiers_us={("crc", "16"): 8.09, ("protocol", "static"): 0.71},
         )
         text = render_pipeline_file(pipe, header="test pipeline")

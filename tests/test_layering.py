@@ -131,3 +131,92 @@ def test_the_reader_rule_sees_definitions_reads_and_bodies():
     assert _unread_public_names({"defining.py": defining, "reading.py": reading}) == [
         "B", "Box", "Box.read", "recursive",
     ]
+
+
+# Defaulted parameters of public functions and methods that no call in the
+# package passes, each with the reason it stays.  Every other default needs a
+# call in the package that passes it: a parameter only tests pass is dead code.
+API_PARAMETERS = {
+    "run_attempt_series(start_attempt=)": "tests start a series mid-way to check that chunking draws the same rows",
+    "main(argv=)": "tests and the benchmark run the command line in-process",
+}
+
+
+def _defaulted_parameters(node: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default; the position counts
+    a call's positional arguments (a method's first parameter is its
+    object's), and a keyword-only parameter has none."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    bound = is_method and not any(
+        isinstance(decorator, ast.Name) and decorator.id == "staticmethod" for decorator in node.decorator_list
+    )
+    first_default = len(positional) - len(args.defaults)
+    defaulted = [(index - bound, arg.arg) for index, arg in enumerate(positional) if index >= first_default]
+    return defaulted + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or
+    through a `*` or `**` argument."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def _unpassed_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """`label(name=)` of each defaulted parameter of a public function or
+    method that no call outside its own body passes.  A call is matched by
+    the called name, as reads are; a method only by an attribute call."""
+    calls: dict[str, list[tuple[str, ast.Call, bool]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, []).append((module, node, False))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append((module, node, True))
+    unpassed = []
+    for module, tree in trees.items():
+        for label, name, node, is_method in _public_definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for position, parameter in _defaulted_parameters(node, is_method):
+                if not any(
+                    (where != module or not node.lineno <= call.lineno <= node.end_lineno)
+                    and (attribute or not is_method)
+                    and _passes(call, position, parameter)
+                    for where, call, attribute in calls.get(name, [])
+                ):
+                    unpassed.append(f"{label}({parameter}=)")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package_or_has_a_reason():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unpassed_parameters(trees) == sorted(API_PARAMETERS)
+
+
+def test_the_parameter_rule_sees_positions_keywords_and_bodies():
+    defining = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): return f(a, d=0)\n"
+        "def g(a=1, b=2): pass\n"
+        "def _private(a=1): pass\n"
+        "class Box:\n"
+        "    def put(self, item=None, *, force=False): pass\n"
+        "    @staticmethod\n"
+        "    def make(size=0): pass\n"
+    )
+    # a bare `put` call is no call of the method Box.put
+    calling = ast.parse(
+        "from .defining import Box, f, g\n"
+        "def _run(box, args, options):\n"
+        "    f(0, 1)\n"
+        "    g(*args)\n"
+        "    box.put(1)\n"
+        "    Box.make(**options)\n"
+        "    put(force=True)\n"
+    )
+    assert _unpassed_parameters({"defining.py": defining, "calling.py": calling}) == [
+        "Box.put(force=)", "f(c=)", "f(d=)",
+    ]

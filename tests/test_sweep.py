@@ -1057,15 +1057,31 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
 
 _TICKS = st.integers(-(2**53), 2**53)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SAMPLES = st.lists(_TICKS, min_size=1, max_size=400) | st.lists(_FLOATS, min_size=1, max_size=400)
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(_TICKS, min_size=1, max_size=400) | st.lists(_FLOATS, min_size=1, max_size=400))
+@given(values=_SAMPLES)
 @example(values=[0.0] * 49 + [0.1, 0.7])  # a gamma of exactly 0.5, where numpy interpolates from above
+@example(values=[1.7976931348623155e308, -2.9937604643020797e292])  # b - a overflows in both
 def test_p99_is_numpys_percentile_bit_for_bit(values):
     values = np.sort(np.asarray(values))
-    expected = np.float64(np.percentile(values, 99))
-    assert np.float64(sweep._percentile_99(values)).tobytes() == expected.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared like any value
+        expected = np.float64(np.percentile(values, 99))
+        actual = np.float64(sweep._percentile_99(values))
+    assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_SAMPLES)
+@example(values=[-0.0, -0.0])  # numpy's sum starts from 0.0
+@example(values=[1.7976931348623157e308] * 2)  # the sum of the middle two overflows in both
+def test_median_is_numpys_median_bit_for_bit(values):
+    values = np.sort(np.asarray(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.float64(np.median(values))
+        actual = np.float64(sweep._median(values))
+    assert actual.tobytes() == expected.tobytes()
 
 
 # --- memory -----------------------------------------------------------------------
