@@ -188,8 +188,10 @@ def _write_summary_json(summaries, out: Path) -> None:
 
 
 def _write_summaries(records, args, out: Path) -> None:
-    summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
-    report = sweep.render_report(records, summaries)
+    tally = sweep.ConfigTally(_intervals(args))
+    tally.add(records)
+    summaries = sweep.summarize_by_config(tally)
+    report = sweep.render_report(tally, summaries)
     (out / "summary.txt").write_text(report, encoding="utf-8")
     _write_summary_json(summaries, out)
     print(report)
@@ -254,10 +256,11 @@ def _cmd_compare_ble(args) -> int:
 def _cmd_report(args) -> int:
     if not args.file:
         raise ConfigError("report needs --file pointing at a results CSV")
+    # summarized block by block as it is read: no column of the file is kept
     with _decoding(args.file):
-        records = sweep.read_results(args.file)
-    summaries = sweep.summarize_by_config(records, intervals=_intervals(args))
-    print(sweep.render_report(records, summaries))
+        tally = sweep.read_results(args.file, into=sweep.ConfigTally(_intervals(args)))
+    summaries = sweep.summarize_by_config(tally)
+    print(sweep.render_report(tally, summaries))
     if args.out is not None:
         _write_summary_json(summaries, _out_dir(args))
     return 0

@@ -247,9 +247,9 @@ def detect_modes(
 def _interval_ticks(
     batch: RecordBatch, interval: tuple[str, str], rows: np.ndarray | slice = slice(None)
 ) -> tuple[np.ndarray, int]:
-    """Sorted interval durations in ticks over the `rows` (a boolean mask)
-    with both probes, and the count of those without them.  Only the two
-    probe columns are read."""
+    """Interval durations in ticks over the `rows` (a boolean mask) with
+    both probes, in row order, and the count of those without them.  Only
+    the two probe columns are read."""
     start, end = interval
     if start not in PROBES or end not in PROBES:
         raise ValueError(f"unknown probe pair {interval!r}")
@@ -259,7 +259,6 @@ def _interval_ticks(
     present = (a >= 0) & (b >= 0)
     ticks = b[present]
     ticks -= a[present]
-    ticks.sort()
     return ticks, len(a) - int(np.count_nonzero(present))
 
 
@@ -292,7 +291,7 @@ def summarize(
     """
     if isinstance(samples, RecordBatch):
         return _summary(*_interval_ticks(samples, interval), TICKS_PER_US, bin_width_us, mode_spacing_us)
-    return _summary(np.sort(np.asarray(samples, dtype=float)), 0, 1.0, bin_width_us, mode_spacing_us)
+    return _summary(np.array(samples, dtype=float), 0, 1.0, bin_width_us, mode_spacing_us)
 
 
 def _summary(
@@ -302,9 +301,11 @@ def _summary(
     bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
     mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
 ) -> SummaryStats:
-    """Statistics of sorted `values`, which are `scale` per microsecond."""
+    """Statistics of `values`, which are `scale` per microsecond; sorts
+    them in place."""
     if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
+    values.sort()
     counts, edges = _histogram(values / scale, bin_width_us)
     return SummaryStats(
         n=int(values.size),
@@ -343,25 +344,6 @@ def _percentile_99(values: np.ndarray):
     a, b = values[below], values[above]
     d = b - a
     return b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma
-
-
-def accounting_by_config(batch: RecordBatch) -> dict[str, AccountingRow]:
-    """Sent/received/unique/valid accounting of each config's rows, keyed by
-    name in side-table order: counts over `config_index`, so no column is
-    copied."""
-    n_configs = len(batch.names)
-    groups = batch.config_index
-    outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_configs * len(OUTCOMES))
-    outcomes = outcomes.reshape(n_configs, len(OUTCOMES)).tolist()
-    sent = np.bincount(groups, minlength=n_configs).tolist()
-    # the weights are small counts, so their float sums are exact
-    duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_configs).tolist()
-    accounting = {}
-    for name, n, counts, dups in zip(batch.names, sent, outcomes, duplicates):
-        unique = n - counts[LOST]
-        valid = unique - counts[DELIVERED_CORRUPTED]
-        accounting[name] = AccountingRow(sent=n, received=unique + int(dups), unique=unique, valid=valid)
-    return accounting
 
 
 def _config_order(batch: RecordBatch) -> list[int]:
@@ -700,13 +682,44 @@ _COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates
 _PARSED_COLUMNS = ("config_index", "seed_index", *_COUNT_COLUMNS, "delivered_copy", "outcome")
 
 
-def _resize(columns: dict[str, np.ndarray], n: int) -> None:
-    """Give every column n rows, in place; the rows kept keep their values."""
-    for column in columns.values():
-        column.resize((n, *column.shape[1:]), refcheck=False)
+class _Columns:
+    """The batches `parse_results_csv` reads, collected into one: their rows
+    in int64 columns (128 bytes a row) over the side tables of the last.
+    The columns grow to the row count that `predict` gives for the rows
+    added so far, 1/16 spare, and are trimmed to the rows added."""
+
+    def __init__(self, predict):
+        self.predict = predict
+        self.rows = 0
+        self.tables: dict[str, tuple] = {"names": (), "hashes": (), "seeds": ()}
+        self.columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
+        self.columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def _resize(self, n: int) -> None:
+        """Give every column n rows, in place; the rows kept keep their values."""
+        for column in self.columns.values():
+            column.resize((n, *column.shape[1:]), refcheck=False)
+
+    def add(self, batch: RecordBatch) -> None:
+        part = slice(self.rows, self.rows + len(batch))
+        self.rows = part.stop
+        if self.rows > len(self.columns["attempt"]):
+            # ndarray.resize reallocates, so no part is copied twice
+            predicted = self.predict(self.rows)
+            self._resize(max(self.rows, predicted + predicted // 16))
+        for column, values in self.columns.items():
+            values[part] = getattr(batch, column)
+        self.tables = {table: getattr(batch, table) for table in self.tables}
+
+    def batch(self) -> RecordBatch:
+        self._resize(self.rows)
+        return RecordBatch(**self.tables, **self.columns)
 
 
-def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
+def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -> RecordBatch | ConfigTally:
     """Records of a results CSV written with this format and RNG scheme.
 
     `source` is the text or a binary file open for reading, whose bytes must
@@ -714,18 +727,24 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
     of the text, and a "\\r" just before its end is dropped, so "\\r\\n"
     ends a line too; every other byte, another "\\r" among them, is a cell's.
     It is read _BLOCK_BYTES bytes at a time, and the rows of each block of
-    whole lines are decoded together, from bytes.  Beyond the int64 columns
-    (128 bytes a row) it holds about one block and its cells at once.  The
-    columns are allocated for the row count that the source's size and the
-    rows read so far predict, and trimmed to the rows read.
+    whole lines are decoded together, from bytes, into a RecordBatch over
+    the side tables read so far, so a name or seed keeps its index from
+    block to block.  Each block's batch goes to `into.add`, and `into` is
+    returned; `into` may be any object with `add(batch)`, and `len()` of a
+    ConfigTally is the rows added.  Without `into` the batches are
+    collected into one RecordBatch, which is returned: its int64 columns
+    (128 bytes a row) are allocated for the row count that the source's
+    size and the density so far predict, and trimmed to the rows read.
+    Beyond what `into` or the columns keep, it holds about one block and
+    its cells at once.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
     which keeps the hash of an empty name or a name with spaces.  Config
     names, seeds and outcomes are decoded and converted once per distinct
     cell and the numeric cells a column at a time.  The first malformed row
-    raises SchemaError with its line number; a probe must be a time on the
-    0.1 us grid.
+    raises SchemaError with its line number before its block is added; a
+    probe must be a time on the 0.1 us grid.
     """
     comments, header, lines = _header(_lines(source))
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
@@ -751,79 +770,131 @@ def parse_results_csv(source: str | BinaryIO) -> RecordBatch:
     name_codes: dict[bytes, int] = {}
     seed_codes: dict[bytes, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
-    columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
-    columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
-    size, n, nbytes = _size(source), 0, 0
+    size, nbytes = _size(source), 0
+    # the rows the size predicts at the density of the bytes read so far
+    sink = into if into is not None else _Columns(lambda rows: rows * size // nbytes)
     for chunk in starmap(_Rows, lines):
-        part = slice(n, n + len(chunk))
-        n, nbytes = part.stop, nbytes + len(chunk.buf)
-        if n > len(columns["attempt"]):
-            # room for the rows the size predicts at the density so far, 1/16
-            # spare; ndarray.resize reallocates, so no part is copied twice
-            predicted = n * size // nbytes
-            _resize(columns, max(n, predicted + predicted // 16))
-        for column, values in zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])):
-            columns[column][part] = values
-        columns["config_index"][part] = chunk.codes(
+        nbytes += len(chunk.buf)
+        columns = dict(zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])))
+        columns["config_index"] = chunk.codes(
             0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))
         )
-        columns["seed_index"][part] = chunk.codes(
+        columns["seed_index"] = chunk.codes(
             3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds))
         )
-        columns["probes"][part] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
-        columns["delivered_copy"][part] = chunk.numbers([12], empty_ok=True)[0]
-        columns["outcome"][part] = chunk.codes(13, outcome_codes, _unknown_outcome)
+        columns["probes"] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
+        columns["delivered_copy"] = chunk.numbers([12], empty_ok=True)[0]
+        columns["outcome"] = chunk.codes(13, outcome_codes, _unknown_outcome)
         if chunk.fault:
             raise SchemaError("line {}: {}".format(*chunk.fault))
-        del chunk  # free it before the next one is built
-    _resize(columns, n)
-    return RecordBatch(
-        names=tuple(names),
-        hashes=tuple(hashes.get(name, "") for name in names),
-        seeds=tuple(seeds),
-        **columns,
-    )
+        names_so_far = tuple(names)
+        hashes_so_far = tuple(hashes.get(name, "") for name in names_so_far)
+        sink.add(RecordBatch(names=names_so_far, hashes=hashes_so_far, seeds=tuple(seeds), **columns))
+        del chunk, columns  # free them before the next block is read
+    return sink if into is not None else sink.batch()
 
 
-def read_results(path) -> RecordBatch:
-    """`parse_results_csv` of the file at `path`, opened in binary and read in blocks."""
+def read_results(path, into: ConfigTally | None = None) -> RecordBatch | ConfigTally:
+    """`parse_results_csv` of the file at `path`, opened in binary and read
+    in blocks, into `into`."""
     with open(path, "rb") as fh:
-        return parse_results_csv(fh)
+        return parse_results_csv(fh, into)
 
 
 REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 
 
-def summarize_by_config(
-    batch: RecordBatch,
-    intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS,
-) -> dict[str, dict[str, SummaryStats]]:
-    """`summarize` of each interval over each config's rows, configs in order
-    of first appearance; an interval no row of a config has is left out.  A
-    config's rows are a mask, so no column is copied.  An interval wider
-    than MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
+class ConfigTally:
+    """What the summaries of record batches need, tallied one batch at a
+    time, so that a results file is summarized as it is read: per config
+    and interval the durations in ticks of the rows with both probes (8
+    bytes each) and the count of the rows without, and per config the
+    outcome and duplicate counts.  Each batch's side tables extend the last
+    one's, as the blocks `parse_results_csv` reads do; `len()` is the rows
+    added.  `summarize_by_config` and `accounting_by_config` finish it."""
+
+    def __init__(self, intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS):
+        self.intervals = tuple(intervals)
+        self.rows = 0
+        self.names: tuple[str, ...] = ()
+        self.order: list[int] = []  # config indices in order of first appearance
+        self.ticks: list[list[list[np.ndarray]]] = []  # [config][interval]: the parts of its durations
+        self.lost = np.zeros((0, len(self.intervals)), dtype=np.int64)
+        self.outcomes = np.zeros((0, len(OUTCOMES)), dtype=np.int64)
+        self.duplicates = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def add(self, batch: RecordBatch) -> None:
+        if batch.names[: len(self.names)] != self.names:
+            raise ValueError(f"config names {batch.names!r} do not extend the tally's {self.names!r}")
+        n_configs, new = len(batch.names), len(batch.names) - len(self.names)
+        self.names = batch.names
+        self.ticks += [[[] for _ in self.intervals] for _ in range(new)]
+        self.lost, self.outcomes, self.duplicates = (
+            np.concatenate((counts, np.zeros((new, *counts.shape[1:]), dtype=np.int64)))
+            for counts in (self.lost, self.outcomes, self.duplicates)
+        )
+        self.rows += len(batch)
+
+        groups = batch.config_index
+        outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_configs * len(OUTCOMES))
+        self.outcomes += outcomes.reshape(n_configs, len(OUTCOMES))
+        # the weights are small counts, so their float sums are exact
+        duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_configs)
+        self.duplicates += duplicates.astype(np.int64)
+        present = _config_order(batch)
+        self.order += [index for index in present if index not in self.order]
+        for index in present:
+            rows = groups == index
+            for k, interval in enumerate(self.intervals):
+                ticks, lost = _interval_ticks(batch, interval, rows)
+                self.ticks[index][k].append(ticks)
+                self.lost[index, k] += lost
+
+
+def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]]:
+    """`summarize` of each of the tally's intervals over each config's rows,
+    configs in order of first appearance; an interval no row of a config
+    has is left out.  A config's durations are joined and sorted only here,
+    after the last batch, and kept joined.  An interval wider than
+    MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
     out: dict[str, dict[str, SummaryStats]] = {}
-    for index in _config_order(batch):
-        rows = batch.config_index == index
-        out[batch.names[index]] = stats = {}
-        for interval in intervals:
+    for index in tally.order:
+        out[tally.names[index]] = stats = {}
+        for k, interval in enumerate(tally.intervals):
+            parts = tally.ticks[index][k]
+            parts[:] = [np.concatenate(parts)]
             try:
-                stats[interval[0] + interval[1]] = _summary(*_interval_ticks(batch, interval, rows), TICKS_PER_US)
+                stats[interval[0] + interval[1]] = _summary(parts[0], int(tally.lost[index, k]), TICKS_PER_US)
             except EmptyInputError:
                 continue
             except DomainError as exc:
-                raise DomainError(f"config {batch.names[index]!r}, interval {'-'.join(interval)}: {exc}") from None
+                raise DomainError(f"config {tally.names[index]!r}, interval {'-'.join(interval)}: {exc}") from None
     return out
 
 
-def render_report(batch: RecordBatch, summaries: Mapping[str, Mapping[str, SummaryStats]]) -> str:
+def accounting_by_config(tally: ConfigTally) -> dict[str, AccountingRow]:
+    """Sent/received/unique/valid accounting of each config's rows, keyed by
+    name in side-table order."""
+    accounting = {}
+    for name, counts, dups in zip(tally.names, tally.outcomes.tolist(), tally.duplicates.tolist()):
+        sent = sum(counts)
+        unique = sent - counts[LOST]
+        valid = unique - counts[DELIVERED_CORRUPTED]
+        accounting[name] = AccountingRow(sent=sent, received=unique + dups, unique=unique, valid=valid)
+    return accounting
+
+
+def render_report(tally: ConfigTally, summaries: Mapping[str, Mapping[str, SummaryStats]]) -> str:
     """Human-readable summary: per-config interval statistics (as computed by
-    `summarize_by_config` over `batch`) plus packet accounting.  p99 is an
+    `summarize_by_config` of `tally`) plus packet accounting.  p99 is an
     extension beyond the mean/median/SD the reference protocol reports; lost
     attempts are excluded from latency statistics and shown as a separate
     count."""
     lines = []
-    accounting = accounting_by_config(batch)
+    accounting = accounting_by_config(tally)
     for name, intervals in summaries.items():
         acct = accounting[name]
         lines.append(f"config {name}")

@@ -151,11 +151,13 @@ class TestSuccessRate:
     def test_clean_run(self):
         from esbsim.config import ChannelModel
         from esbsim.link import run_attempt_series
-        from esbsim.sweep import accounting_by_config
+        from esbsim.sweep import ConfigTally, accounting_by_config
 
         pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
         records = run_attempt_series(olcfg_preset(), ChannelModel(), pipe, 100, seed=3, config_name="clean")
-        row = accounting_by_config(records)["clean"]
+        tally = ConfigTally()
+        tally.add(records)
+        row = accounting_by_config(tally)["clean"]
         assert row.valid / row.sent == 1.0
         assert row.lost == 0
 
@@ -282,7 +284,7 @@ class TestSimulationAgreesWithClosedForms:
     def test_simulated_crc_off_series_success_rate(self):
         from esbsim.config import ChannelModel
         from esbsim.link import run_attempt_series
-        from esbsim.sweep import accounting_by_config
+        from esbsim.sweep import ConfigTally, accounting_by_config
 
         pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
         records = run_attempt_series(
@@ -293,6 +295,8 @@ class TestSimulationAgreesWithClosedForms:
             seed=16,
             config_name="olcfg",
         )
-        row = accounting_by_config(records)["olcfg"]
+        tally = ConfigTally()
+        tally.add(records)
+        row = accounting_by_config(tally)["olcfg"]
         rate = row.valid / row.sent
         assert rate == pytest.approx(0.9587, abs=0.015)

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from typing import NamedTuple
 from unittest import mock
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esbsim import __version__, sweep
-from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
+from esbsim.analytics import DomainError, calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
 from esbsim.config import ChannelModel, CrcMode, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
@@ -25,6 +27,7 @@ from esbsim.sweep import (
     DEFAULT_MODE_SPACING_US,
     REPORT_INTERVALS,
     RESULTS_FORMAT,
+    ConfigTally,
     EmptyInputError,
     SchemaError,
     SummaryStats,
@@ -106,6 +109,14 @@ def join(batches) -> RecordBatch:
     """The rows of `batches` in order, over side tables in order of first
     appearance."""
     return batch_of([row for batch in batches for row in rows_of(batch)])
+
+
+def tallied(*batches: RecordBatch) -> ConfigTally:
+    """A tally of `batches`, added in order."""
+    tally = ConfigTally()
+    for batch in batches:
+        tally.add(batch)
+    return tally
 
 
 def written(batch: RecordBatch) -> str:
@@ -252,11 +263,10 @@ WIDE_NAMES = st.sampled_from(["名前", "ü,ß", "🎯 target", "é" * 5])
 
 
 @st.composite
-def record_lists(draw, max_size=20, names=NAMES, min_size=0):
+def record_lists(draw, max_size=20, names=NAMES, min_size=0, probe=st.none() | st.integers(0, 2**40)):
     """Records of up to four configs with arbitrary cells: any probe may be
     absent, seeds span 64 bits, so one file holds several."""
     hashes = draw(st.dictionaries(names, st.text("0123456789abcdef", max_size=12), min_size=1, max_size=4))
-    probe = st.none() | st.integers(0, 2**40)
     record = st.builds(
         Row,
         config_name=st.sampled_from(sorted(hashes)),
@@ -558,7 +568,7 @@ class TestAccounting:
             by_mode[mode.value] = run_attempt_series(
                 cfg, channel, quiet_pipeline, 750, seed=7, config_name=mode.value
             )
-        table = accounting_by_config(join(list(by_mode.values())))
+        table = accounting_by_config(tallied(join(list(by_mode.values()))))
         assert list(table) == ["16", "off"]
         for mode, row in table.items():
             series = by_mode[mode]
@@ -572,14 +582,14 @@ class TestAccounting:
         records = run_attempt_series(
             cfg, ChannelModel(p_loss=0.2655, p_corrupt=15 / 735), quiet_pipeline, 750, seed=7, config_name="16"
         )
-        row = accounting_by_config(records)["16"]
+        row = accounting_by_config(tallied(records))["16"]
         assert row.received == row.unique
         assert row.valid == row.unique
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists(max_size=40))
     def test_identities_hold_for_arbitrary_batches(self, records):
-        table = accounting_by_config(batch_of(records))
+        table = accounting_by_config(tallied(batch_of(records)))
         assert list(table) == list(dict.fromkeys(r.config_name for r in records))
         for name, row in table.items():
             rows = [r for r in records if r.config_name == name]
@@ -604,15 +614,25 @@ class TestAccounting:
         pipe = dataclasses.replace(quiet_pipeline, dedup_escape_prob=1.0)
         batch = run_attempt_series(cfg, ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt), pipe, 50, seed=seed)
         assert not batch.duplicates_delivered.any()
-        (row,) = accounting_by_config(batch).values()
+        (row,) = accounting_by_config(tallied(batch)).values()
         assert row.sent == row.unique + int((batch.outcome == LOST).sum())
         assert row.received == row.unique
+
+    def test_a_batch_whose_names_do_not_extend_the_tallys_is_refused(self, quiet_pipeline):
+        a = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=8, config_name="a")
+        b = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=8, config_name="b")
+        tally = tallied(a, join([a, b]))  # a block that adds a config
+        assert list(accounting_by_config(tally)) == ["a", "b"] and len(tally) == 9
+        with pytest.raises(ValueError, match="do not extend"):
+            tally.add(a)  # index 0 would mean another config
+        with pytest.raises(ValueError, match="do not extend"):
+            tallied(b, a)
 
     def test_no_corruption_means_valid_equals_unique(self, quiet_pipeline):
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 300, seed=8, config_name="off"
         )
-        row = accounting_by_config(records)["off"]
+        row = accounting_by_config(tallied(records))["off"]
         assert row.valid == row.unique
 
 
@@ -753,7 +773,8 @@ class TestPersistence:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(), quiet_pipeline, 20, seed=10, config_name="olcfg"
         )
-        text = render_report(records, summarize_by_config(records))
+        tally = tallied(records)
+        text = render_report(tally, summarize_by_config(tally))
         for label in ("d0-d7", "d2-d5", "d3-d4"):
             assert label in text
 
@@ -768,12 +789,13 @@ class TestPersistence:
         batch = run_sweep(plan, ChannelModel(p_loss=0.5, p_corrupt=0.1), pipe)
         assert set(batch.outcome.tolist()) == set(range(len(OUTCOMES)))
         # the same configs in the same order, with equal statistics
-        assert list(summarize_by_config(batch).items()) == list(oracle_summarize_by_config(rows_of(batch)).items())
+        expected = oracle_summarize_by_config(rows_of(batch))
+        assert list(summarize_by_config(tallied(batch)).items()) == list(expected.items())
         # a config whose every attempt is lost keeps its name and no intervals
         lost = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=1.0), pipeline, 5, seed=1, config_name="x"
         )
-        assert summarize_by_config(lost) == oracle_summarize_by_config(rows_of(lost)) == {"x": {}}
+        assert summarize_by_config(tallied(lost)) == oracle_summarize_by_config(rows_of(lost)) == {"x": {}}
 
     def test_summaries_are_pure_functions_of_the_records(
         self, small_plan, quiet_pipeline, tmp_path
@@ -781,8 +803,8 @@ class TestPersistence:
         records = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
         path = tmp_path / "results.csv"
         write_results(records, path)
-        direct = summarize_by_config(records)
-        reloaded = summarize_by_config(read_results(path))
+        direct = summarize_by_config(tallied(records))
+        reloaded = summarize_by_config(read_results(path, into=ConfigTally()))
         assert direct == reloaded
 
 
@@ -1000,9 +1022,18 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
     entries = []
     parse = sweep.parse_results_csv
 
-    def entered(source):
+    read = sweep.read_results
+    lengths = []  # the benchmark counts the rows parsed as len() of what the parser returns
+
+    def entered(source, *args, **kwargs):
         entries.append((source, source.mode, source.closed, source.tell()))
-        return parse(source)
+        parsed = parse(source, *args, **kwargs)
+        lengths.append(len(parsed))
+        return parsed
+
+    def read_entered(*args, **kwargs):
+        entries.append("read_results")
+        return read(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "parse_results_csv", entered)
     assert read_results(path) == batch
@@ -1010,6 +1041,18 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
     assert isinstance(source, io.BufferedReader) and os.fspath(source.name) == os.fspath(path)
     assert (mode, closed, position) == ("rb", False, 0)
     assert source.closed  # read_results opened it, so read_results closed it
+    # the report command enters both through the module attributes, once each
+    entries.clear()
+    monkeypatch.setattr(sweep, "read_results", read_entered)
+    assert main(["report", "--file", str(path)]) == 0
+    assert [entry if isinstance(entry, str) else "parse_results_csv" for entry in entries] == [
+        "read_results",
+        "parse_results_csv",
+    ]
+    assert entries[1][1:] == ("rb", False, 0)
+    assert lengths == [len(batch), len(batch)]
+    # of a str, the parser returns the batch itself
+    assert isinstance(parse(written(batch)), RecordBatch) and parse(written(batch)) == batch
 
 
 def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_path, monkeypatch):
@@ -1028,6 +1071,110 @@ def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_pat
     assert listed == []
     assert (plan.attempts_per_round, len(plan.configs)) == (5, 1)
     assert read_results(tmp_path / "results.csv") == run(plan, channel, pipeline)
+
+
+# --- reporting block by block ----------------------------------------------------
+
+
+def _streamed_report(path, block: int, out_dir) -> tuple:
+    """Exit code, stdout, stderr and summary.json (None if none) of
+    `esbsim report` over `path` read `block` bytes at a time."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(sweep, "_BLOCK_BYTES", block), redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["report", "--file", str(path), "--out", str(out_dir)])
+    summary = out_dir / "summary.json"
+    return code, stdout.getvalue(), stderr.getvalue(), json.loads(summary.read_text()) if summary.exists() else None
+
+
+def _whole_report(batch: RecordBatch) -> tuple:
+    """What `_streamed_report` gives for the file of `batch`, from the
+    summaries and the report of the whole batch added at once."""
+    tally = tallied(batch)
+    try:
+        summaries = summarize_by_config(tally)
+    except DomainError as exc:
+        return 1, "", f"esbsim: error: {exc}\n", None
+    payload = {name: {key: vars(stats) for key, stats in stats.items()} for name, stats in summaries.items()}
+    return 0, render_report(tally, summaries) + "\n", "", json.loads(json.dumps(payload))
+
+
+# probes in a span of a few thousand histogram bins, and now and then one
+# that makes an interval too wide to summarize
+REPORT_PROBES = st.none() | st.integers(0, 60_000) | st.just(2**40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=record_lists(max_size=40, names=NAMES | WIDE_NAMES, probe=REPORT_PROBES), block=st.integers(64, 4096))
+def test_reporting_block_by_block_equals_reporting_the_whole_batch(tmp_path_factory, records, block):
+    batch = batch_of(records)
+    directory = tmp_path_factory.mktemp("report")
+    write_results(batch, directory / "results.csv")
+    assert _streamed_report(directory / "results.csv", block, directory) == _whole_report(batch)
+
+
+def _row(name, attempt, probes, outcome=Outcome.DELIVERED):
+    lost = outcome is Outcome.LOST
+    return Row(name, "abc", 0, attempt, 1, probes, None if lost else 0, outcome, 0, 0)
+
+
+DELIVERED_PROBES = (0, 100, 200, 300, 4000, 4100, 4200, 4300)
+LOST_PROBES = (0, 100, 200, 300, None, None, None, None)
+
+
+def test_blocks_with_no_data_row_are_reported_as_nothing(tmp_path):
+    batch = batch_of([_row("a", k, DELIVERED_PROBES) for k in range(3)])
+    lines = written(batch).split("\n")
+    header = lines.index(",".join(CSV_COLUMNS))
+    # blocks of blank lines before the first row, when no config is known yet
+    spaced = "\n".join(lines[: header + 1] + [""] * 200 + lines[header + 1 :])
+    (tmp_path / "results.csv").write_text(spaced)
+    assert _streamed_report(tmp_path / "results.csv", 64, tmp_path) == _whole_report(batch)
+    # a file of no rows: every block, the final one too, is empty
+    empty = join([])
+    write_results(empty, tmp_path / "results.csv")
+    assert _streamed_report(tmp_path / "results.csv", 64, tmp_path) == (0, "\n", "", {})
+
+
+def test_a_config_first_seen_in_a_later_block_keeps_its_place(tmp_path):
+    records = [_row("early", k, DELIVERED_PROBES) for k in range(20)]
+    records += [_row("late", k, LOST_PROBES if k % 3 else DELIVERED_PROBES) for k in range(20)]
+    records += [_row("early", k, LOST_PROBES) for k in range(20, 25)]
+    batch = batch_of(records)
+    write_results(batch, tmp_path / "results.csv")
+    first_late = written(batch).index("\nlate,")
+    assert first_late > 256  # past the first block
+    code, stdout, _, summary = _streamed_report(tmp_path / "results.csv", 256, tmp_path)
+    assert (code, stdout, "", summary) == _whole_report(batch)
+    assert list(summary) == ["early", "late"]
+    assert summary["early"]["d0d7"]["n_lost"] == 5 and summary["late"]["d0d7"]["n_lost"] == 13
+
+
+def test_a_config_whose_every_row_is_lost_has_no_interval(tmp_path):
+    records = [_row("gone", k, LOST_PROBES, Outcome.LOST) for k in range(30)]
+    records += [_row("kept", k, DELIVERED_PROBES if k % 2 else LOST_PROBES, Outcome.LOST) for k in range(30)]
+    batch = batch_of(records)
+    write_results(batch, tmp_path / "results.csv")
+    code, stdout, _, summary = _streamed_report(tmp_path / "results.csv", 128, tmp_path)
+    assert (code, stdout, "", summary) == _whole_report(batch)
+    assert summary["gone"] == {}
+    assert "config gone\n  sent 30  received 0  unique 0  valid 0  lost 30\n" in stdout
+    assert [summary["kept"][key]["n_lost"] for key in ("d0d7", "d2d5", "d3d4")] == [15] * 3
+
+
+def test_a_too_wide_interval_in_a_late_block_names_its_config_and_a_later_schema_error_wins(tmp_path):
+    records = [_row("c", k, DELIVERED_PROBES) for k in range(30)]
+    records.append(_row("c", 30, DELIVERED_PROBES[:7] + (10**15,)))
+    batch = batch_of(records)
+    path = tmp_path / "results.csv"
+    write_results(batch, path)
+    code, stdout, stderr, summary = _streamed_report(path, 128, tmp_path)
+    assert (code, stdout, stderr, summary) == _whole_report(batch)
+    assert stderr.startswith("esbsim: error: config 'c', interval d0-d7: latencies from ")
+    text = path.read_text()
+    path.write_text(text + "c,0\n")
+    code, stdout, stderr, _ = _streamed_report(path, 128, tmp_path)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"esbsim: error: line {text.count(chr(10)) + 1}: row with 2 fields, expected 16\n"
 
 
 # --- writing ----------------------------------------------------------------------
@@ -1128,9 +1275,22 @@ def test_reading_results_takes_the_columns_and_one_chunk(large_results):
 def test_summaries_copy_no_column(large_results):
     _, path, column_bytes = large_results
     batch = read_results(path)
-    report, peak = _traced_peak(lambda: render_report(batch, summarize_by_config(batch)))
-    assert "config olcfg" in report
+
+    def report():
+        tally = tallied(batch)
+        return render_report(tally, summarize_by_config(tally))
+
+    text, peak = _traced_peak(report)
+    assert "config olcfg" in text
     assert peak <= 0.5 * column_bytes
+
+
+def test_the_report_takes_its_durations_and_one_block(large_results, capsys):
+    _, path, column_bytes = large_results
+    code, peak = _traced_peak(lambda: main(["report", "--file", str(path)]))
+    assert code == 0 and "config olcfg" in capsys.readouterr().out
+    # 24 bytes a delivered row and one block in flight; the columns alone take four times the first term
+    assert peak <= 0.25 * column_bytes + 6 * 2**20
 
 
 def test_writing_results_takes_one_chunk_beyond_the_columns(large_results, tmp_path):
