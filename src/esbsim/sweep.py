@@ -139,7 +139,9 @@ def run_sweep(
 
     Each (config, round) series is a `run_series` call, whose draws are
     addressed by the plan seed and its own indices, so the output is
-    identical for any worker count and any execution order.  The columns
+    identical for any worker count and any execution order.  At most
+    `workers` processes run the series, and no more than there are series
+    or CPUs; one runs them in this process.  The columns
     are allocated once and each series is copied into its (config, round)
     slot as it arrives, so the rows come back sorted by (config, round,
     attempt) and only one series is alive beside them.  The side tables
@@ -170,6 +172,8 @@ def run_sweep(
             columns["seed_index"][part] = 0
 
     run = partial(run_series, plan, channel, pipeline, n=n)
+    # a process per series and CPU at most: the pool starts every one at once
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
 
@@ -439,7 +443,7 @@ def _write_csv(batch: RecordBatch, fh: io.BufferedIOBase) -> None:
 
 def write_results(batch: RecordBatch, path) -> None:
     """Write `batch` to `path` as a results CSV with provenance header
-    comments; `read_results` gives the batch back.
+    comments; `read_results` reads its rows back.
 
     The file appears whole or not at all: it is written to a temporary file
     beside `path`, which replaces `path` once complete and is removed on
@@ -668,59 +672,13 @@ def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
     return comments, None, iter(())
 
 
-def _size(source: str | BinaryIO) -> int:
-    """Characters in a str, bytes in a file; 0 when unknown."""
-    if isinstance(source, str):
-        return len(source)
-    try:
-        return os.fstat(source.fileno()).st_size
-    except (AttributeError, OSError):
-        return 0
-
-
 _COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates_delivered")
 _PARSED_COLUMNS = ("config_index", "seed_index", *_COUNT_COLUMNS, "delivered_copy", "outcome")
 
 
-class _Columns:
-    """The batches `parse_results_csv` reads, collected into one: their rows
-    in int64 columns (128 bytes a row) over the side tables of the last.
-    The columns grow to the row count that `predict` gives for the rows
-    added so far, 1/16 spare, and are trimmed to the rows added."""
-
-    def __init__(self, predict):
-        self.predict = predict
-        self.rows = 0
-        self.tables: dict[str, tuple] = {"names": (), "hashes": (), "seeds": ()}
-        self.columns = {column: np.empty(0, dtype=np.int64) for column in _PARSED_COLUMNS}
-        self.columns["probes"] = np.empty((0, len(PROBES)), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def _resize(self, n: int) -> None:
-        """Give every column n rows, in place; the rows kept keep their values."""
-        for column in self.columns.values():
-            column.resize((n, *column.shape[1:]), refcheck=False)
-
-    def add(self, batch: RecordBatch) -> None:
-        part = slice(self.rows, self.rows + len(batch))
-        self.rows = part.stop
-        if self.rows > len(self.columns["attempt"]):
-            # ndarray.resize reallocates, so no part is copied twice
-            predicted = self.predict(self.rows)
-            self._resize(max(self.rows, predicted + predicted // 16))
-        for column, values in self.columns.items():
-            values[part] = getattr(batch, column)
-        self.tables = {table: getattr(batch, table) for table in self.tables}
-
-    def batch(self) -> RecordBatch:
-        self._resize(self.rows)
-        return RecordBatch(**self.tables, **self.columns)
-
-
-def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -> RecordBatch | ConfigTally:
-    """Records of a results CSV written with this format and RNG scheme.
+def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -> ConfigTally:
+    """The records of a results CSV written with this format and RNG scheme,
+    added to `into` a block at a time.
 
     `source` is the text or a binary file open for reading, whose bytes must
     be UTF-8.  A line ends at "\\n", which the writer writes, or at the end
@@ -730,13 +688,10 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
     whole lines are decoded together, from bytes, into a RecordBatch over
     the side tables read so far, so a name or seed keeps its index from
     block to block.  Each block's batch goes to `into.add`, and `into` is
-    returned; `into` may be any object with `add(batch)`, and `len()` of a
-    ConfigTally is the rows added.  Without `into` the batches are
-    collected into one RecordBatch, which is returned: its int64 columns
-    (128 bytes a row) are allocated for the row count that the source's
-    size and the density so far predict, and trimmed to the rows read.
-    Beyond what `into` or the columns keep, it holds about one block and
-    its cells at once.
+    returned; `into` may be any object with `add(batch)`.  Beyond what
+    `into` keeps, it holds about one block and its cells at once.  Without
+    `into` it is a new ConfigTally, whose `len()` is the rows added:
+    `bench/check.py` counts the rows of a `str` that way.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
@@ -770,11 +725,8 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
     name_codes: dict[bytes, int] = {}
     seed_codes: dict[bytes, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
-    size, nbytes = _size(source), 0
-    # the rows the size predicts at the density of the bytes read so far
-    sink = into if into is not None else _Columns(lambda rows: rows * size // nbytes)
+    into = ConfigTally() if into is None else into
     for chunk in starmap(_Rows, lines):
-        nbytes += len(chunk.buf)
         columns = dict(zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])))
         columns["config_index"] = chunk.codes(
             0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))
@@ -789,12 +741,12 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
             raise SchemaError("line {}: {}".format(*chunk.fault))
         names_so_far = tuple(names)
         hashes_so_far = tuple(hashes.get(name, "") for name in names_so_far)
-        sink.add(RecordBatch(names=names_so_far, hashes=hashes_so_far, seeds=tuple(seeds), **columns))
+        into.add(RecordBatch(names=names_so_far, hashes=hashes_so_far, seeds=tuple(seeds), **columns))
         del chunk, columns  # free them before the next block is read
-    return sink if into is not None else sink.batch()
+    return into
 
 
-def read_results(path, into: ConfigTally | None = None) -> RecordBatch | ConfigTally:
+def read_results(path, into: ConfigTally) -> ConfigTally:
     """`parse_results_csv` of the file at `path`, opened in binary and read
     in blocks, into `into`."""
     with open(path, "rb") as fh:

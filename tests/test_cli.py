@@ -18,6 +18,8 @@ from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
 from esbsim.sweep import read_results, summarize
 
+from conftest import Collected
+
 EXPERIMENT = """\
 [sweep]
 seed=42
@@ -338,7 +340,7 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     exp.write_text(EXPERIMENT + MORE_CONFIGS)  # shuffled, 2 rounds of 20 attempts
     n = 13
     assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "sweep")]) == 0
-    swept = read_results(tmp_path / "sweep" / "results.csv")
+    swept = read_results(tmp_path / "sweep" / "results.csv", Collected()).batch()
     picked = (swept.config_index == swept.names.index(config)) & (swept.round_index == 0) & (swept.attempt < n)
     columns = [f.name for f in dataclasses.fields(swept)[3:]]  # the fields after the side tables
     series = dataclasses.replace(swept, **{column: getattr(swept, column)[picked] for column in columns})
@@ -346,7 +348,7 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
 
     assert main(["simulate", "--file", str(exp), "--config", config, "--attempts", str(n),
                  "--out", str(tmp_path / "sim")]) == 0
-    assert read_results(tmp_path / "sim" / "results.csv") == series
+    assert read_results(tmp_path / "sim" / "results.csv", Collected()).batch() == series
 
     compared = []
     render = ble.render_comparison

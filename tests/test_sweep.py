@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -43,6 +44,8 @@ from esbsim.sweep import (
     summarize_by_config,
     write_results,
 )
+
+from conftest import Collected
 
 
 # --- row-wise oracles ------------------------------------------------------------
@@ -117,6 +120,16 @@ def tallied(*batches: RecordBatch) -> ConfigTally:
     for batch in batches:
         tally.add(batch)
     return tally
+
+
+def parse_batch(source) -> RecordBatch:
+    """The records `parse_results_csv` reads from `source`, in one batch."""
+    return parse_results_csv(source, Collected()).batch()
+
+
+def read_batch(path) -> RecordBatch:
+    """The records `read_results` reads from the file at `path`, in one batch."""
+    return read_results(path, Collected()).batch()
 
 
 def written(batch: RecordBatch) -> str:
@@ -387,6 +400,33 @@ class TestRunSweep:
         parallel = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=4)
         assert serial == parallel
 
+    def test_the_workers_are_no_more_than_the_series_and_the_cpus(self, small_plan, quiet_pipeline, monkeypatch):
+        asked = []
+
+        class Pool:  # runs the series in this process, so no process starts
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        two_series = dataclasses.replace(small_plan, configs=small_plan.configs[:1], rounds=2)
+        channel = ChannelModel(p_loss=0.2)
+        # six series on three CPUs, two series on 64, and one CPU or an unknown count runs in this process
+        cases = ((small_plan, 3, [3]), (two_series, 64, [2]), (two_series, 1, []), (two_series, None, []))
+        for plan, cpus, pool in cases:
+            serial = run_sweep(plan, channel, quiet_pipeline, workers=1)
+            asked.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_sweep(plan, channel, quiet_pipeline, workers=10**6) == serial
+            assert asked == pool
+
     @settings(max_examples=30, deadline=None)
     @given(
         n_configs=st.integers(1, 3),
@@ -641,7 +681,7 @@ class TestPersistence:
         records = run_sweep(small_plan, ChannelModel(p_loss=0.2, p_corrupt=0.05), quiet_pipeline)
         path = tmp_path / "results.csv"
         write_results(records, path)
-        assert read_results(path) == records
+        assert read_batch(path) == records
 
     def test_header_only_for_empty_record_set(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -650,7 +690,7 @@ class TestPersistence:
         text = path.read_text()
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(data_lines) == 1  # just the column header
-        assert read_results(path) == empty
+        assert read_batch(path) == empty
 
     def test_provenance_comments(self, quiet_pipeline, tmp_path):
         records = run_attempt_series(
@@ -670,7 +710,7 @@ class TestPersistence:
         )
         text = written(records)
         assert "# seed=3,9\n" in text
-        assert parse_results_csv(text) == records
+        assert parse_batch(text) == records
 
     @pytest.mark.parametrize("name", ["", "two words", "#hash-led", "comma,name", ' spaced " quote ', "odd hash=name"])
     def test_config_name_keeps_its_hash(self, quiet_pipeline, name):
@@ -679,7 +719,7 @@ class TestPersistence:
         )
         text = written(records)
         assert f"# config {name} hash={olcfg_preset().digest()}\n" in text
-        parsed = parse_results_csv(text)
+        parsed = parse_batch(text)
         assert parsed == records
         assert parsed.hashes == (olcfg_preset().digest(),)
 
@@ -716,7 +756,7 @@ class TestPersistence:
     @example(records=LOST_ROWS)
     def test_round_trip_of_arbitrary_records(self, records):
         batch = batch_of(records)
-        assert parse_results_csv(written(batch)) == batch
+        assert parse_batch(written(batch)) == batch
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists(names=NAMES | WIDE_NAMES), chunk=st.integers(1, 5))
@@ -734,7 +774,7 @@ class TestPersistence:
     @example(records=LOST_ROWS)
     def test_columnar_parse_matches_the_row_oracle(self, records):
         text = oracle_render(records)
-        assert rows_of(parse_results_csv(text)) == oracle_parse(text)
+        assert rows_of(parse_batch(text)) == oracle_parse(text)
 
     def test_renders_and_parses_across_chunks(self, quiet_pipeline):
         # more rows than one parse or render chunk, with lost rows between delivered ones
@@ -743,7 +783,7 @@ class TestPersistence:
         )
         text = written(batch)
         assert text == oracle_render(rows_of(batch))
-        assert parse_results_csv(text) == batch
+        assert parse_batch(text) == batch
 
     @pytest.mark.parametrize(
         "line, replacement",
@@ -870,7 +910,7 @@ def test_probe_cells_on_the_grid_parse_exactly(quiet_pipeline):
     cells = lines[row].split(",")
     cells[4:8] = ["12", "12.3", "007.5", "99999999999999.9"]
     lines[row] = ",".join(cells)
-    parsed = parse_results_csv("\n".join(lines))
+    parsed = parse_batch("\n".join(lines))
     assert parsed.probes[0, :4].tolist() == [120, 123, 75, 999999999999999]
 
 
@@ -879,7 +919,7 @@ def test_blank_lines_and_crlf_keep_rows_and_line_numbers(quiet_pipeline):
     text = "\n".join(lines) + "\n"
     header = lines.index(",".join(CSV_COLUMNS))
     spaced = lines[: header + 2] + ["", "   "] + lines[header + 2 :]
-    assert parse_results_csv("\r\n".join(spaced) + "\r\n\r\n") == parse_results_csv(text)
+    assert parse_batch("\r\n".join(spaced) + "\r\n\r\n") == parse_batch(text)
     spaced[header + 4] = spaced[header + 4].replace("delivered", "bogus", 1).replace("lost", "bogus", 1)
     with pytest.raises(SchemaError, match=f"^line {header + 5}: outcome 'bogus'"):
         parse_results_csv("\n".join(spaced))
@@ -935,9 +975,10 @@ def results_texts(draw):
 
 
 def _parsed(parse):
-    """The side tables and rows `parse()` returns, or its SchemaError message."""
+    """The side tables and rows of the batches `parse()` adds to the
+    collector it returns, or its SchemaError message."""
     try:
-        batch = parse()
+        batch = parse().batch()
     except SchemaError as exc:
         return str(exc)
     return batch.names, batch.hashes, batch.seeds, batch
@@ -952,13 +993,13 @@ def test_reading_in_blocks_equals_reading_the_whole_text(tmp_path_factory, case,
     path = tmp_path_factory.mktemp("blocks") / "results.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(sweep, "_BLOCK_BYTES", len(text.encode()) + 1):
-        whole = _parsed(lambda: parse_results_csv(text))
+        whole = _parsed(lambda: parse_results_csv(text, Collected()))
     if not damaged:  # the side tables in order of first appearance, too
         expected = batch_of(records)
         assert whole == (expected.names, expected.hashes, expected.seeds, expected)
     with mock.patch.object(sweep, "_BLOCK_BYTES", block):
-        assert _parsed(lambda: parse_results_csv(text)) == whole
-        assert _parsed(lambda: read_results(path)) == whole
+        assert _parsed(lambda: parse_results_csv(text, Collected())) == whole
+        assert _parsed(lambda: read_results(path, Collected())) == whole
 
 
 def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tmp_path):
@@ -973,20 +1014,20 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
     path = tmp_path / "results.csv"
     for block in range(1, 65):
         with mock.patch.object(sweep, "_BLOCK_BYTES", block):
-            assert parse_results_csv(text) == batch
+            assert parse_batch(text) == batch
             for tail in ("", "\r\n"):  # a last line with and without its line end
                 with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
                     parse_results_csv(short.removesuffix(tail))
                 path.write_text(short.removesuffix(tail), encoding="utf-8", newline="")
                 with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
-                    read_results(path)
+                    read_results(path, Collected())
 
 
 @pytest.mark.parametrize("name", [f"a{brk}b" for brk in DROPPED_BREAKS[1:]])
 def test_a_config_name_with_another_line_break_round_trips(quiet_pipeline, tmp_path, name):
     batch = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=4, config_name=name)
     write_results(batch, tmp_path / "results.csv")
-    assert read_results(tmp_path / "results.csv") == batch
+    assert read_batch(tmp_path / "results.csv") == batch
 
 
 @pytest.mark.parametrize("brk", DROPPED_BREAKS)
@@ -1036,13 +1077,14 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
         return read(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "parse_results_csv", entered)
-    assert read_results(path) == batch
+    assert read_batch(path) == batch
     ((source, mode, closed, position),) = entries
     assert isinstance(source, io.BufferedReader) and os.fspath(source.name) == os.fspath(path)
     assert (mode, closed, position) == ("rb", False, 0)
     assert source.closed  # read_results opened it, so read_results closed it
     # the report command enters both through the module attributes, once each
     entries.clear()
+    lengths.clear()
     monkeypatch.setattr(sweep, "read_results", read_entered)
     assert main(["report", "--file", str(path)]) == 0
     assert [entry if isinstance(entry, str) else "parse_results_csv" for entry in entries] == [
@@ -1050,9 +1092,9 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
         "parse_results_csv",
     ]
     assert entries[1][1:] == ("rb", False, 0)
-    assert lengths == [len(batch), len(batch)]
-    # of a str, the parser returns the batch itself
-    assert isinstance(parse(written(batch)), RecordBatch) and parse(written(batch)) == batch
+    assert lengths == [len(batch)]
+    # of a str, len() of what the parser returns is the row count: all a benchmark's check reads of it
+    assert len(parse(written(batch))) == len(batch)
 
 
 def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_path, monkeypatch):
@@ -1070,7 +1112,7 @@ def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_pat
     (((plan, channel, pipeline), listed),) = entries
     assert listed == []
     assert (plan.attempts_per_round, len(plan.configs)) == (5, 1)
-    assert read_results(tmp_path / "results.csv") == run(plan, channel, pipeline)
+    assert read_batch(tmp_path / "results.csv") == run(plan, channel, pipeline)
 
 
 # --- reporting block by block ----------------------------------------------------
@@ -1264,25 +1306,31 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_reading_results_takes_the_columns_and_one_chunk(large_results):
-    _, path, column_bytes = large_results
-    batch, peak = _traced_peak(lambda: read_results(path))
-    assert len(batch) == 100_000
-    # at most 1/16 spare rows, plus one chunk of rows and one block of text in flight
-    assert peak <= 1.1 * column_bytes + 8 * 2**20
+class _RowCount:
+    """A sink that keeps no more of a batch than its row count."""
+
+    rows = 0
+
+    def add(self, batch: RecordBatch) -> None:
+        self.rows += len(batch)
+
+
+def test_reading_results_takes_a_few_blocks_whatever_the_file_size(large_results):
+    counted, peak = _traced_peak(lambda: read_results(large_results.path, _RowCount()))
+    assert counted.rows == 100_000
+    # a block of text, its offsets and its rows' columns at once: less than the file, or its columns
+    bound = 12 * sweep._BLOCK_BYTES
+    assert peak <= bound < min(large_results.path.stat().st_size, large_results.column_bytes)
 
 
 def test_summaries_copy_no_column(large_results):
-    _, path, column_bytes = large_results
-    batch = read_results(path)
-
     def report():
-        tally = tallied(batch)
+        tally = tallied(large_results.batch)
         return render_report(tally, summarize_by_config(tally))
 
     text, peak = _traced_peak(report)
     assert "config olcfg" in text
-    assert peak <= 0.5 * column_bytes
+    assert peak <= 0.5 * large_results.column_bytes
 
 
 def test_the_report_takes_its_durations_and_one_block(large_results, capsys):
