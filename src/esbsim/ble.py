@@ -2,49 +2,46 @@
 
 A command that misses the current connection event waits for the next one,
 so with no application-layer control of timing the wait is uniform over one
-interval (7.5 ms at the protocol minimum).  The model samples that wait plus
-a fixed transfer time; it deliberately ignores advertising, connection
-management, and frequency hopping.
+interval (7.5 ms at the protocol minimum).  The baseline is that wait plus a
+fixed transfer time, in closed form; it deliberately ignores advertising,
+connection management, and frequency hopping.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import Sequence
 
 from .config import BleConfig
-from .engine import PURPOSE_BLE_WAIT, block_uniforms
-from .sweep import SummaryStats, summarize
+from .sweep import SummaryStats
 
-BIN_WIDTH_US = 100.0  # coarser than the broadcast link's: the support spans a whole interval
-
-
-def sample_latencies(ble_config: BleConfig, n: int, seed: int) -> np.ndarray:
-    """Vector of n total latencies: one row of n draws, so the first m
-    samples of any longer vector at the same seed are the m-sample vector."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    waits = block_uniforms(seed, (), 0, PURPOSE_BLE_WAIT, 0, 1, n)[0] * ble_config.connection_interval_us
-    return waits + ble_config.transfer_time_us
+SAMPLE_PERIODS_US = (1000.0, 2000.0)  # of the 1000 Hz and 500 Hz biosignals the broadcast link is for
 
 
-def summarize_ble(values_us: np.ndarray) -> SummaryStats:
-    return summarize(values_us, bin_width_us=BIN_WIDTH_US, mode_spacing_us=float("inf"))
+def exact_summary(ble: BleConfig) -> tuple[float, float, float, float]:
+    """Mean, median, SD and p99 of the baseline latency in us."""
+    interval, transfer = ble.connection_interval_us, ble.transfer_time_us
+    return transfer + interval / 2, transfer + interval / 2, interval / math.sqrt(12), transfer + 0.99 * interval
 
 
-def render_comparison(esb: SummaryStats, ble: SummaryStats) -> str:
-    """The two summaries side by side, and the ratio of their means."""
-    rows = [
-        ("n", esb.n, ble.n),
-        ("mean [us]", esb.mean_us, ble.mean_us),
-        ("median [us]", esb.median_us, ble.median_us),
-        ("sd [us]", esb.sd_us, ble.sd_us),
-        ("p99 [us]", esb.p99_us, ble.p99_us),
-    ]
-    lines = [f"{'':<12} {'broadcast':>12} {'ble':>12}"]
-    for label, a, b in rows:
-        if label == "n":
-            lines.append(f"{label:<12} {a:>12d} {b:>12d}")
-        else:
-            lines.append(f"{label:<12} {a:>12.2f} {b:>12.2f}")
-    lines.append(f"mean ratio (ble / broadcast): {ble.mean_us / esb.mean_us:.2f}")
+def latency_cdf(ble: BleConfig, t_us: float) -> float:
+    """The share of baseline latencies of at most `t_us`."""
+    return min(max((t_us - ble.transfer_time_us) / ble.connection_interval_us, 0.0), 1.0)
+
+
+def render_comparison(esb: SummaryStats, within: Sequence[int], ble: BleConfig) -> str:
+    """The broadcast summary beside the baseline's, the ratio of their means,
+    and the share of latencies within each of SAMPLE_PERIODS_US: `within`
+    counts the broadcast's delivered attempts per period, a lost one misses."""
+    exact = exact_summary(ble)
+    labels = ("mean [us]", "median [us]", "sd [us]", "p99 [us]")
+    broadcast = (esb.mean_us, esb.median_us, esb.sd_us, esb.p99_us)
+    lines = [f"{'':<12} {'broadcast':>12} {'ble':>12}", f"{'n':<12} {esb.n:>12d} {'exact':>12}"]
+    lines += [f"{label:<12} {a:>12.2f} {b:>12.2f}" for label, a, b in zip(labels, broadcast, exact)]
+    lines.append(f"mean ratio (ble / broadcast): {exact[0] / esb.mean_us:.2f}")
+    for period, count in zip(SAMPLE_PERIODS_US, within):
+        lines.append(
+            f"within {period:.0f} us ({1e6 / period:.0f} Hz): broadcast {count / esb.n:.5f} of delivered, "
+            f"{count / (esb.n + esb.n_lost):.5f} of sent; ble {latency_cdf(ble, period):.5f}"
+        )
     return "\n".join(lines)

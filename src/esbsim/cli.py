@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare-ble", help="broadcast link vs connection-interval baseline")
     shared(p, "--file", "--seed", "--out", "--set", "--pipeline")
     p.add_argument("--config", help="config name to compare (default: first)")
-    p.add_argument("--samples", type=_positive, default=10000, help="samples per side (default 10000)")
+    p.add_argument("--samples", type=_positive, default=10000, help="broadcast attempts to run (default 10000)")
 
     p = sub.add_parser("report", help="recompute summaries from a results CSV")
     p.add_argument("--file", help="results CSV to summarize")
@@ -242,11 +242,10 @@ def _cmd_compare_ble(args) -> int:
     index = _config_index(exp, args.config)
     records = sweep.run_series(exp.plan, exp.channel, pipeline, index, 0, args.samples)
     esb_summary = sweep.summarize(records, ("d0", "d7"))
+    within = sweep.count_within(records, ("d0", "d7"), ble.SAMPLE_PERIODS_US)
     config = exp.plan.configs[index][1]
     ble_config = exp.ble or BleConfig(transfer_time_us=airtime.on_air_time_us(config))
-    # one baseline sample per *delivered* attempt keeps the two sides balanced
-    totals = ble.sample_latencies(ble_config, esb_summary.n, exp.plan.seed)
-    text = ble.render_comparison(esb_summary, ble.summarize_ble(totals))
+    text = ble.render_comparison(esb_summary, within, ble_config)
     out = _out_dir(args)
     (out / "compare.txt").write_text(text + "\n", encoding="utf-8")
     print(text)

@@ -250,7 +250,7 @@ def draw_series(
 
     Each purpose is one block-addressed draw (`engine.block_uniforms`), so a
     row depends only on its attempt index.  Jitter takes a fixed number of
-    uniforms per attempt: the uniform family scales 7 of them to the stage
+    uniforms per attempt: the uniform family stretches 7 of them to the stage
     SD, the normal family turns 8 into normals by Box-Muller and keeps 7.
     """
 

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .analytics import AccountingRow, DomainError
 from .config import ChannelModel, ConfigError, EsbConfig, validate
-from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, block_uniforms
+from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, block_uniforms, us_to_ticks
 from .link import (
     DELIVERED_CORRUPTED,
     LOST,
@@ -207,7 +207,7 @@ class SummaryStats:
 def detect_modes(
     hist_counts: Sequence[int],
     hist_edges: Sequence[float],
-    expected_spacing_us: float = DEFAULT_MODE_SPACING_US,
+    expected_spacing_us: float,
 ) -> tuple[float, ...]:
     """Locate well-separated peaks of a latency histogram, whose edges ascend.
 
@@ -266,73 +266,64 @@ def _interval_ticks(
     return ticks, len(a) - int(np.count_nonzero(present))
 
 
-def _histogram(values_us: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.floor(values_us[0] / bin_width_us) * bin_width_us
-    hi = np.ceil(values_us[-1] / bin_width_us) * bin_width_us
-    n_bins = max(1, int(round((hi - lo) / bin_width_us)))
+def _histogram(values_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    width = DEFAULT_HISTOGRAM_BIN_US
+    lo = np.floor(values_us[0] / width) * width
+    hi = np.ceil(values_us[-1] / width) * width
+    n_bins = max(1, int(round((hi - lo) / width)))
     if n_bins > MAX_HISTOGRAM_BINS:
         raise DomainError(
             f"latencies from {values_us[0]} to {values_us[-1]} us span more than "
-            f"{MAX_HISTOGRAM_BINS} histogram bins of {bin_width_us} us"
+            f"{MAX_HISTOGRAM_BINS} histogram bins of {width} us"
         )
-    return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * bin_width_us))
+    return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width))
 
 
-def summarize(
-    samples: RecordBatch | np.ndarray,
-    interval: tuple[str, str] = ("d0", "d7"),
-    bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
-    mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
-) -> SummaryStats:
-    """Latency statistics of a batch's probe `interval`, or of an array of
-    latencies in microseconds (`interval` is then unused).
+def summarize(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> SummaryStats:
+    """Latency statistics of a batch's probe `interval`.
 
-    A batch is summarized over delivered records only; lost attempts are
+    The batch is summarized over delivered records only; lost attempts are
     counted separately in `n_lost`.  Its statistics are computed in integer
     tick space and converted, so they are exact on the 0.1 us grid (a
     zero-jitter point mass reports its value bit-for-bit) and independent of
     record order.
     """
-    if isinstance(samples, RecordBatch):
-        return _summary(*_interval_ticks(samples, interval), TICKS_PER_US, bin_width_us, mode_spacing_us)
-    return _summary(np.array(samples, dtype=float), 0, 1.0, bin_width_us, mode_spacing_us)
+    return _summary(*_interval_ticks(batch, interval))
 
 
-def _summary(
-    values: np.ndarray,
-    n_lost: int,
-    scale: float,
-    bin_width_us: float = DEFAULT_HISTOGRAM_BIN_US,
-    mode_spacing_us: float = DEFAULT_MODE_SPACING_US,
-) -> SummaryStats:
-    """Statistics of `values`, which are `scale` per microsecond; sorts
-    them in place."""
-    if values.size == 0:
+def count_within(batch: RecordBatch, interval: tuple[str, str], limits_us: Sequence[float]) -> list[int]:
+    """Per limit, the count of the batch's records whose `interval` took at most that many us."""
+    ticks, _ = _interval_ticks(batch, interval)
+    return [int(np.count_nonzero(ticks <= us_to_ticks(limit))) for limit in limits_us]
+
+
+def _summary(ticks: np.ndarray, n_lost: int) -> SummaryStats:
+    """Statistics of interval durations in `ticks`; sorts them in place."""
+    if ticks.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
-    values.sort()
-    counts, edges = _histogram(values / scale, bin_width_us)
+    ticks.sort()
+    counts, edges = _histogram(ticks / TICKS_PER_US)
     return SummaryStats(
-        n=int(values.size),
+        n=int(ticks.size),
         n_lost=n_lost,
-        mean_us=float(values.mean() / scale),
-        median_us=float(_median(values) / scale),
-        sd_us=float(values.std() / scale),
-        p99_us=float(_percentile_99(values) / scale),
+        mean_us=float(ticks.mean() / TICKS_PER_US),
+        median_us=float(_median(ticks) / TICKS_PER_US),
+        sd_us=float(ticks.std() / TICKS_PER_US),
+        p99_us=float(_percentile_99(ticks) / TICKS_PER_US),
         hist_counts=tuple(counts.tolist()),
         hist_edges=tuple(edges.tolist()),
-        modes_us=detect_modes(counts, edges, mode_spacing_us),
+        modes_us=detect_modes(counts, edges, DEFAULT_MODE_SPACING_US),
     )
 
 
-def _median(values: np.ndarray) -> float:
-    """`np.median(values)` of sorted `values`, bit for bit: the mean of the
-    middle one or two as np.mean forms it, a float sum that starts from 0.0
-    (so -0.0 reads 0.0), over the count.  np.median itself would import
-    numpy.ma on float input."""
-    middle = values.size // 2
-    if values.size % 2:
-        return 0.0 + float(values[middle])
-    return (0.0 + float(values[middle - 1]) + float(values[middle])) / 2
+def _median(ticks: np.ndarray) -> float:
+    """`np.median(ticks)` of sorted int64 `ticks`, bit for bit: the mean of
+    the middle one or two as a float64.  np.median itself would import
+    numpy.ma."""
+    middle = ticks.size // 2
+    if ticks.size % 2:
+        return float(ticks[middle])
+    return (float(ticks[middle - 1]) + float(ticks[middle])) / 2
 
 
 def _percentile_99(values: np.ndarray):
@@ -819,7 +810,7 @@ def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]
             parts = tally.ticks[index][k]
             parts[:] = [np.concatenate(parts)]
             try:
-                stats[interval[0] + interval[1]] = _summary(parts[0], int(tally.lost[index, k]), TICKS_PER_US)
+                stats[interval[0] + interval[1]] = _summary(parts[0], int(tally.lost[index, k]))
             except EmptyInputError:
                 continue
             except DomainError as exc:

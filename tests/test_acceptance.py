@@ -20,7 +20,7 @@ from esbsim.analytics import (
     delivered_copy_distribution,
     olcfg_calibration_targets,
 )
-from esbsim.ble import sample_latencies, summarize_ble
+from esbsim.ble import exact_summary
 from esbsim.config import BleConfig, ChannelModel, CrcMode, olcfg_preset
 from esbsim.engine import PURPOSE_LOSS, block_uniforms
 from esbsim.link import run_attempt_series
@@ -203,22 +203,18 @@ def test_a6_ble_comparison(reference_run):
     t0 = time.perf_counter()
     transfer = airtime.on_air_time_us(olcfg_preset())
     ble_config = BleConfig(connection_interval_us=7500.0, transfer_time_us=transfer)
-    totals = sample_latencies(ble_config, 100_000, 606)
-    ble_big = summarize_ble(totals)
+    ble_mean, _, _, ble_p99 = exact_summary(ble_config)
     esb_stats = summarize(reference_run, ("d0", "d7"))
-    ble_matched = summarize_ble(
-        sample_latencies(ble_config, esb_stats.n, 607)
-    )
-    mean_ratio = ble_matched.mean_us / esb_stats.mean_us
+    mean_ratio = ble_mean / esb_stats.mean_us
     elapsed = time.perf_counter() - t0
     _criterion(
         "A6 BLE comparison",
         [
             (
-                f"mean {ble_big.mean_us:.0f}us in [3700, 3800] + transfer",
-                3700.0 + transfer <= ble_big.mean_us <= 3800.0 + transfer,
+                f"mean {ble_mean:.0f}us in [3700, 3800] + transfer",
+                3700.0 + transfer <= ble_mean <= 3800.0 + transfer,
             ),
-            (f"p99 {ble_big.p99_us:.0f}us > 7350", ble_big.p99_us > 7350.0),
+            (f"p99 {ble_p99:.0f}us > 7350", ble_p99 > 7350.0),
             (f"mean ratio {mean_ratio:.2f} > 7", mean_ratio > 7.0),
             (f"runtime {elapsed:.2f}s < 5s", elapsed < 5.0),
         ],

@@ -13,7 +13,7 @@ import esbsim
 from esbsim import airtime, ble, sweep
 from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
-from esbsim.config import olcfg_preset
+from esbsim.config import BleConfig, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
 from esbsim.sweep import read_results, summarize
@@ -235,6 +235,24 @@ def test_compare_ble_reports_the_ratio(exp_file, tmp_path, capsys):
     assert code == 0
     text = (out / "compare.txt").read_text()
     assert "mean ratio" in text
+    # lossless, the broadcast link delivers every attempt within a millisecond
+    transfer = airtime.on_air_time_us(parse_experiment_file(EXPERIMENT).plan.configs[0][1])
+    baseline = BleConfig(transfer_time_us=transfer)
+    assert text.splitlines()[-2:] == [
+        f"within {period:.0f} us ({1e6 / period:.0f} Hz): broadcast 1.00000 of delivered, 1.00000 of sent; "
+        f"ble {ble.latency_cdf(baseline, period):.5f}"
+        for period in (1000.0, 2000.0)
+    ]
+
+
+def test_compare_ble_takes_any_finite_connection_interval(exp_file, tmp_path):
+    # the baseline is closed-form: no histogram of it can outgrow its bins
+    out = tmp_path / "cmp"
+    overrides = ["--set", "ble.connection_interval_us=1e300", "--set", "ble.transfer_us=36.5"]
+    assert main(["compare-ble", "--file", str(exp_file), *overrides, "--samples", "5", "--out", str(out)]) == 0
+    lines = (out / "compare.txt").read_text().splitlines()
+    assert lines[2].startswith("mean [us]")
+    assert lines[2].split()[-1] == f"{36.5 + 1e300 / 2:.2f}"
 
 
 def test_interval_flag_limits_the_report(exp_file, tmp_path, capsys):
@@ -303,10 +321,6 @@ OUT_OF_RANGE = {
         "--set 'ble.connection_interval_us=inf': expected a finite number, got 'inf'",
     # nothing delivered to summarize
     ("compare-ble", "--set", "channel.p_loss=1.0"): "no delivered samples to summarize",
-    # a baseline too wide to histogram: the message names the span and the limit
-    ("compare-ble", "--set", "ble.connection_interval_us=1e300"):
-        "latencies from 3.72859211283938e+293 to 9.999969577633004e+299 us span more than 1000000 histogram bins "
-        "of 100.0 us",
     # the copy train outruns the attempt window
     ("simulate", "--set", "config.olcfg.retransmits=14"):
         "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)",
@@ -352,10 +366,13 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
 
     compared = []
     render = ble.render_comparison
-    monkeypatch.setattr(ble, "render_comparison", lambda esb, baseline: compared.append(esb) or render(esb, baseline))
+    monkeypatch.setattr(ble, "render_comparison", lambda *args: compared.append(args[:2]) or render(*args))
     assert main(["compare-ble", "--file", str(exp), "--config", config, "--samples", str(n),
                  "--out", str(tmp_path / "cmp")]) == 0
-    assert compared == [summarize(series, ("d0", "d7"))]
+    delivered = series.delivered_copy >= 0
+    d0d7 = series.probes[delivered, 7] - series.probes[delivered, 0]
+    within = [int((d0d7 <= 10 * limit).sum()) for limit in (1000, 2000)]
+    assert compared == [(summarize(series, ("d0", "d7")), within)]
 
 
 def _pipeline_file(tmp_path, key: str, value: str) -> str:
