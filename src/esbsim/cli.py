@@ -275,7 +275,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit codes: 0 success, 1 validation/usage error, 2 I/O error."""
+    """Exit codes: 0 success, 1 validation/usage error or out of memory, 2 I/O error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ConfigError, ParseError, SchemaError, analytics.DomainError, analytics.InfeasibleError) as exc:
         print(f"esbsim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"esbsim: error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"esbsim: i/o error: {exc}", file=sys.stderr)

@@ -106,7 +106,10 @@ class EsbConfig:
         """Short stable hash used for provenance in output files."""
         import hashlib  # loads OpenSSL, which commands that hash no config should not pay for
 
-        text = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        def spelled(value) -> str:  # an enum as Type.NAME, as Python 3.11 formats it; 3.10 gives its value
+            return f"{type(value).__name__}.{value.name}" if isinstance(value, Enum) else str(value)
+
+        text = ";".join(f"{f.name}={spelled(getattr(self, f.name))}" for f in fields(self))
         return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
 
 

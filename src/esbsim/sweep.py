@@ -12,6 +12,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -266,7 +267,7 @@ def _interval_ticks(
     return ticks, len(a) - int(np.count_nonzero(present))
 
 
-def _histogram(values_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _histogram(values_us: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = DEFAULT_HISTOGRAM_BIN_US
     lo = np.floor(values_us[0] / width) * width
     hi = np.ceil(values_us[-1] / width) * width
@@ -276,7 +277,7 @@ def _histogram(values_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"latencies from {values_us[0]} to {values_us[-1]} us span more than "
             f"{MAX_HISTOGRAM_BINS} histogram bins of {width} us"
         )
-    return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width))
+    return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width), weights=counts)
 
 
 def summarize(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> SummaryStats:
@@ -288,7 +289,8 @@ def summarize(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> S
     zero-jitter point mass reports its value bit-for-bit) and independent of
     record order.
     """
-    return _summary(*_interval_ticks(batch, interval))
+    ticks, n_lost = _interval_ticks(batch, interval)
+    return _summary(*np.unique(ticks, return_counts=True), n_lost)
 
 
 def count_within(batch: RecordBatch, interval: tuple[str, str], limits_us: Sequence[float]) -> list[int]:
@@ -297,48 +299,43 @@ def count_within(batch: RecordBatch, interval: tuple[str, str], limits_us: Seque
     return [int(np.count_nonzero(ticks <= us_to_ticks(limit))) for limit in limits_us]
 
 
-def _summary(ticks: np.ndarray, n_lost: int) -> SummaryStats:
-    """Statistics of interval durations in `ticks`; sorts them in place."""
-    if ticks.size == 0:
+def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStats:
+    """Statistics of the rows at ascending distinct int64 `values` in
+    ticks, `counts` at each: the mean and SD from exact integer sums, the
+    rest as numpy gives them over the rows."""
+    if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
-    ticks.sort()
-    counts, edges = _histogram(ticks / TICKS_PER_US)
+    rows = list(zip(values.tolist(), counts.tolist()))  # Python ints: the sums are exact
+    n, s1, s2 = (sum(count * value**power for value, count in rows) for power in (0, 1, 2))
+    median, p99 = _order_statistics(values, np.cumsum(counts))
+    hist_counts, edges = _histogram(values / TICKS_PER_US, counts)
     return SummaryStats(
-        n=int(ticks.size),
+        n=n,
         n_lost=n_lost,
-        mean_us=float(ticks.mean() / TICKS_PER_US),
-        median_us=float(_median(ticks) / TICKS_PER_US),
-        sd_us=float(ticks.std() / TICKS_PER_US),
-        p99_us=float(_percentile_99(ticks) / TICKS_PER_US),
-        hist_counts=tuple(counts.tolist()),
+        mean_us=s1 / n / TICKS_PER_US,
+        median_us=median / TICKS_PER_US,
+        sd_us=math.sqrt((n * s2 - s1 * s1) / (n * n)) / TICKS_PER_US,
+        p99_us=p99 / TICKS_PER_US,
+        hist_counts=tuple(hist_counts.tolist()),
         hist_edges=tuple(edges.tolist()),
-        modes_us=detect_modes(counts, edges, DEFAULT_MODE_SPACING_US),
+        modes_us=detect_modes(hist_counts, edges, DEFAULT_MODE_SPACING_US),
     )
 
 
-def _median(ticks: np.ndarray) -> float:
-    """`np.median(ticks)` of sorted int64 `ticks`, bit for bit: the mean of
-    the middle one or two as a float64.  np.median itself would import
-    numpy.ma."""
-    middle = ticks.size // 2
-    if ticks.size % 2:
-        return float(ticks[middle])
-    return (float(ticks[middle - 1]) + float(ticks[middle])) / 2
-
-
-def _percentile_99(values: np.ndarray):
-    """`np.percentile(values, 99)` of sorted `values`, bit for bit: numpy's
-    "linear" rule, which interpolates between the neighbours of the virtual
-    index (n - 1) * 0.99.  np.percentile itself would import numpy.ma."""
-    index = (values.size - 1) * np.true_divide(99, 100)
-    if index >= values.size - 1:  # numpy takes the last value twice, a gamma past 1
-        below, above, gamma = -1, -1, index + 1
-    else:
-        below = int(index)
-        above, gamma = below + 1, index - below
-    a, b = values[below], values[above]
+def _order_statistics(values: np.ndarray, cumulative: np.ndarray) -> tuple[float, float]:
+    """`np.median` and `np.percentile(rows, 99)` of the rows, bit for bit,
+    given their ascending distinct int64 `values` and the running count of
+    rows up to each.  The median is the mean of the middle one or two as a
+    float64; p99 is numpy's "linear" rule, which interpolates between the
+    neighbours of the virtual index (n - 1) * 0.99.  Either numpy function
+    would import numpy.ma."""
+    n = int(cumulative[-1])
+    index = (n - 1) * np.true_divide(99, 100)
+    below, gamma = int(index), index - int(index)
+    ranks = [(n - 1) // 2, n // 2, below, min(below + 1, n - 1)]
+    low, high, a, b = values[np.searchsorted(cumulative, ranks, side="right")]
     d = b - a
-    return b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma
+    return (float(low) + float(high)) / 2, float(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
 
 
 def _config_order(batch: RecordBatch) -> list[int]:
@@ -750,18 +747,19 @@ REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 class ConfigTally:
     """What the summaries of record batches need, tallied one batch at a
     time, so that a results file is summarized as it is read: per config
-    and interval the durations in ticks of the rows with both probes (8
-    bytes each) and the count of the rows without, and per config the
-    outcome and duplicate counts.  Each batch's side tables extend the last
-    one's, as the blocks `parse_results_csv` reads do; `len()` is the rows
-    added.  `summarize_by_config` and `accounting_by_config` finish it."""
+    and interval the distinct durations in ticks of the rows with both
+    probes and the rows at each, and the count of the rows without, and per
+    config the outcome and duplicate counts.  Each batch's side tables
+    extend the last one's, as the blocks `parse_results_csv` reads do;
+    `len()` is the rows added.  `summarize_by_config` and
+    `accounting_by_config` read it."""
 
     def __init__(self, intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS):
         self.intervals = tuple(intervals)
         self.rows = 0
         self.names: tuple[str, ...] = ()
         self.order: list[int] = []  # config indices in order of first appearance
-        self.ticks: list[list[list[np.ndarray]]] = []  # [config][interval]: the parts of its durations
+        self.ticks: list[list[np.ndarray]] = []  # [config][interval]: distinct ticks, ascending, over their counts
         self.lost = np.zeros((0, len(self.intervals)), dtype=np.int64)
         self.outcomes = np.zeros((0, len(OUTCOMES)), dtype=np.int64)
         self.duplicates = np.zeros(0, dtype=np.int64)
@@ -774,7 +772,7 @@ class ConfigTally:
             raise ValueError(f"config names {batch.names!r} do not extend the tally's {self.names!r}")
         n_configs, new = len(batch.names), len(batch.names) - len(self.names)
         self.names = batch.names
-        self.ticks += [[[] for _ in self.intervals] for _ in range(new)]
+        self.ticks += [[np.zeros((2, 0), dtype=np.int64) for _ in self.intervals] for _ in range(new)]
         self.lost, self.outcomes, self.duplicates = (
             np.concatenate((counts, np.zeros((new, *counts.shape[1:]), dtype=np.int64)))
             for counts in (self.lost, self.outcomes, self.duplicates)
@@ -793,24 +791,26 @@ class ConfigTally:
             rows = groups == index
             for k, interval in enumerate(self.intervals):
                 ticks, lost = _interval_ticks(batch, interval, rows)
-                self.ticks[index][k].append(ticks)
+                table = self.ticks[index][k]
+                more = np.array(np.unique(ticks, return_counts=True))
+                at = np.searchsorted(table[0], more[0])
+                fresh = at == np.searchsorted(table[0], more[0], side="right")
+                table[1, at[~fresh]] += more[1, ~fresh]
+                self.ticks[index][k] = np.insert(table, at[fresh], more[:, fresh], axis=1)
                 self.lost[index, k] += lost
 
 
 def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]]:
     """`summarize` of each of the tally's intervals over each config's rows,
     configs in order of first appearance; an interval no row of a config
-    has is left out.  A config's durations are joined and sorted only here,
-    after the last batch, and kept joined.  An interval wider than
-    MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
+    has is left out.  An interval wider than MAX_HISTOGRAM_BINS bins raises
+    DomainError naming both."""
     out: dict[str, dict[str, SummaryStats]] = {}
     for index in tally.order:
         out[tally.names[index]] = stats = {}
         for k, interval in enumerate(tally.intervals):
-            parts = tally.ticks[index][k]
-            parts[:] = [np.concatenate(parts)]
             try:
-                stats[interval[0] + interval[1]] = _summary(parts[0], int(tally.lost[index, k]))
+                stats[interval[0] + interval[1]] = _summary(*tally.ticks[index][k], int(tally.lost[index, k]))
             except EmptyInputError:
                 continue
             except DomainError as exc:

@@ -348,6 +348,18 @@ def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--attempts", "1000000000000"], ["sweep"]])
+def test_running_out_of_memory_exits_one_with_one_line(exp_file, tmp_path, capsys, monkeypatch, argv):
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"
+
+    def out_of_memory(*args, **kwargs):  # as numpy's allocation raises, without allocating
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sweep, "run_series", out_of_memory)
+    assert main([*argv, "--file", str(exp_file), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"esbsim: error: out of memory: {message}\n"
+
+
 @pytest.mark.parametrize("config", ["olcfg", "crc16", "slow"])
 def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatch, config):
     exp = tmp_path / "exp.cfg"
@@ -465,7 +477,7 @@ def test_report_refuses_a_latency_span_too_wide_to_histogram(exp_file, tmp_path,
 # one chunk of the writer and one block of the parser
 PINNED_SWEEP = {
     "results.csv": "2f09526eda62bf1c6e3ab3164d1bee04e4437b5e7ea194083e3c51f28dc8d069",
-    "summary.json": "289b682bb32d7764eac3b40af27cc923e2c9c11ab8da9a6f6de2cf25d3b91d72",
+    "summary.json": "8dbf3526282168c0250ebfbedb154262d8b27998e18f2959ec6f97f83f7ace02",
     "summary.txt": "1a03671baaaed0c68e10208a93d9f1b033404361f209aaac603d241a27fb7257",
 }
 

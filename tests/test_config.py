@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+from enum import Enum
+from unittest import mock
 
 import pytest
 
@@ -138,3 +141,16 @@ def test_digest_is_stable_and_sensitive():
     assert a.digest() == olcfg_preset().digest()
     b = dataclasses.replace(a, tx_power_dbm=5)
     assert a.digest() != b.digest()
+    assert a.digest() == "116775d61fee"  # every provenance line and pinned results file carries it
+
+
+def test_digest_does_not_depend_on_how_python_formats_an_enum():
+    # Python 3.10 formats a str-valued enum as its value, 3.11 as Type.NAME
+    config = olcfg_preset()
+    values = [getattr(config, field.name) for field in dataclasses.fields(config)]
+    enums = {type(value) for value in values if isinstance(value, Enum)}
+    with contextlib.ExitStack() as stack:
+        for enum in enums:
+            stack.enter_context(mock.patch.object(enum, "__format__", lambda self, spec: format(self.value, spec)))
+        assert f"{CrcMode.OFF}" == "off"
+        assert config.digest() == "116775d61fee"

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -246,6 +247,9 @@ def oracle_summarize_by_config(records, intervals=REPORT_INTERVALS) -> dict:
                     ticks.append(b - a)
             if not ticks:
                 continue
+            # n^2 times the sum of squared deviations from the mean, in integers
+            n, total = len(ticks), sum(ticks)
+            squares = sum((n * t - total) ** 2 for t in ticks)
             ticks = np.sort(np.asarray(ticks, dtype=np.int64))
             values_us = ticks / 10.0
             width = DEFAULT_HISTOGRAM_BIN_US
@@ -257,7 +261,7 @@ def oracle_summarize_by_config(records, intervals=REPORT_INTERVALS) -> dict:
                 n_lost=lost,
                 mean_us=float(ticks.mean() / 10.0),
                 median_us=float(np.median(ticks) / 10.0),
-                sd_us=float(ticks.std() / 10.0),
+                sd_us=math.sqrt(squares / n**3) / 10.0,
                 p99_us=float(np.percentile(ticks, 99) / 10.0),
                 hist_counts=tuple(int(c) for c in counts),
                 hist_edges=tuple(float(e) for e in edges),
@@ -591,7 +595,7 @@ class TestDetectModes:
     @example(ticks=(np.arange(31) * 166_330).tolist(), spacing=435.0)
     def test_summary_histogram_and_modes_match_the_oracle(self, ticks, spacing):
         with mock.patch.object(sweep, "DEFAULT_MODE_SPACING_US", spacing):
-            stats = sweep._summary(np.array(ticks, dtype=np.int64), 0)
+            stats = sweep._summary(*np.unique(np.array(ticks, dtype=np.int64), return_counts=True), 0)
         # 5 us bins are 50 ticks: from the bin that holds the least to the one that ends at or after the most
         lo, hi = min(ticks) // 50, -(-max(ticks) // 50)
         n_bins = max(1, hi - lo)
@@ -604,7 +608,7 @@ class TestDetectModes:
     def test_a_wide_sparse_histogram_takes_no_time_per_bin_and_peak(self):
         # 3001 peaks among 999,600 bins: a scan of every bin per peak took 13 s
         start = time.perf_counter()
-        stats = sweep._summary(np.arange(3001, dtype=np.int64) * 16_660, 0)
+        stats = sweep._summary(np.arange(3001, dtype=np.int64) * 16_660, np.ones(3001, dtype=np.int64), 0)
         assert time.perf_counter() - start < 2.0
         assert len(stats.modes_us) == 3001
 
@@ -1254,26 +1258,51 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     assert os.listdir(tmp_path) == ["results.csv"]
 
 
-_TICKS = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=400)
+# ascending distinct ticks and the rows at each
+_TICK_COUNTS = st.dictionaries(st.integers(-(2**53), 2**53), st.integers(1, 60), min_size=1, max_size=200).map(
+    lambda table: tuple(np.array(column, dtype=np.int64) for column in zip(*sorted(table.items())))
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=_TICKS)
-@example(values=[0] * 49 + [1, 7])  # a gamma of exactly 0.5, where numpy interpolates from above
-def test_p99_is_numpys_percentile_bit_for_bit(values):
-    values = np.sort(np.asarray(values, dtype=np.int64))
-    expected = np.float64(np.percentile(values, 99))
-    actual = np.float64(sweep._percentile_99(values))
+@given(table=_TICK_COUNTS)
+# a gamma of exactly 0.5, where numpy interpolates from above, and one row,
+# whose p99 numpy takes from a virtual index past the last
+@example(table=(np.array([0, 1, 7]), np.array([49, 1, 1])))
+@example(table=(np.array([5]), np.array([1])))
+def test_p99_is_numpys_percentile_bit_for_bit(table):
+    values, counts = table
+    expected = np.float64(np.percentile(np.repeat(values, counts), 99))
+    actual = np.float64(sweep._order_statistics(values, np.cumsum(counts))[1])
     assert actual.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=_TICKS)
-def test_median_is_numpys_median_bit_for_bit(values):
-    values = np.sort(np.asarray(values, dtype=np.int64))
-    expected = np.float64(np.median(values))
-    actual = np.float64(sweep._median(values))
+@given(table=_TICK_COUNTS)
+def test_median_is_numpys_median_bit_for_bit(table):
+    values, counts = table
+    expected = np.float64(np.median(np.repeat(values, counts)))
+    actual = np.float64(sweep._order_statistics(values, np.cumsum(counts))[0])
     assert actual.tobytes() == expected.tobytes()
+
+
+# durations that repeat within and across blocks, and now and then a lost row
+_DURATIONS = st.none() | st.integers(0, 40) | st.integers(0, 2_000_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(durations=st.lists(_DURATIONS, min_size=1, max_size=300), data=st.data())
+def test_a_tally_fed_in_blocks_summarizes_the_rows_as_numpy_does(durations, data):
+    records = [_row("c", k, (0,) + (None,) * 6 + (t,)) for k, t in enumerate(durations)]
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(records)), max_size=8)))
+    tally = ConfigTally([("d0", "d7")])
+    for block in np.split(np.arange(len(records)), cuts):
+        if block.size:
+            tally.add(batch_of([records[k] for k in block]))
+    # numpy on the sorted rows in every field but sd_us, which is the exact integer formula
+    expected = oracle_summarize_by_config(records, intervals=[("d0", "d7")])
+    assert summarize_by_config(tally) == expected
+    assert summarize_by_config(tally) == expected  # summarizing leaves the tally as it was
 
 
 # --- memory -----------------------------------------------------------------------
@@ -1340,8 +1369,8 @@ def test_the_report_takes_its_durations_and_one_block(large_results, capsys):
     _, path, column_bytes = large_results
     code, peak = _traced_peak(lambda: main(["report", "--file", str(path)]))
     assert code == 0 and "config olcfg" in capsys.readouterr().out
-    # 24 bytes a delivered row and one block in flight; the columns alone take four times the first term
-    assert peak <= 0.25 * column_bytes + 6 * 2**20
+    # the distinct durations and one block in flight; 24 bytes a delivered row would not fit beside the block
+    assert peak <= 6 * 2**20
 
 
 def test_writing_results_takes_one_chunk_beyond_the_columns(large_results, tmp_path):
@@ -1362,3 +1391,24 @@ def test_a_sweep_takes_its_columns_and_one_series(pipeline):
     assert len(batch) == 100_000
     # a copy of every series beside the columns would take their size again
     assert peak <= 1.25 * _column_bytes(batch) + 2 * 2**20
+
+
+def test_a_tally_keeps_its_distinct_durations_not_its_rows(pipeline):
+    batch = run_attempt_series(
+        olcfg_preset(), ChannelModel(p_loss=0.3, p_corrupt=0.05), pipeline, 10_000, seed=5, config_name="olcfg"
+    )
+
+    def tally_of(times):
+        tally = ConfigTally()
+        for _ in range(times):
+            tally.add(batch)
+        return tally
+
+    bound = 2**20
+    for times in (1, 50):
+        tally, peak = _traced_peak(lambda: tally_of(times))
+        assert len(tally) == times * len(batch)
+        assert peak <= bound
+    # a duration of 8 bytes a delivered row and interval would not fit in the bound
+    delivered = int(np.count_nonzero(batch.outcome != LOST))
+    assert 8 * 50 * delivered * len(REPORT_INTERVALS) > 10 * bound
