@@ -187,9 +187,11 @@ def _write_summary_json(summaries, out: Path) -> None:
     (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_summaries(records, args, out: Path) -> None:
+def _write_outputs(batches, args, out: Path) -> None:
+    """results.csv of the rows of `batches` and their summaries: each batch
+    is tallied as the writer takes it, so none is kept."""
     tally = sweep.ConfigTally(_intervals(args))
-    tally.add(records)
+    sweep.write_results(map(tally.add, batches), out / "results.csv")
     summaries = sweep.summarize_by_config(tally)
     report = sweep.render_report(tally, summaries)
     (out / "summary.txt").write_text(report, encoding="utf-8")
@@ -202,19 +204,16 @@ def _cmd_simulate(args) -> int:
     pipeline = _resolve_pipeline(args, exp)
     n = args.attempts or exp.plan.attempts_per_round
     records = sweep.run_series(exp.plan, exp.channel, pipeline, _config_index(exp, args.config), 0, n)
-    out = _out_dir(args)
-    sweep.write_results(records, out / "results.csv")
-    _write_summaries(records, args, out)
+    _write_outputs([records], args, _out_dir(args))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
-    records = sweep.run_sweep(exp.plan, exp.channel, pipeline, workers=args.workers)
-    out = _out_dir(args)
-    sweep.write_results(records, out / "results.csv")
-    _write_summaries(records, args, out)
+    # checks every config, then makes each series as the writer takes it
+    series = sweep.run_sweep(exp.plan, exp.channel, pipeline, workers=args.workers)
+    _write_outputs(series, args, _out_dir(args))
     return 0
 
 

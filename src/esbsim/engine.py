@@ -10,7 +10,7 @@ workers without coordinating.
 `block_uniforms` is the only source of random numbers: per (round, purpose)
 each attempt owns a fixed run of Philox counter blocks, so a row of draws
 depends only on its attempt index, never on how a series is split into
-chunks or spread over workers.  The per-round shuffle is one row of it.
+chunks or spread over workers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ PURPOSE_LOSS = 1
 PURPOSE_CORRUPT = 2
 PURPOSE_JITTER = 3
 PURPOSE_ESCAPE = 4
-PURPOSE_SHUFFLE = 5
+# 5 drew the per-round shuffle of the config order, now file order: retired, never to be reused
 # 6 drew the BLE baseline's waits, now closed-form: retired, never to be reused
 
 

@@ -281,6 +281,13 @@ def draw_series(
 ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
 
 
+def check_copy_train(config: EsbConfig) -> None:
+    """Raise ScheduleError unless an attempt's last copy ends before the next attempt starts."""
+    end = copy_offsets_ticks(config)[-1] + airtime.on_air_ticks(config)
+    if us_to_ticks(ATTEMPT_SPACING_US) < end:
+        raise ScheduleError(f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train ({ticks_to_us(end)} us)")
+
+
 def run_attempt_series(
     config: EsbConfig,
     channel: ChannelModel,
@@ -304,14 +311,10 @@ def run_attempt_series(
     if n < 1:
         raise ValueError("need at least one attempt")
     validate(config)
+    check_copy_train(config)
     offsets = copy_offsets_ticks(config)
     on_air = airtime.on_air_ticks(config)
     spacing = us_to_ticks(ATTEMPT_SPACING_US)
-    if spacing < offsets[-1] + on_air:
-        raise ScheduleError(
-            f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train "
-            f"({ticks_to_us(offsets[-1] + on_air)} us)"
-        )
     totals = np.asarray(pipeline.stage_totals_us(config))
     crc_on = config.crc_mode is not CrcMode.OFF
     draws = draw_series(

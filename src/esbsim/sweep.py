@@ -1,10 +1,12 @@
-"""Measurement-protocol orchestration: shuffled rounds, statistics, persistence.
+"""Measurement-protocol orchestration: rounds, statistics, persistence.
 
-Mirrors the lab procedure: every configuration runs rounds x attempts with
-the per-round configuration order shuffled, latency statistics are computed
-over delivered attempts only (a lost attempt never triggers the downstream
-probes), and results round-trip through a CSV whose header comments carry
-full provenance (seed, RNG algorithm, config hashes).
+Mirrors the lab procedure: every configuration runs rounds x attempts.  A
+sweep is a stream of (config, round) series in file order, which the
+results writer and the summaries' tally each take one series at a time, so
+a sweep's memory is set by one series, not by the plan.  Latency
+statistics are computed over delivered attempts only (a lost attempt never
+triggers the downstream probes), and results round-trip through a CSV whose
+header comments carry full provenance (seed, RNG algorithm, config hashes).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import io
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, starmap
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .analytics import AccountingRow, DomainError
 from .config import ChannelModel, ConfigError, EsbConfig, validate
-from .engine import PURPOSE_SHUFFLE, RNG_ALGORITHM, TICKS_PER_US, block_uniforms, us_to_ticks
+from .engine import RNG_ALGORITHM, TICKS_PER_US, us_to_ticks
 from .link import (
     DELIVERED_CORRUPTED,
     LOST,
@@ -34,6 +36,7 @@ from .link import (
     PROBES,
     PipelineModel,
     RecordBatch,
+    check_copy_train,
     run_attempt_series,
 )
 
@@ -67,7 +70,8 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Named configs plus the round/attempt protocol and the run seed."""
+    """Named configs plus the round/attempt protocol and the run seed.
+    `shuffle` has no effect: series run in file order, which no record depends on."""
 
     configs: tuple[tuple[str, EsbConfig], ...]
     rounds: int = 5
@@ -95,15 +99,6 @@ class SweepPlan:
             if cfg_name == name:
                 return index
         raise ConfigError(f"no config named {name!r}")
-
-
-def shuffle_round_order(seed: int, round_index: int, n: int) -> list[int]:
-    """Deterministic per-(seed, round) permutation of range(n): the order
-    that sorts one row of n draws."""
-    if n < 1:
-        raise ValueError("cannot shuffle an empty config list")
-    row = block_uniforms(seed, (), round_index, PURPOSE_SHUFFLE, 0, 1, n)[0]
-    return np.argsort(row, kind="stable").tolist()
 
 
 def run_series(
@@ -135,58 +130,39 @@ def run_sweep(
     channel: ChannelModel,
     pipeline: PipelineModel,
     workers: int = 1,
-) -> RecordBatch:
-    """Execute the full plan; rounds x attempts records per config.
+) -> Iterator[RecordBatch]:
+    """The plan's (config, round) series in file order, by config, then by
+    round, each made as it is taken and over the plan's side tables.
 
-    Each (config, round) series is a `run_series` call, whose draws are
-    addressed by the plan seed and its own indices, so the output is
-    identical for any worker count and any execution order.  At most
-    `workers` processes run the series, and no more than there are series
-    or CPUs; one runs them in this process.  The columns
-    are allocated once and each series is copied into its (config, round)
-    slot as it arrives, so the rows come back sorted by (config, round,
-    attempt) and only one series is alive beside them.  The side tables
-    are the plan's.  The per-round shuffle fixes the execution order, as in
-    the lab protocol; it cannot affect record content because series are
-    independent.
+    Every config's copy train is checked first, so a plan that cannot run
+    fails before a series is made.  Each series is a `run_series` call,
+    whose draws are addressed by the plan seed and its own indices, so the
+    records are identical for any worker count and any execution order.
+    At most `workers` processes run the series, and no more than there are
+    series or CPUs; one runs them in this process.  With more, the series
+    that finish before they are taken wait in the pool.
     """
-    n_configs = len(plan.configs)
-    n = plan.attempts_per_round
-    tasks = [
-        (config_index, round_index)
-        for round_index in range(plan.rounds)
-        for config_index in (
-            shuffle_round_order(plan.seed, round_index, n_configs) if plan.shuffle else range(n_configs)
-        )
-    ]
-    rows = n_configs * plan.rounds * n
-    columns = {column: np.empty(rows, dtype=np.int64) for column in _PARSED_COLUMNS}
-    columns["probes"] = np.empty((rows, len(PROBES)), dtype=np.int64)
-
-    def fill(results: Iterator[RecordBatch]) -> None:
-        for (c, r), series in zip(tasks, results):
-            start = (c * plan.rounds + r) * n
-            part = slice(start, start + n)
-            for column in (*_PARSED_COLUMNS[2:], "probes"):
-                columns[column][part] = getattr(series, column)
-            columns["config_index"][part] = c
-            columns["seed_index"][part] = 0
-
-    run = partial(run_series, plan, channel, pipeline, n=n)
+    for _, config in plan.configs:
+        check_copy_train(config)
+    names = tuple(name for name, _ in plan.configs)
+    hashes = tuple(config.digest() for _, config in plan.configs)
+    tasks = [(c, r) for c in range(len(plan.configs)) for r in range(plan.rounds)]
+    run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
     # a process per series and CPU at most: the pool starts every one at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(run, *zip(*tasks)))
-    else:
-        fill(map(run, *zip(*tasks)))
-    return RecordBatch(
-        names=tuple(name for name, _ in plan.configs),
-        hashes=tuple(config.digest() for _, config in plan.configs),
-        seeds=(plan.seed,),
-        **columns,
+    def series() -> Iterator[RecordBatch]:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(run, *zip(*tasks))
+        else:
+            yield from map(run, *zip(*tasks))
+
+    return (
+        replace(batch, names=names, hashes=hashes, config_index=batch.config_index + c)
+        for (c, _), batch in zip(tasks, series())
     )
 
 
@@ -369,8 +345,14 @@ def _number_cells(values: np.ndarray, min_digits: int = 1) -> np.ndarray:
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     # a place is written from the value's leading digit on, and the last min_digits places always
     lowest = np.where(np.arange(width) < width - min_digits, powers, 0)
-    column = values[:, None]
-    return np.where(column >= lowest, column // powers % 10 + ord("0"), _UNUSED).astype(np.int16)
+    digits = np.empty((len(values), width), dtype=np.int16)
+    quotient = values
+    for place in range(width - 1, -1, -1):  # from the last place: one division by 10 a place
+        rest = quotient // 10  # numpy divides by a scalar fast, which np.divmod does not
+        digits[:, place] = quotient - rest * 10
+        quotient = rest
+    digits += ord("0")
+    return np.where(values[:, None] >= lowest, digits, np.int16(_UNUSED))
 
 
 def _time_cells(ticks: np.ndarray) -> np.ndarray:
@@ -407,40 +389,54 @@ def _csv_rows(batch: RecordBatch, rows: slice, names: np.ndarray, seeds: np.ndar
     return text[text != _UNUSED].astype(np.uint8).tobytes()
 
 
-def _write_csv(batch: RecordBatch, fh: io.BufferedIOBase) -> None:
-    """The results CSV of `batch` to the binary file `fh`, _WRITE_ROWS rows at a time."""
-    fh.write(f"# {RESULTS_FORMAT}\n# tool=esbsim {__version__}\n# rng={RNG_ALGORITHM}\n".encode())
-    used = np.bincount(batch.seed_index, minlength=len(batch.seeds))
-    seeds = sorted(batch.seeds[i] for i in np.flatnonzero(used).tolist())
-    if seeds:
-        fh.write(f"# seed={','.join(map(str, seeds))}\n".encode())
-    for index in _config_order(batch):
-        name = batch.names[index]
+def _csv_header(names: Sequence[str], hashes: Sequence[str], seeds: Sequence[int]) -> bytes:
+    """The provenance comments naming the side tables, and the column header."""
+    lines = [f"# {RESULTS_FORMAT}", f"# tool=esbsim {__version__}", f"# rng={RNG_ALGORITHM}"]
+    lines += [f"# seed={','.join(map(str, sorted(seeds)))}"] if seeds else []
+    for name, config_hash in zip(names, hashes):
         # the parser ends a line at every "\n", and the csv module leaves a "\r" unquoted
         if "\n" in name or "\r" in name:
             raise SchemaError(f"config name {name!r} contains a line break")
-        fh.write(f"# config {name} hash={batch.hashes[index]}\n".encode())
-    fh.write((",".join(CSV_COLUMNS) + "\n").encode())
-
-    name_table = _byte_table(map(_csv_field, batch.names))
-    seed_table = _byte_table(map(str, batch.seeds))
-    outcome_table = _byte_table(outcome.value for outcome in OUTCOMES)
-    for start in range(0, len(batch), _WRITE_ROWS):
-        fh.write(_csv_rows(batch, slice(start, start + _WRITE_ROWS), name_table, seed_table, outcome_table))
+        lines.append(f"# config {name} hash={config_hash}")
+    return "".join(line + "\n" for line in [*lines, ",".join(CSV_COLUMNS)]).encode()
 
 
-def write_results(batch: RecordBatch, path) -> None:
-    """Write `batch` to `path` as a results CSV with provenance header
-    comments; `read_results` reads its rows back.
+def _write_csv(batches: Iterable[RecordBatch], fh: io.BufferedIOBase) -> None:
+    """The results CSV of the rows of `batches` to the binary file `fh`,
+    _WRITE_ROWS rows at a time, under a header that names the side tables
+    of the first."""
+    tables = None
+    for batch in batches:
+        if tables is None:
+            tables = (batch.names, batch.hashes, batch.seeds)
+            fh.write(_csv_header(*tables))
+            cell_tables = (
+                _byte_table(map(_csv_field, batch.names)),
+                _byte_table(map(str, batch.seeds)),
+                _byte_table(outcome.value for outcome in OUTCOMES),
+            )
+        elif (batch.names, batch.hashes, batch.seeds) != tables:
+            raise ValueError("every batch of a results file needs the side tables of the first")
+        for start in range(0, len(batch), _WRITE_ROWS):
+            fh.write(_csv_rows(batch, slice(start, start + _WRITE_ROWS), *cell_tables))
+    if tables is None:
+        fh.write(_csv_header((), (), ()))
 
-    The file appears whole or not at all: it is written to a temporary file
-    beside `path`, which replaces `path` once complete and is removed on
-    failure.  Beyond the columns it holds one chunk of rows and their text.
+
+def write_results(batches: Iterable[RecordBatch], path) -> None:
+    """Write the rows of `batches`, in order, to `path` as a results CSV
+    with provenance header comments; `read_results` reads them back.
+
+    The header names the side tables of the first batch, which every batch
+    must share.  The file appears whole or not at all: it is written to a
+    temporary file beside `path`, which replaces `path` once complete and
+    is removed on any failure, one to make a batch too.  Beyond the batch
+    in hand it holds one chunk of rows and their text.
     """
     temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temp, "wb") as fh:
-            _write_csv(batch, fh)
+            _write_csv(batches, fh)
         os.replace(temp, path)
     except BaseException:
         try:
@@ -661,7 +657,6 @@ def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
 
 
 _COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates_delivered")
-_PARSED_COLUMNS = ("config_index", "seed_index", *_COUNT_COLUMNS, "delivered_copy", "outcome")
 
 
 def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -> ConfigTally:
@@ -751,8 +746,9 @@ class ConfigTally:
     probes and the rows at each, and the count of the rows without, and per
     config the outcome and duplicate counts.  Each batch's side tables
     extend the last one's, as the blocks `parse_results_csv` reads do;
-    `len()` is the rows added.  `summarize_by_config` and
-    `accounting_by_config` read it."""
+    `len()` is the rows added.  `add` returns its batch, so that
+    `map(tally.add, batches)` tallies a stream as it passes.
+    `summarize_by_config` and `accounting_by_config` read it."""
 
     def __init__(self, intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS):
         self.intervals = tuple(intervals)
@@ -767,7 +763,7 @@ class ConfigTally:
     def __len__(self) -> int:
         return self.rows
 
-    def add(self, batch: RecordBatch) -> None:
+    def add(self, batch: RecordBatch) -> RecordBatch:
         if batch.names[: len(self.names)] != self.names:
             raise ValueError(f"config names {batch.names!r} do not extend the tally's {self.names!r}")
         n_configs, new = len(batch.names), len(batch.names) - len(self.names)
@@ -798,6 +794,7 @@ class ConfigTally:
                 table[1, at[~fresh]] += more[1, ~fresh]
                 self.ticks[index][k] = np.insert(table, at[fresh], more[:, fresh], axis=1)
                 self.lost[index, k] += lost
+        return batch
 
 
 def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]]:

@@ -348,6 +348,19 @@ def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_checks_every_copy_train_before_its_first_row(tmp_path, capsys, monkeypatch, workers):
+    # the first config could run; the second's copy train outruns the attempt window
+    exp = tmp_path / "two.cfg"
+    exp.write_text(EXPERIMENT + "[config long] crc=off protocol=dynamic bitrate=2M-ble txmode=manual power=0"
+                   " payload=optimized payload_len=1 retransmits=14 retransmit_delay_us=435\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--file", str(exp), "--workers", workers, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "esbsim: error: attempt spacing 6000.0 us overlaps the copy train (6126.5 us)\n"
+    assert not (tmp_path / "out").exists()
+    assert [path.name for path in tmp_path.rglob("*")] == ["two.cfg"]  # no results, no *.tmp
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--attempts", "1000000000000"], ["sweep"]])
 def test_running_out_of_memory_exits_one_with_one_line(exp_file, tmp_path, capsys, monkeypatch, argv):
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"
@@ -363,7 +376,7 @@ def test_running_out_of_memory_exits_one_with_one_line(exp_file, tmp_path, capsy
 @pytest.mark.parametrize("config", ["olcfg", "crc16", "slow"])
 def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatch, config):
     exp = tmp_path / "exp.cfg"
-    exp.write_text(EXPERIMENT + MORE_CONFIGS)  # shuffled, 2 rounds of 20 attempts
+    exp.write_text(EXPERIMENT + MORE_CONFIGS)  # three configs, 2 rounds of 20 attempts
     n = 13
     assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "sweep")]) == 0
     swept = read_results(tmp_path / "sweep" / "results.csv", Collected()).batch()

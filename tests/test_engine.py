@@ -19,6 +19,5 @@ def test_draw_purposes_are_pinned():
         "PURPOSE_CORRUPT": 2,
         "PURPOSE_JITTER": 3,
         "PURPOSE_ESCAPE": 4,
-        "PURPOSE_SHUFFLE": 5,
     }
     assert len(set(purposes.values())) == len(purposes)

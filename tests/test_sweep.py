@@ -40,7 +40,6 @@ from esbsim.sweep import (
     read_results,
     render_report,
     run_sweep,
-    shuffle_round_order,
     summarize,
     summarize_by_config,
     write_results,
@@ -123,6 +122,11 @@ def tallied(*batches: RecordBatch) -> ConfigTally:
     return tally
 
 
+def swept(*args, **kwargs) -> RecordBatch:
+    """The series `run_sweep` yields, in one batch."""
+    return Collected(run_sweep(*args, **kwargs)).batch()
+
+
 def parse_batch(source) -> RecordBatch:
     """The records `parse_results_csv` reads from `source`, in one batch."""
     return parse_results_csv(source, Collected()).batch()
@@ -133,11 +137,11 @@ def read_batch(path) -> RecordBatch:
     return read_results(path, Collected()).batch()
 
 
-def written(batch: RecordBatch) -> str:
-    """The text of the results file `write_results` writes for `batch`."""
+def written(*batches: RecordBatch) -> str:
+    """The text of the results file `write_results` writes for `batches`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "results.csv")
-        write_results(batch, path)
+        write_results(batches, path)
         with open(path, newline="", encoding="utf-8") as fh:
             return fh.read()
 
@@ -340,15 +344,15 @@ def small_plan():
 class TestSweepPlan:
     def test_counts(self, small_plan, quiet_pipeline):
         # every (config, round) series holds attempts_per_round rows
-        records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
+        records = swept(small_plan, ChannelModel(), quiet_pipeline)
         per_series = np.bincount(records.config_index * small_plan.rounds + records.round_index)
         assert per_series.tolist() == [small_plan.attempts_per_round] * len(small_plan.configs) * small_plan.rounds
 
     def test_protocol_count_arithmetic(self, quiet_pipeline):
         five = SweepPlan(configs=(("a", olcfg_preset()),), rounds=5, attempts_per_round=150)
         three = SweepPlan(configs=(("a", olcfg_preset()),), rounds=3, attempts_per_round=150)
-        assert len(run_sweep(five, ChannelModel(), quiet_pipeline)) == 750
-        assert len(run_sweep(three, ChannelModel(), quiet_pipeline)) == 450
+        assert len(swept(five, ChannelModel(), quiet_pipeline)) == 750
+        assert len(swept(three, ChannelModel(), quiet_pipeline)) == 450
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
@@ -361,48 +365,54 @@ class TestSweepPlan:
             SweepPlan(configs=(("a", olcfg_preset()), ("a", olcfg_preset())))
 
 
-class TestShuffle:
-    def test_single_config_is_identity(self):
-        assert shuffle_round_order(1, 0, 1) == [0]
-
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(1, 40))
-    def test_output_is_a_permutation(self, seed, round_index, n):
-        assert sorted(shuffle_round_order(seed, round_index, n)) == list(range(n))
-
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(1, 40))
-    def test_deterministic_per_seed_and_round(self, seed, round_index, n):
-        assert shuffle_round_order(seed, round_index, n) == shuffle_round_order(seed, round_index, n)
-
-    def test_rounds_give_different_orders(self):
-        # 1/10! chance of a false failure
-        assert shuffle_round_order(9, 4, 10) != shuffle_round_order(9, 5, 10)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            shuffle_round_order(1, 0, 0)
-
-
 class TestRunSweep:
     def test_record_counts_per_config(self, small_plan, quiet_pipeline):
-        records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
+        records = swept(small_plan, ChannelModel(), quiet_pipeline)
         assert len(records) == 2 * small_plan.rounds * small_plan.attempts_per_round
         per_config = dict(zip(records.names, np.bincount(records.config_index).tolist()))
         assert per_config == {"olcfg": 150, "crc16": 150}
 
     def test_lossless_channel_delivers_everything(self, small_plan, quiet_pipeline):
-        records = run_sweep(small_plan, ChannelModel(), quiet_pipeline)
+        records = swept(small_plan, ChannelModel(), quiet_pipeline)
         assert (records.outcome == DELIVERED).all()
 
     def test_shuffling_does_not_change_the_record_multiset(self, small_plan, quiet_pipeline):
+        # `shuffle` is still read from experiment files, and has no effect
         ordered = dataclasses.replace(small_plan, shuffle=False)
-        a = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
-        b = run_sweep(ordered, ChannelModel(p_loss=0.2), quiet_pipeline)
+        a = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
+        b = swept(ordered, ChannelModel(p_loss=0.2), quiet_pipeline)
         assert a == b  # canonical output order; randomness is keyed, not ordered
 
     def test_worker_count_does_not_change_results(self, small_plan, quiet_pipeline):
-        serial = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=1)
-        parallel = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=4)
+        serial = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=1)
+        parallel = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=4)
         assert serial == parallel
+
+    def test_a_sweep_makes_each_series_as_it_is_taken(self, small_plan, quiet_pipeline, monkeypatch):
+        made = []
+        run_series = sweep.run_series
+
+        def counted(plan, channel, pipeline, c, r, n):
+            made.append((c, r))
+            return run_series(plan, channel, pipeline, c, r, n)
+
+        monkeypatch.setattr(sweep, "run_series", counted)
+        stream = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
+        assert made == []
+        first = next(stream)
+        assert made == [(0, 0)] and len(first) == small_plan.attempts_per_round
+        rest = list(stream)
+        assert made == [(c, r) for c in range(len(small_plan.configs)) for r in range(small_plan.rounds)]
+        assert [int(batch.config_index[0]) for batch in [first, *rest]] == [c for c, _ in made]
+
+    def test_tallying_the_stream_equals_tallying_its_join(self, small_plan, pipeline):
+        channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
+        tally = ConfigTally()
+        streamed = Collected(map(tally.add, run_sweep(small_plan, channel, pipeline)))
+        whole = tallied(streamed.batch())
+        assert len(tally) == len(whole) and tally.order == whole.order
+        assert summarize_by_config(tally) == summarize_by_config(whole)
+        assert accounting_by_config(tally) == accounting_by_config(whole)
 
     def test_the_workers_are_no_more_than_the_series_and_the_cpus(self, small_plan, quiet_pipeline, monkeypatch):
         asked = []
@@ -425,10 +435,10 @@ class TestRunSweep:
         # six series on three CPUs, two series on 64, and one CPU or an unknown count runs in this process
         cases = ((small_plan, 3, [3]), (two_series, 64, [2]), (two_series, 1, []), (two_series, None, []))
         for plan, cpus, pool in cases:
-            serial = run_sweep(plan, channel, quiet_pipeline, workers=1)
+            serial = swept(plan, channel, quiet_pipeline, workers=1)
             asked.clear()
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert run_sweep(plan, channel, quiet_pipeline, workers=10**6) == serial
+            assert swept(plan, channel, quiet_pipeline, workers=10**6) == serial
             assert asked == pool
 
     @settings(max_examples=30, deadline=None)
@@ -454,19 +464,22 @@ class TestRunSweep:
         tasks = data.draw(st.permutations([(c, r) for c in range(n_configs) for r in range(rounds)]))
         series = {task: sweep.run_series(plan, channel, pipeline, *task, attempts) for task in tasks}
         joined = join([series[c, r] for c in range(n_configs) for r in range(rounds)])
-        assert written(joined) == written(run_sweep(plan, channel, pipeline))
+        assert written(joined) == written(*run_sweep(plan, channel, pipeline))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_sweep_is_the_join_of_its_series_in_canonical_order(self, small_plan, pipeline, workers):
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
-        joined = join(
+        series = [
             sweep.run_series(small_plan, channel, pipeline, c, r, small_plan.attempts_per_round)
             for c in range(len(small_plan.configs))
             for r in range(small_plan.rounds)
-        )
-        swept = run_sweep(small_plan, channel, pipeline, workers=workers)
-        assert swept == joined
-        assert (swept.names, swept.hashes, swept.seeds) == (joined.names, joined.hashes, joined.seeds)
+        ]
+        joined = join(series)
+        streamed = Collected(run_sweep(small_plan, channel, pipeline, workers=workers))
+        assert streamed.batch() == joined
+        # one batch a series, in file order, each over the plan's side tables
+        assert list(streamed) == series
+        assert {(b.names, b.hashes, b.seeds) for b in streamed} == {(joined.names, joined.hashes, joined.seeds)}
 
 
 class TestSummarize:
@@ -692,15 +705,15 @@ class TestAccounting:
 
 class TestPersistence:
     def test_round_trip_equality(self, small_plan, quiet_pipeline, tmp_path):
-        records = run_sweep(small_plan, ChannelModel(p_loss=0.2, p_corrupt=0.05), quiet_pipeline)
+        records = swept(small_plan, ChannelModel(p_loss=0.2, p_corrupt=0.05), quiet_pipeline)
         path = tmp_path / "results.csv"
-        write_results(records, path)
+        write_results([records], path)
         assert read_batch(path) == records
 
     def test_header_only_for_empty_record_set(self, tmp_path):
         path = tmp_path / "empty.csv"
         empty = join([])
-        write_results(empty, path)
+        write_results([empty], path)
         text = path.read_text()
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(data_lines) == 1  # just the column header
@@ -741,7 +754,7 @@ class TestPersistence:
     def test_config_name_with_a_line_break_is_refused(self, quiet_pipeline, name, tmp_path):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 2, seed=4, config_name=name)
         with pytest.raises(SchemaError, match="line break"):
-            write_results(records, tmp_path / "results.csv")
+            write_results([records], tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []  # neither an empty file nor a temporary one
 
     @pytest.mark.parametrize("column", ["round_index", "probes", "delivered_copy"])
@@ -750,7 +763,7 @@ class TestPersistence:
         batch = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=4)
         batch = dataclasses.replace(batch, **{column: np.full_like(getattr(batch, column), -2)})
         with pytest.raises(SchemaError, match="cannot write -2 in a results cell"):
-            write_results(batch, tmp_path / "results.csv")
+            write_results([batch], tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("column", ["attempt", "probes"])
@@ -761,7 +774,7 @@ class TestPersistence:
         values.flat[-1] = 10**17
         message = f"cannot write {10**17} in a results cell: a cell holds at most 17 digits"
         with pytest.raises(SchemaError, match=message):
-            write_results(dataclasses.replace(batch, **{column: values}), tmp_path / "results.csv")
+            write_results([dataclasses.replace(batch, **{column: values})], tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []
 
     @settings(max_examples=100, deadline=None)
@@ -840,7 +853,7 @@ class TestPersistence:
         )
         plan = SweepPlan(configs=configs, rounds=3, attempts_per_round=400, seed=11)
         pipe = dataclasses.replace(pipeline, dedup_escape_prob=0.3)
-        batch = run_sweep(plan, ChannelModel(p_loss=0.5, p_corrupt=0.1), pipe)
+        batch = swept(plan, ChannelModel(p_loss=0.5, p_corrupt=0.1), pipe)
         assert set(batch.outcome.tolist()) == set(range(len(OUTCOMES)))
         # the same configs in the same order, with equal statistics
         expected = oracle_summarize_by_config(rows_of(batch))
@@ -854,9 +867,9 @@ class TestPersistence:
     def test_summaries_are_pure_functions_of_the_records(
         self, small_plan, quiet_pipeline, tmp_path
     ):
-        records = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
+        records = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
         path = tmp_path / "results.csv"
-        write_results(records, path)
+        write_results([records], path)
         direct = summarize_by_config(tallied(records))
         reloaded = summarize_by_config(read_results(path, into=ConfigTally()))
         assert direct == reloaded
@@ -1040,7 +1053,7 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
 @pytest.mark.parametrize("name", [f"a{brk}b" for brk in DROPPED_BREAKS[1:]])
 def test_a_config_name_with_another_line_break_round_trips(quiet_pipeline, tmp_path, name):
     batch = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=4, config_name=name)
-    write_results(batch, tmp_path / "results.csv")
+    write_results([batch], tmp_path / "results.csv")
     assert read_batch(tmp_path / "results.csv") == batch
 
 
@@ -1073,7 +1086,7 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
     # so read_results must have opened the file and read nothing from it yet
     batch = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=0.5), quiet_pipeline, 5, seed=2)
     path = tmp_path / "results.csv"
-    write_results(batch, path)
+    write_results([batch], path)
     entries = []
     parse = sweep.parse_results_csv
 
@@ -1126,7 +1139,7 @@ def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_pat
     (((plan, channel, pipeline), listed),) = entries
     assert listed == []
     assert (plan.attempts_per_round, len(plan.configs)) == (5, 1)
-    assert read_batch(tmp_path / "results.csv") == run(plan, channel, pipeline)
+    assert read_batch(tmp_path / "results.csv") == Collected(run(plan, channel, pipeline)).batch()
 
 
 # --- reporting block by block ----------------------------------------------------
@@ -1164,7 +1177,7 @@ REPORT_PROBES = st.none() | st.integers(0, 60_000) | st.just(2**40)
 def test_reporting_block_by_block_equals_reporting_the_whole_batch(tmp_path_factory, records, block):
     batch = batch_of(records)
     directory = tmp_path_factory.mktemp("report")
-    write_results(batch, directory / "results.csv")
+    write_results([batch], directory / "results.csv")
     assert _streamed_report(directory / "results.csv", block, directory) == _whole_report(batch)
 
 
@@ -1187,7 +1200,7 @@ def test_blocks_with_no_data_row_are_reported_as_nothing(tmp_path):
     assert _streamed_report(tmp_path / "results.csv", 64, tmp_path) == _whole_report(batch)
     # a file of no rows: every block, the final one too, is empty
     empty = join([])
-    write_results(empty, tmp_path / "results.csv")
+    write_results([empty], tmp_path / "results.csv")
     assert _streamed_report(tmp_path / "results.csv", 64, tmp_path) == (0, "\n", "", {})
 
 
@@ -1196,7 +1209,7 @@ def test_a_config_first_seen_in_a_later_block_keeps_its_place(tmp_path):
     records += [_row("late", k, LOST_PROBES if k % 3 else DELIVERED_PROBES) for k in range(20)]
     records += [_row("early", k, LOST_PROBES) for k in range(20, 25)]
     batch = batch_of(records)
-    write_results(batch, tmp_path / "results.csv")
+    write_results([batch], tmp_path / "results.csv")
     first_late = written(batch).index("\nlate,")
     assert first_late > 256  # past the first block
     code, stdout, _, summary = _streamed_report(tmp_path / "results.csv", 256, tmp_path)
@@ -1209,7 +1222,7 @@ def test_a_config_whose_every_row_is_lost_has_no_interval(tmp_path):
     records = [_row("gone", k, LOST_PROBES, Outcome.LOST) for k in range(30)]
     records += [_row("kept", k, DELIVERED_PROBES if k % 2 else LOST_PROBES, Outcome.LOST) for k in range(30)]
     batch = batch_of(records)
-    write_results(batch, tmp_path / "results.csv")
+    write_results([batch], tmp_path / "results.csv")
     code, stdout, _, summary = _streamed_report(tmp_path / "results.csv", 128, tmp_path)
     assert (code, stdout, "", summary) == _whole_report(batch)
     assert summary["gone"] == {}
@@ -1222,7 +1235,7 @@ def test_a_too_wide_interval_in_a_late_block_names_its_config_and_a_later_schema
     records.append(_row("c", 30, DELIVERED_PROBES[:7] + (10**15,)))
     batch = batch_of(records)
     path = tmp_path / "results.csv"
-    write_results(batch, path)
+    write_results([batch], path)
     code, stdout, stderr, summary = _streamed_report(path, 128, tmp_path)
     assert (code, stdout, stderr, summary) == _whole_report(batch)
     assert stderr.startswith("esbsim: error: config 'c', interval d0-d7: latencies from ")
@@ -1236,26 +1249,34 @@ def test_a_too_wide_interval_in_a_late_block_names_its_config_and_a_later_schema
 # --- writing ----------------------------------------------------------------------
 
 
-def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path):
     delivered = Row("olcfg", "abc", 0, 0, 1, tuple(range(8)), 0, Outcome.DELIVERED, 0, 0)
     lost = delivered._replace(attempt=1, probes_ticks=(1, 2, 3, 4) + (None,) * 4, delivered_copy=None,
                               outcome=Outcome.LOST)
     path = tmp_path / "results.csv"
     path.write_text("old\n")
-    csv_rows = sweep._csv_rows
 
-    def failing_after_the_first_chunk(batch, rows, *tables):
-        if rows.start == 0:
-            return csv_rows(batch, rows, *tables)
+    def failing_in_the_second_batch():
+        yield batch_of([delivered, lost])
         assert len(os.listdir(tmp_path)) == 2  # the old file and the one being written
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(sweep, "_WRITE_ROWS", 1)
-    monkeypatch.setattr(sweep, "_csv_rows", failing_after_the_first_chunk)
     with pytest.raises(RuntimeError, match="injected"):
-        write_results(batch_of([delivered, lost]), path)
+        write_results(failing_in_the_second_batch(), path)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["results.csv"]
+
+
+def test_a_batch_over_other_side_tables_than_the_first_is_refused(tmp_path):
+    # the header names the first batch's side tables: a later name would have no hash line
+    first = batch_of([_row("a", 0, DELIVERED_PROBES)])
+    later = batch_of([_row("a", 1, DELIVERED_PROBES), _row("b", 0, DELIVERED_PROBES)])
+    with pytest.raises(ValueError, match="side tables of the first"):
+        write_results([first, later], tmp_path / "results.csv")
+    assert os.listdir(tmp_path) == []
+    # the rows of batches over one set of side tables are written in order, as one batch of them
+    assert written(first, first) == written(join([first, first]))
+    assert written() == written(join([]))
 
 
 # ascending distinct ticks and the rows at each
@@ -1325,7 +1346,7 @@ def large_results(pipeline, tmp_path_factory):
         olcfg_preset(), ChannelModel(p_loss=0.3, p_corrupt=0.05), pipeline, 100_000, seed=5, config_name="olcfg"
     )
     path = tmp_path_factory.mktemp("large") / "results.csv"
-    write_results(batch, path)
+    write_results([batch], path)
     return LargeResults(batch, path, _column_bytes(batch))
 
 
@@ -1375,22 +1396,23 @@ def test_the_report_takes_its_durations_and_one_block(large_results, capsys):
 
 def test_writing_results_takes_one_chunk_beyond_the_columns(large_results, tmp_path):
     # the whole text, or any array over every row, would take 0.25 of the columns or more
-    _, peak = _traced_peak(lambda: write_results(large_results.batch, tmp_path / "results.csv"))
+    _, peak = _traced_peak(lambda: write_results([large_results.batch], tmp_path / "results.csv"))
     assert (tmp_path / "results.csv").read_bytes() == large_results.path.read_bytes()
     assert peak <= 0.25 * large_results.column_bytes + 2 * 2**20
 
 
-def test_a_sweep_takes_its_columns_and_one_series(pipeline):
-    shapes = ((CrcMode.OFF, 2), (CrcMode.CRC8, 3), (CrcMode.CRC16, 1), (CrcMode.CRC16, 0))
-    configs = tuple(
-        (f"crc-{mode.value}-r{n}", dataclasses.replace(olcfg_preset(), crc_mode=mode, retransmit_count=n))
-        for mode, n in shapes
-    )
-    plan = SweepPlan(configs=configs, rounds=5, attempts_per_round=5000, seed=11)
-    batch, peak = _traced_peak(lambda: run_sweep(plan, ChannelModel(p_loss=0.2655, p_corrupt=0.0204), pipeline))
-    assert len(batch) == 100_000
-    # a copy of every series beside the columns would take their size again
-    assert peak <= 1.25 * _column_bytes(batch) + 2 * 2**20
+def test_a_sweep_holds_one_series_whatever_its_rounds(tmp_path, capsys):
+    def peak(rounds: int) -> int:
+        out = tmp_path / f"rounds-{rounds}"
+        argv = ["sweep", "--set", f"sweep.rounds={rounds}", "--set", "sweep.attempts=5000",
+                "--set", "channel.p_loss=0.2655", "--set", "channel.p_corrupt=0.0204", "--out", str(out)]
+        code, peak = _traced_peak(lambda: main(argv))
+        assert code == 0 and len(read_batch(out / "results.csv")) == rounds * 5000
+        return peak
+
+    one, ten = peak(1), peak(10)
+    # nine more series in memory at once would take 9 x 5000 rows x 128 B = 5.8 MB more
+    assert ten <= one + 2**20
 
 
 def test_a_tally_keeps_its_distinct_durations_not_its_rows(pipeline):
