@@ -12,7 +12,7 @@ from pathlib import Path
 from . import __version__
 from . import airtime, analytics, ble, expfile, sweep
 from .config import BleConfig, ConfigError, EsbConfig, olcfg_preset
-from .engine import RNG_ALGORITHM
+from .engine import RNG_ALGORITHM, us_to_ticks
 from .expfile import Experiment, ParseError
 from .link import PipelineModel
 from .sweep import SchemaError, SweepPlan
@@ -203,8 +203,8 @@ def _cmd_simulate(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
     n = args.attempts or exp.plan.attempts_per_round
-    records = sweep.run_series(exp.plan, exp.channel, pipeline, _config_index(exp, args.config), 0, n)
-    _write_outputs([records], args, _out_dir(args))
+    chunks = sweep.run_series(exp.plan, exp.channel, pipeline, _config_index(exp, args.config), 0, n)
+    _write_outputs(chunks, args, _out_dir(args))
     return 0
 
 
@@ -239,12 +239,17 @@ def _cmd_compare_ble(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
     index = _config_index(exp, args.config)
-    records = sweep.run_series(exp.plan, exp.channel, pipeline, index, 0, args.samples)
-    esb_summary = sweep.summarize(records, ("d0", "d7"))
-    within = sweep.count_within(records, ("d0", "d7"), ble.SAMPLE_PERIODS_US)
+    tally = sweep.ConfigTally([("d0", "d7")])
+    for chunk in sweep.run_series(exp.plan, exp.channel, pipeline, index, 0, args.samples):
+        tally.add(chunk)
+    (summaries,) = sweep.summarize_by_config(tally).values()
+    if not summaries:
+        raise sweep.EmptyInputError("no delivered samples to summarize")
+    ticks, counts = tally.ticks[0][0]  # the distinct d0-d7 durations, ascending, and the rows at each
+    within = [int(counts[: ticks.searchsorted(us_to_ticks(p), side="right")].sum()) for p in ble.SAMPLE_PERIODS_US]
     config = exp.plan.configs[index][1]
     ble_config = exp.ble or BleConfig(transfer_time_us=airtime.on_air_time_us(config))
-    text = ble.render_comparison(esb_summary, within, ble_config)
+    text = ble.render_comparison(summaries["d0d7"], within, ble_config)
     out = _out_dir(args)
     (out / "compare.txt").write_text(text + "\n", encoding="utf-8")
     print(text)

@@ -1,12 +1,12 @@
 """Measurement-protocol orchestration: rounds, statistics, persistence.
 
 Mirrors the lab procedure: every configuration runs rounds x attempts.  A
-sweep is a stream of (config, round) series in file order, which the
-results writer and the summaries' tally each take one series at a time, so
-a sweep's memory is set by one series, not by the plan.  Latency
-statistics are computed over delivered attempts only (a lost attempt never
-triggers the downstream probes), and results round-trip through a CSV whose
-header comments carry full provenance (seed, RNG algorithm, config hashes).
+series is made _CHUNK_ROWS attempts at a time, and the results writer and
+the summaries' tally each take a chunk as it is made, so a command's memory
+is set by the chunk, not by the series or the plan.  Latency statistics are
+computed over delivered attempts only (a lost attempt never triggers the
+downstream probes), and results round-trip through a CSV whose header
+comments carry full provenance (seed, RNG algorithm, config hashes).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, starmap
+from operator import mul
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .analytics import AccountingRow, DomainError
 from .config import ChannelModel, ConfigError, EsbConfig, validate
 from .engine import RNG_ALGORITHM, TICKS_PER_US, us_to_ticks
 from .link import (
+    ATTEMPT_SPACING_US,
     DELIVERED_CORRUPTED,
     LOST,
     OUTCOMES,
@@ -44,6 +46,7 @@ DEFAULT_HISTOGRAM_BIN_US = 5.0
 DEFAULT_MODE_SPACING_US = 435.0
 MODE_FLOOR = 0.01  # a histogram peak below this share of the tallest bin is no mode
 MAX_HISTOGRAM_BINS = 10**6  # a latency span wider than this many bins is refused, not allocated
+_CHUNK_ROWS = 4096  # attempts made, and rows rendered and written, at a time
 
 RESULTS_FORMAT = "esbsim-results-v1"
 
@@ -108,21 +111,28 @@ def run_series(
     config_index: int,
     round_index: int,
     n: int,
-) -> RecordBatch:
-    """Attempts 0..n-1 of the plan's (config, round) series.  Every command
-    that simulates a config addresses its draws here: the plan seed, the
-    config's index as namespace and the round."""
+) -> Iterator[RecordBatch]:
+    """Attempts 0..n-1 of the plan's (config, round) series, made _CHUNK_ROWS
+    at a time as they are taken.  A series whose copy train outruns the
+    attempt spacing, or whose last start is too large for a results cell, is
+    refused first.  Every command that simulates a config addresses its
+    draws here: the plan seed, the config's index as namespace, the round
+    and the attempt."""
     name, config = plan.configs[config_index]
-    return run_attempt_series(
-        config,
-        channel,
-        pipeline,
-        n,
-        seed=plan.seed,
-        config_name=name,
-        namespace=(config_index,),
-        round_index=round_index,
+    check_copy_train(config)
+    if (last := (n - 1) * us_to_ticks(ATTEMPT_SPACING_US)) >= 10**_MAX_DIGITS:
+        raise ConfigError(f"{n} attempts are too many: the last would start at {last // 10}.{last % 10} us, "
+                          f"and a results cell holds at most {_MAX_DIGITS} digits")
+    address = dict(seed=plan.seed, config_name=name, namespace=(config_index,), round_index=round_index)
+    return (
+        run_attempt_series(config, channel, pipeline, min(_CHUNK_ROWS, n - start), start_attempt=start, **address)
+        for start in range(0, n, _CHUNK_ROWS)
     )
+
+
+def _listed(run, *args) -> list[RecordBatch]:
+    """The chunks of `run(*args)` in a list, which a pool worker can return."""
+    return list(run(*args))
 
 
 def run_sweep(
@@ -132,37 +142,38 @@ def run_sweep(
     workers: int = 1,
 ) -> Iterator[RecordBatch]:
     """The plan's (config, round) series in file order, by config, then by
-    round, each made as it is taken and over the plan's side tables.
+    round, in chunks made as they are taken and over the plan's side tables.
 
-    Every config's copy train is checked first, so a plan that cannot run
-    fails before a series is made.  Each series is a `run_series` call,
+    Every config's series is checked first, so a plan that cannot run
+    fails before a chunk is made.  Each series is a `run_series` call,
     whose draws are addressed by the plan seed and its own indices, so the
     records are identical for any worker count and any execution order.
     At most `workers` processes run the series, and no more than there are
-    series or CPUs; one runs them in this process.  With more, the series
-    that finish before they are taken wait in the pool.
+    series or CPUs; one runs them in this process.  With more, a worker
+    returns a whole series, and those done before they are taken wait in it.
     """
-    for _, config in plan.configs:
-        check_copy_train(config)
+    run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
+    for c in range(len(plan.configs)):
+        run(c, 0)  # checks the config's series, and makes no chunk
     names = tuple(name for name, _ in plan.configs)
     hashes = tuple(config.digest() for _, config in plan.configs)
     tasks = [(c, r) for c in range(len(plan.configs)) for r in range(plan.rounds)]
-    run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
     # a process per series and CPU at most: the pool starts every one at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
 
-    def series() -> Iterator[RecordBatch]:
+    def series() -> Iterator[Iterable[RecordBatch]]:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(run, *zip(*tasks))
+                yield from pool.map(partial(_listed, run), *zip(*tasks))
         else:
             yield from map(run, *zip(*tasks))
 
     return (
         replace(batch, names=names, hashes=hashes, config_index=batch.config_index + c)
-        for (c, _), batch in zip(tasks, series())
+        for (c, _), chunks in zip(tasks, series())
+        for batch in chunks
     )
 
 
@@ -225,9 +236,7 @@ def detect_modes(
     return tuple(sorted(positions))
 
 
-def _interval_ticks(
-    batch: RecordBatch, interval: tuple[str, str], rows: np.ndarray | slice = slice(None)
-) -> tuple[np.ndarray, int]:
+def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Interval durations in ticks over the `rows` (a boolean mask) with
     both probes, in row order, and the count of those without them.  Only
     the two probe columns are read."""
@@ -256,33 +265,16 @@ def _histogram(values_us: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
     return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width), weights=counts)
 
 
-def summarize(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> SummaryStats:
-    """Latency statistics of a batch's probe `interval`.
-
-    The batch is summarized over delivered records only; lost attempts are
-    counted separately in `n_lost`.  Its statistics are computed in integer
-    tick space and converted, so they are exact on the 0.1 us grid (a
-    zero-jitter point mass reports its value bit-for-bit) and independent of
-    record order.
-    """
-    ticks, n_lost = _interval_ticks(batch, interval)
-    return _summary(*np.unique(ticks, return_counts=True), n_lost)
-
-
-def count_within(batch: RecordBatch, interval: tuple[str, str], limits_us: Sequence[float]) -> list[int]:
-    """Per limit, the count of the batch's records whose `interval` took at most that many us."""
-    ticks, _ = _interval_ticks(batch, interval)
-    return [int(np.count_nonzero(ticks <= us_to_ticks(limit))) for limit in limits_us]
-
-
 def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStats:
     """Statistics of the rows at ascending distinct int64 `values` in
     ticks, `counts` at each: the mean and SD from exact integer sums, the
     rest as numpy gives them over the rows."""
     if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
-    rows = list(zip(values.tolist(), counts.tolist()))  # Python ints: the sums are exact
-    n, s1, s2 = (sum(count * value**power for value, count in rows) for power in (0, 1, 2))
+    ticks, weights = values.tolist(), counts.tolist()  # Python ints: the sums are exact
+    n = sum(weights)
+    s1 = sum(weighted := list(map(mul, weights, ticks)))
+    s2 = sum(map(mul, weighted, ticks))
     median, p99 = _order_statistics(values, np.cumsum(counts))
     hist_counts, edges = _histogram(values / TICKS_PER_US, counts)
     return SummaryStats(
@@ -323,8 +315,7 @@ def _config_order(batch: RecordBatch) -> list[int]:
 # --- persistence --------------------------------------------------------------
 
 _BLOCK_BYTES = 1 << 19  # bytes of a results file read at a time; their whole lines are parsed together
-_WRITE_ROWS = 2048  # rows rendered and written at a time
-_UNUSED = -1  # a byte of a written cell's block that the cell leaves out
+_UNUSED = 0xFF  # a byte of a written cell's block that the cell leaves out: no UTF-8 text has it
 _MAX_DIGITS = 17  # digits in a number cell: ten times the value still fits in an int64
 
 
@@ -345,19 +336,19 @@ def _number_cells(values: np.ndarray, min_digits: int = 1) -> np.ndarray:
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     # a place is written from the value's leading digit on, and the last min_digits places always
     lowest = np.where(np.arange(width) < width - min_digits, powers, 0)
-    digits = np.empty((len(values), width), dtype=np.int16)
+    digits = np.empty((len(values), width), dtype=np.uint8)
     quotient = values
     for place in range(width - 1, -1, -1):  # from the last place: one division by 10 a place
         rest = quotient // 10  # numpy divides by a scalar fast, which np.divmod does not
         digits[:, place] = quotient - rest * 10
         quotient = rest
     digits += ord("0")
-    return np.where(values[:, None] >= lowest, digits, np.int16(_UNUSED))
+    return np.where(values[:, None] >= lowest, digits, np.uint8(_UNUSED))
 
 
 def _time_cells(ticks: np.ndarray) -> np.ndarray:
     """Each of `ticks` in microseconds: the tick digits, at least two, with a point before the last."""
-    point = np.where(ticks >= 0, ord("."), _UNUSED)
+    point = np.where(ticks >= 0, np.uint8(ord(".")), np.uint8(_UNUSED))
     return np.insert(_number_cells(ticks, min_digits=2), -1, point, axis=1)
 
 
@@ -365,13 +356,13 @@ def _byte_table(texts: Iterator[str]) -> np.ndarray:
     """The UTF-8 bytes of each of `texts`, left-aligned in its row of a table as wide as the longest."""
     encoded = [text.encode() for text in texts]
     lengths = np.array([len(text) for text in encoded], dtype=np.int64)
-    table = np.full((len(encoded), lengths.max(initial=0)), _UNUSED, dtype=np.int16)
+    table = np.full((len(encoded), lengths.max(initial=0)), _UNUSED, dtype=np.uint8)
     table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     return table
 
 
-def _csv_rows(batch: RecordBatch, rows: slice, names: np.ndarray, seeds: np.ndarray, outcomes: np.ndarray) -> bytes:
-    """The CSV lines of `batch`'s `rows`: its cells side by side with their separators, bytes in use in order."""
+def _csv_rows(batch: RecordBatch, rows: slice, names: np.ndarray, seeds: np.ndarray, outcomes: np.ndarray):
+    """The CSV lines of `batch`'s `rows`, uint8: its cells side by side with their separators, bytes in use in order."""
     cells = [
         names[batch.config_index[rows]],
         _number_cells(batch.round_index[rows]),
@@ -383,10 +374,10 @@ def _csv_rows(batch: RecordBatch, rows: slice, names: np.ndarray, seeds: np.ndar
         _number_cells(batch.duplicates_suppressed[rows]),
         _number_cells(batch.duplicates_delivered[rows]),
     ]
-    comma = np.full((len(cells[0]), 1), ord(","), dtype=np.int16)
+    comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
     text = np.concatenate([block for cell in cells for block in (cell, comma)], axis=1)
     text[:, -1] = ord("\n")  # the last separator ends the line
-    return text[text != _UNUSED].astype(np.uint8).tobytes()
+    return text[text != _UNUSED]
 
 
 def _csv_header(names: Sequence[str], hashes: Sequence[str], seeds: Sequence[int]) -> bytes:
@@ -403,7 +394,7 @@ def _csv_header(names: Sequence[str], hashes: Sequence[str], seeds: Sequence[int
 
 def _write_csv(batches: Iterable[RecordBatch], fh: io.BufferedIOBase) -> None:
     """The results CSV of the rows of `batches` to the binary file `fh`,
-    _WRITE_ROWS rows at a time, under a header that names the side tables
+    _CHUNK_ROWS rows at a time, under a header that names the side tables
     of the first."""
     tables = None
     for batch in batches:
@@ -417,8 +408,8 @@ def _write_csv(batches: Iterable[RecordBatch], fh: io.BufferedIOBase) -> None:
             )
         elif (batch.names, batch.hashes, batch.seeds) != tables:
             raise ValueError("every batch of a results file needs the side tables of the first")
-        for start in range(0, len(batch), _WRITE_ROWS):
-            fh.write(_csv_rows(batch, slice(start, start + _WRITE_ROWS), *cell_tables))
+        for start in range(0, len(batch), _CHUNK_ROWS):
+            fh.write(_csv_rows(batch, slice(start, start + _CHUNK_ROWS), *cell_tables))
     if tables is None:
         fh.write(_csv_header((), (), ()))
 
@@ -792,16 +783,19 @@ class ConfigTally:
                 at = np.searchsorted(table[0], more[0])
                 fresh = at == np.searchsorted(table[0], more[0], side="right")
                 table[1, at[~fresh]] += more[1, ~fresh]
-                self.ticks[index][k] = np.insert(table, at[fresh], more[:, fresh], axis=1)
+                if fresh.any():  # a long series soon has every duration it takes
+                    self.ticks[index][k] = np.insert(table, at[fresh], more[:, fresh], axis=1)
                 self.lost[index, k] += lost
         return batch
 
 
 def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]]:
-    """`summarize` of each of the tally's intervals over each config's rows,
-    configs in order of first appearance; an interval no row of a config
-    has is left out.  An interval wider than MAX_HISTOGRAM_BINS bins raises
-    DomainError naming both."""
+    """Latency statistics of each of the tally's intervals over each
+    config's rows, configs in order of first appearance; an interval no row
+    of a config has is left out, and lost attempts are counted in `n_lost`.
+    They are computed in integer ticks and converted, so they are exact on
+    the 0.1 us grid and independent of row order.  An interval wider than
+    MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
     out: dict[str, dict[str, SummaryStats]] = {}
     for index in tally.order:
         out[tally.names[index]] = stats = {}

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 
 from esbsim.link import RecordBatch
+from esbsim.sweep import ConfigTally, SummaryStats, summarize_by_config
 
 
 class Collected(list):
@@ -16,3 +17,12 @@ class Collected(list):
         which extend those of each one before."""
         columns = [field.name for field in dataclasses.fields(RecordBatch)[3:]]
         return dataclasses.replace(self[-1], **{c: np.concatenate([getattr(b, c) for b in self]) for c in columns})
+
+
+def summary_of(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> SummaryStats:
+    """The statistics of `interval` over the rows of `batch`, all of one
+    config, as the summaries of a tally of the batch give them."""
+    tally = ConfigTally([interval])
+    tally.add(batch)
+    (summaries,) = summarize_by_config(tally).values()
+    return summaries[interval[0] + interval[1]]

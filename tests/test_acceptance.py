@@ -29,9 +29,10 @@ from esbsim.sweep import (
     SweepPlan,
     accounting_by_config,
     run_sweep,
-    summarize,
     write_results,
 )
+
+from conftest import summary_of
 
 TRIMODAL_LOSS = 0.2655  # (14/750)^(1/3) from the reference accounting, rounded
 REFERENCE_LOSS = 0.043  # reproduces the reference mean-median gap via p * 435
@@ -86,9 +87,9 @@ def test_a1_calibration_exactness(calibrated):
     )
     targets = olcfg_calibration_targets()
     medians = {
-        "d0d7": summarize(records, ("d0", "d7")).median_us,
-        "d2d5": summarize(records, ("d2", "d5")).median_us,
-        "d3d4": summarize(records, ("d3", "d4")).median_us,
+        "d0d7": summary_of(records, ("d0", "d7")).median_us,
+        "d2d5": summary_of(records, ("d2", "d5")).median_us,
+        "d3d4": summary_of(records, ("d3", "d4")).median_us,
     }
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -104,7 +105,7 @@ def test_a1_calibration_exactness(calibrated):
 
 def test_a2_trimodal_structure(trimodal_run):
     records, elapsed = trimodal_run
-    stats = summarize(records, ("d0", "d7"))
+    stats = summary_of(records, ("d0", "d7"))
     checks = [
         (f"{len(stats.modes_us)} modes", len(stats.modes_us) == 3),
         (f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0),
@@ -134,7 +135,7 @@ def test_a2_trimodal_structure(trimodal_run):
 def test_a3_mean_median_gap_and_sd(reference_run):
     # calibrated-reproduction check against the reference distribution shape,
     # not an independent validation (the loss probability was fitted to it)
-    stats = summarize(reference_run, ("d0", "d7"))
+    stats = summary_of(reference_run, ("d0", "d7"))
     gap = stats.mean_us - stats.median_us
     _criterion(
         "A3 mean-median gap and SD emergence",
@@ -204,7 +205,7 @@ def test_a6_ble_comparison(reference_run):
     transfer = airtime.on_air_time_us(olcfg_preset())
     ble_config = BleConfig(connection_interval_us=7500.0, transfer_time_us=transfer)
     ble_mean, _, _, ble_p99 = exact_summary(ble_config)
-    esb_stats = summarize(reference_run, ("d0", "d7"))
+    esb_stats = summary_of(reference_run, ("d0", "d7"))
     mean_ratio = ble_mean / esb_stats.mean_us
     elapsed = time.perf_counter() - t0
     _criterion(

@@ -7,6 +7,8 @@ from esbsim.ble import SAMPLE_PERIODS_US, exact_summary, latency_cdf, render_com
 from esbsim.config import BleConfig
 from esbsim.sweep import SummaryStats
 
+from conftest import summary_of
+
 
 def _broadcast(mean_us: float, n: int = 100, n_lost: int = 0) -> SummaryStats:
     return SummaryStats(n, n_lost, mean_us, mean_us, 0.0, mean_us, (n,), (mean_us, mean_us + 5.0), (mean_us,))
@@ -105,11 +107,10 @@ def test_broadcast_tail_stays_far_below_one_connection_interval():
     from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
     from esbsim.config import ChannelModel, olcfg_preset
     from esbsim.link import run_attempt_series
-    from esbsim.sweep import summarize
 
     pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
     records = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.043), pipe, 5000, seed=21
     )
-    stats = summarize(records, ("d0", "d7"))
+    stats = summary_of(records, ("d0", "d7"))
     assert stats.p99_us < 1500.0 < BleConfig().connection_interval_us

@@ -16,9 +16,9 @@ from esbsim.cli import main
 from esbsim.config import BleConfig, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
-from esbsim.sweep import read_results, summarize
+from esbsim.sweep import read_results
 
-from conftest import Collected
+from conftest import Collected, summary_of
 
 EXPERIMENT = """\
 [sweep]
@@ -321,6 +321,16 @@ OUT_OF_RANGE = {
         "--set 'ble.connection_interval_us=inf': expected a finite number, got 'inf'",
     # nothing delivered to summarize
     ("compare-ble", "--set", "channel.p_loss=1.0"): "no delivered samples to summarize",
+    # the last attempt would start later than a results cell can write, in 10**17 ticks
+    ("simulate", "--attempts", "2000000000000"):
+        "2000000000000 attempts are too many: the last would start at 11999999999994000.0 us, "
+        "and a results cell holds at most 17 digits",
+    ("compare-ble", "--samples", "1666666666668"):
+        "1666666666668 attempts are too many: the last would start at 10000000000002000.0 us, "
+        "and a results cell holds at most 17 digits",
+    ("sweep", "--set", "sweep.attempts=1666666666668"):
+        "1666666666668 attempts are too many: the last would start at 10000000000002000.0 us, "
+        "and a results cell holds at most 17 digits",
     # the copy train outruns the attempt window
     ("simulate", "--set", "config.olcfg.retransmits=14"):
         "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)",
@@ -397,7 +407,7 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     delivered = series.delivered_copy >= 0
     d0d7 = series.probes[delivered, 7] - series.probes[delivered, 0]
     within = [int((d0d7 <= 10 * limit).sum()) for limit in (1000, 2000)]
-    assert compared == [(summarize(series, ("d0", "d7")), within)]
+    assert compared == [(summary_of(series, ("d0", "d7")), within)]
 
 
 def _pipeline_file(tmp_path, key: str, value: str) -> str:
@@ -495,6 +505,25 @@ PINNED_SWEEP = {
 }
 
 
+# sha256 of compare.txt of a lossy link at two seeds, with fewer and with
+# more attempts than one chunk of a series
+PINNED_COMPARISONS = {
+    ("1", "3000"): "4ca50634dcf6ef68008e90588bbc2a059f239c7f55b35d86fc3d976fd77a9b2b",
+    ("1", "10000"): "15903c120e632370548edf0e6d2037156063e8791907a6164c43669ec93b7454",
+    ("2", "3000"): "cc78892ad8a9a3efbff2e142c01cb589073d36da914dd000fa6451ed820281f7",
+    ("2", "10000"): "7843dbf8265b2a759a3049adf7017a57a843df5342e580f996a5eead331dce31",
+}
+
+
+@pytest.mark.parametrize("seed, samples", list(PINNED_COMPARISONS))
+def test_compare_ble_writes_the_pinned_bytes(tmp_path, capsys, seed, samples):
+    lossy = ["--set", "channel.p_loss=0.3", "--set", "channel.p_corrupt=0.05"]
+    assert main(["compare-ble", "--seed", seed, "--samples", samples, *lossy, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "compare.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == PINNED_COMPARISONS[seed, samples]
+    assert capsys.readouterr().out.encode() == text
+
+
 def test_a_fixed_sweep_writes_the_pinned_bytes(tmp_path, capsys):
     exp = tmp_path / "exp.cfg"
     exp.write_text(EXPERIMENT + MORE_CONFIGS)
@@ -563,7 +592,7 @@ def test_report_loads_no_openssl(exp_file, tmp_path, capsys):
 def test_a_config_name_with_a_line_break_exits_one_and_writes_no_results(exp_file, tmp_path, capsys, monkeypatch):
     run_series = sweep.run_series
     monkeypatch.setattr(
-        sweep, "run_series", lambda *args: dataclasses.replace(run_series(*args), names=("a\nb",))
+        sweep, "run_series", lambda *args: (dataclasses.replace(chunk, names=("a\nb",)) for chunk in run_series(*args))
     )
     out = tmp_path / "out"
     assert main(["simulate", "--file", str(exp_file), "--out", str(out)]) == 1

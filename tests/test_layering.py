@@ -137,7 +137,6 @@ def test_the_reader_rule_sees_definitions_reads_and_bodies():
 # package passes, each with the reason it stays.  Every other default needs a
 # call in the package that passes it: a parameter only tests pass is dead code.
 API_PARAMETERS = {
-    "run_attempt_series(start_attempt=)": "tests start a series mid-way to check that chunking draws the same rows",
     "main(argv=)": "tests and the benchmark run the command line in-process",
 }
 

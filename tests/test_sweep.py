@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from esbsim import __version__, sweep
+from esbsim import __version__, ble, sweep
 from esbsim.analytics import DomainError, calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
-from esbsim.config import ChannelModel, CrcMode, olcfg_preset
+from esbsim.config import ChannelModel, ConfigError, CrcMode, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.link import DELIVERED, DELIVERED_CORRUPTED, LOST, OUTCOMES, PROBES, Outcome, RecordBatch, run_attempt_series
 from esbsim.sweep import (
@@ -40,12 +40,11 @@ from esbsim.sweep import (
     read_results,
     render_report,
     run_sweep,
-    summarize,
     summarize_by_config,
     write_results,
 )
 
-from conftest import Collected
+from conftest import Collected, summary_of
 
 
 # --- row-wise oracles ------------------------------------------------------------
@@ -390,20 +389,38 @@ class TestRunSweep:
 
     def test_a_sweep_makes_each_series_as_it_is_taken(self, small_plan, quiet_pipeline, monkeypatch):
         made = []
-        run_series = sweep.run_series
+        run_attempt_series = sweep.run_attempt_series
 
-        def counted(plan, channel, pipeline, c, r, n):
-            made.append((c, r))
-            return run_series(plan, channel, pipeline, c, r, n)
+        def counted(config, channel, pipeline, n, **address):
+            made.append((address["namespace"][0], address["round_index"], address["start_attempt"], n))
+            return run_attempt_series(config, channel, pipeline, n, **address)
 
-        monkeypatch.setattr(sweep, "run_series", counted)
+        # 50 attempts a series: chunks of 20, 20 and 10
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", 20)
+        monkeypatch.setattr(sweep, "run_attempt_series", counted)
         stream = run_sweep(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline)
         assert made == []
         first = next(stream)
-        assert made == [(0, 0)] and len(first) == small_plan.attempts_per_round
+        assert made == [(0, 0, 0, 20)] and len(first) == 20
         rest = list(stream)
-        assert made == [(c, r) for c in range(len(small_plan.configs)) for r in range(small_plan.rounds)]
-        assert [int(batch.config_index[0]) for batch in [first, *rest]] == [c for c, _ in made]
+        chunks = [(0, 20), (20, 20), (40, 10)]
+        assert made == [
+            (c, r, start, n) for c in range(len(small_plan.configs)) for r in range(small_plan.rounds) for start, n in chunks
+        ]
+        assert [int(batch.config_index[0]) for batch in [first, *rest]] == [c for c, *_ in made]
+        assert [batch.attempt[0] for batch in [first, *rest]] == [start for _, _, start, _ in made]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 64])
+    def test_the_chunks_of_a_series_are_the_whole_series(self, small_plan, pipeline, monkeypatch, chunk):
+        channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
+        crc16 = small_plan.configs[1][1]
+        whole = run_attempt_series(
+            crc16, channel, pipeline, 50, seed=small_plan.seed, config_name="crc16", namespace=(1,), round_index=2
+        )
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk)
+        chunks = list(sweep.run_series(small_plan, channel, pipeline, 1, 2, 50))
+        assert [len(batch) for batch in chunks] == [min(chunk, 50 - start) for start in range(0, 50, chunk)]
+        assert Collected(chunks).batch() == whole
 
     def test_tallying_the_stream_equals_tallying_its_join(self, small_plan, pipeline):
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
@@ -462,22 +479,23 @@ class TestRunSweep:
         plan = SweepPlan(configs=configs, rounds=rounds, attempts_per_round=attempts, shuffle=shuffle, seed=seed)
         channel = ChannelModel(p_loss=p_loss, p_corrupt=0.1)
         tasks = data.draw(st.permutations([(c, r) for c in range(n_configs) for r in range(rounds)]))
-        series = {task: sweep.run_series(plan, channel, pipeline, *task, attempts) for task in tasks}
-        joined = join([series[c, r] for c in range(n_configs) for r in range(rounds)])
+        series = {task: list(sweep.run_series(plan, channel, pipeline, *task, attempts)) for task in tasks}
+        joined = join([chunk for c in range(n_configs) for r in range(rounds) for chunk in series[c, r]])
         assert written(joined) == written(*run_sweep(plan, channel, pipeline))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_sweep_is_the_join_of_its_series_in_canonical_order(self, small_plan, pipeline, workers):
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
         series = [
-            sweep.run_series(small_plan, channel, pipeline, c, r, small_plan.attempts_per_round)
+            chunk
             for c in range(len(small_plan.configs))
             for r in range(small_plan.rounds)
+            for chunk in sweep.run_series(small_plan, channel, pipeline, c, r, small_plan.attempts_per_round)
         ]
         joined = join(series)
         streamed = Collected(run_sweep(small_plan, channel, pipeline, workers=workers))
         assert streamed.batch() == joined
-        # one batch a series, in file order, each over the plan's side tables
+        # the chunks of each series, in file order, each over the plan's side tables
         assert list(streamed) == series
         assert {(b.names, b.hashes, b.seeds) for b in streamed} == {(joined.names, joined.hashes, joined.seeds)}
 
@@ -485,7 +503,7 @@ class TestRunSweep:
 class TestSummarize:
     def test_quiet_lossless_run_is_a_point_mass(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 100, seed=1)
-        stats = summarize(records, ("d0", "d7"))
+        stats = summary_of(records, ("d0", "d7"))
         assert stats.mean_us == stats.median_us == 486.3
         assert stats.sd_us == 0.0
         assert stats.n == 100
@@ -493,7 +511,7 @@ class TestSummarize:
 
     def test_single_record(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 1, seed=1)
-        stats = summarize(records)
+        stats = summary_of(records)
         assert stats.n == 1
         assert stats.mean_us == stats.median_us
         assert stats.sd_us == 0.0
@@ -502,7 +520,7 @@ class TestSummarize:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.6), quiet_pipeline, 200, seed=2
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         lost = int((records.outcome == LOST).sum())
         assert stats.n == 200 - lost
         assert stats.n_lost == lost
@@ -511,29 +529,38 @@ class TestSummarize:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 500, seed=3
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         assert sum(stats.hist_counts) == stats.n
 
     def test_empty_input_raises(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=1.0), quiet_pipeline, 10, seed=1)
+        tally = tallied(records)
         with pytest.raises(EmptyInputError):
-            summarize(records)
+            sweep._summary(*tally.ticks[0][0], int(tally.lost[0, 0]))
+        assert summarize_by_config(tally) == {"": {}}
 
-    def test_count_within_includes_the_limit_and_no_lost_attempt(self):
-        rows = [_row("olcfg", k, (0, 0, 0, 0, 0, 0, 0, ticks)) for k, ticks in enumerate((9999, 10000, 10001))]
-        rows.append(_row("olcfg", 3, (0, 0, 0, 0, 0) + (None,) * 3, Outcome.LOST))
-        assert sweep.count_within(batch_of(rows), ("d0", "d7"), (999.9, 1000.0, 2000.0)) == [1, 2, 3]
+    def test_count_within_includes_the_limit_and_no_lost_attempt(self, tmp_path, monkeypatch):
+        durations = (9999, 10000, 10001, 20000, 20001)
+        rows = [_row("olcfg", k, (0, 0, 0, 0, 0, 0, 0, ticks)) for k, ticks in enumerate(durations)]
+        rows.append(_row("olcfg", 5, (0, 0, 0, 0, 0) + (None,) * 3, Outcome.LOST))
+        monkeypatch.setattr(sweep, "run_series", lambda *args: iter([batch_of(rows[:4]), batch_of(rows[4:])]))
+        compared = []
+        render = ble.render_comparison
+        monkeypatch.setattr(ble, "render_comparison", lambda *args: compared.append(args[:2]) or render(*args))
+        assert main(["compare-ble", "--out", str(tmp_path)]) == 0
+        # within 1000 and 2000 us, each limit included
+        assert compared == [(summary_of(batch_of(rows)), [2, 4])]
 
     def test_unknown_interval_rejected(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 1, seed=1)
         with pytest.raises(ValueError):
-            summarize(records, ("d0", "d9"))
+            summary_of(records, ("d0", "d9"))
 
     def test_median_within_range_and_sd_non_negative(self, quiet_pipeline):
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.4), quiet_pipeline, 400, seed=4
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         delivered = records.delivered_copy >= 0
         values = (records.probes[delivered, 7] - records.probes[delivered, 0]) / 10
         assert values.min() <= stats.median_us <= values.max()
@@ -543,14 +570,14 @@ class TestSummarize:
 class TestDetectModes:
     def test_single_mode_for_lossless_runs(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 200, seed=5)
-        stats = summarize(records)
+        stats = summary_of(records)
         assert len(stats.modes_us) == 1
 
     def test_three_modes_spaced_by_the_retransmit_delay(self, quiet_pipeline):
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.2655), quiet_pipeline, 5000, seed=6
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         assert len(stats.modes_us) == 3
         spacings = np.diff(stats.modes_us)
         assert np.allclose(spacings, 435.0, atol=5.0)
@@ -559,7 +586,7 @@ class TestDetectModes:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=0.2655), quiet_pipeline, 5000, seed=6
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         delivered = records.delivered_copy >= 0
         values = (records.probes[delivered, 7] - records.probes[delivered, 0]) / 10
         nearest = np.argmin(np.abs(values[:, None] - np.asarray(stats.modes_us)), axis=1)
@@ -580,7 +607,7 @@ class TestDetectModes:
         records = run_attempt_series(
             olcfg_preset(), ChannelModel(p_loss=p_loss), quiet_pipeline, 4000, seed=12
         )
-        stats = summarize(records)
+        stats = summary_of(records)
         assert len(stats.modes_us) >= 2
         for spacing in np.diff(stats.modes_us):
             assert abs(spacing - 435.0) <= 5.0  # one bin
@@ -777,6 +804,31 @@ class TestPersistence:
             write_results([dataclasses.replace(batch, **{column: values})], tmp_path / "results.csv")
         assert os.listdir(tmp_path) == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-1, 10**17 - 1), min_size=1, max_size=30))
+    @example(values=[-1])
+    @example(values=[-1, 0, 9, 10, 10**17 - 1])
+    def test_each_cell_is_its_text_once_the_unused_bytes_are_dropped(self, values):
+        column = np.array(values, dtype=np.int64)
+        numbers, times = sweep._number_cells(column), sweep._time_cells(column)
+        assert numbers.dtype == times.dtype == np.uint8
+        for value, number, time_cell in zip(values, numbers, times):
+            number_text, time_text = ("", "") if value < 0 else (f"{value}", f"{value // 10}.{value % 10}")
+            assert number[number != 0xFF].tobytes() == number_text.encode()
+            assert time_cell[time_cell != 0xFF].tobytes() == time_text.encode()
+
+    def test_the_longest_series_accepted_writes_its_last_attempt(self, small_plan, pipeline, tmp_path):
+        # its last attempt starts at 1,666,666,666,666 x 60,000 ticks, 17 digits; one more is refused
+        longest = 1_666_666_666_667
+        with pytest.raises(ConfigError, match=f"^{longest + 1} attempts are too many"):
+            sweep.run_series(small_plan, ChannelModel(), pipeline, 0, 0, longest + 1)
+        chunks = sweep.run_series(small_plan, ChannelModel(), pipeline, 0, 0, longest)
+        assert len(next(chunks)) == sweep._CHUNK_ROWS
+        last = run_attempt_series(olcfg_preset(), ChannelModel(), pipeline, 1, seed=1, start_attempt=longest - 1)
+        assert last.probes[0, 0] == 99_999_999_999_960_000
+        write_results([last], tmp_path / "results.csv")
+        assert read_batch(tmp_path / "results.csv") == last
+
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
     @example(records=WIDE_ROWS)
@@ -792,7 +844,7 @@ class TestPersistence:
     @example(records=LOST_ROWS, chunk=2)
     def test_columnar_render_matches_the_row_oracle(self, records, chunk):
         # rows written a few at a time, so digit widths differ across chunks
-        with mock.patch.object(sweep, "_WRITE_ROWS", chunk):
+        with mock.patch.object(sweep, "_CHUNK_ROWS", chunk):
             assert written(batch_of(records)) == oracle_render(records)
 
     @settings(max_examples=100, deadline=None)
@@ -1413,6 +1465,21 @@ def test_a_sweep_holds_one_series_whatever_its_rounds(tmp_path, capsys):
     one, ten = peak(1), peak(10)
     # nine more series in memory at once would take 9 x 5000 rows x 128 B = 5.8 MB more
     assert ten <= one + 2**20
+
+
+@pytest.mark.parametrize(
+    "command, count, printed", [("simulate", "--attempts", "  sent {} "), ("compare-ble", "--samples", "of sent")]
+)
+def test_a_long_series_takes_the_memory_of_a_short_one(tmp_path, capsys, command, count, printed):
+    def peak(n: int) -> int:
+        argv = [command, count, str(n), "--set", "channel.p_loss=0.2655", "--out", str(tmp_path / str(n))]
+        code, peak = _traced_peak(lambda: main(argv))
+        assert code == 0 and printed.format(n) in capsys.readouterr().out
+        return peak
+
+    short, long = peak(20_000), peak(200_000)
+    # the 180,000 more attempts at once would take 128 B each, 22 MB
+    assert long <= short + 2 * 2**20
 
 
 def test_a_tally_keeps_its_distinct_durations_not_its_rows(pipeline):
