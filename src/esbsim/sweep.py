@@ -24,7 +24,6 @@ from operator import mul
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .analytics import AccountingRow, DomainError
@@ -236,10 +235,10 @@ def detect_modes(
     return tuple(sorted(positions))
 
 
-def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Interval durations in ticks over the `rows` (a boolean mask) with
-    both probes, in row order, and the count of those without them.  Only
-    the two probe columns are read."""
+def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tuple[np.ndarray, int]:
+    """Interval durations in ticks over the `rows` (a boolean mask or a
+    slice) with both probes, in row order, and the count of those without
+    them.  Only the two probe columns are read."""
     start, end = interval
     if start not in PROBES or end not in PROBES:
         raise ValueError(f"unknown probe pair {interval!r}")
@@ -247,9 +246,7 @@ def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows: np.ndar
     a = batch.probes[:, PROBES.index(start)][rows]
     b = batch.probes[:, PROBES.index(end)][rows]
     present = (a >= 0) & (b >= 0)
-    ticks = b[present]
-    ticks -= a[present]
-    return ticks, len(a) - int(np.count_nonzero(present))
+    return (b - a)[present], len(a) - int(np.count_nonzero(present))
 
 
 def _histogram(values_us: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,15 +303,12 @@ def _order_statistics(values: np.ndarray, cumulative: np.ndarray) -> tuple[float
     return (float(low) + float(high)) / 2, float(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)
 
 
-def _config_order(batch: RecordBatch) -> list[int]:
-    """Indices of the configs that have rows, in order of first appearance."""
-    present = np.flatnonzero(np.bincount(batch.config_index)).tolist()
-    return sorted(present, key=lambda index: int(np.argmax(batch.config_index == index)))
-
-
 # --- persistence --------------------------------------------------------------
 
-_BLOCK_BYTES = 1 << 19  # bytes of a results file read at a time; their whole lines are parsed together
+# bytes of a results file read at a time; their whole lines are parsed together, in about seven times as many
+# bytes.  Each block also costs ~0.9 ms of numpy calls whatever its rows: for a 200k-row file, 128 KiB blocks
+# took ~40% longer to read than 256 KiB, and 512 KiB held 1.2-1.7 MB more (2 vCPUs)
+_BLOCK_BYTES = 1 << 18
 _UNUSED = 0xFF  # a byte of a written cell's block that the cell leaves out: no UTF-8 text has it
 _MAX_DIGITS = 17  # digits in a number cell: ten times the value still fits in an int64
 
@@ -441,11 +435,13 @@ _OUTCOME_CODES = {outcome.value.encode(): code for code, outcome in enumerate(OU
 _SEPARATORS = len(CSV_COLUMNS) - 1  # the commas that end a row's cells before its last
 
 
-def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: bool, empty_ok: bool):
-    """The cells buf[starts[i]:ends[i]] of decimal digits as int64, -1 for an
-    empty cell.  With `tenths` a cell is a time in microseconds with at most
-    one decimal place, and comes back in ticks.  Also returns a mask of the
-    malformed cells.
+def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: bool):
+    """The cells buf[start:end] of the offsets in `starts` and `ends`, two-
+    dimensional arrays, of decimal digits, as int64 of their shape, -1 for
+    an empty cell.  With `tenths` a cell is a time in microseconds with at
+    most one decimal place, and comes back in ticks.  Also returns a mask of
+    the malformed cells, whose values are undefined; an empty cell is not
+    one.
 
     The cells are read from their last byte back, one place of all of them
     at a time, each digit added at its place value; a cell longer than
@@ -453,26 +449,22 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tenths: boo
     """
     width = ends - starts
     places = min(int(width.max(initial=0)), _MAX_DIGITS + 1)
-    inside_width = np.minimum(width, places).astype(np.uint8)
-    value = np.zeros(len(starts), dtype=np.int64)
-    bad = np.zeros(len(starts), dtype=bool) if empty_ok else width == 0
-    point = np.zeros(len(starts), dtype=bool)
+    inside = np.arange(places)[:, None, None] < width  # inside[place]: the cells that reach the place
+    value = np.zeros(width.shape, dtype=np.int64)
+    worst = np.zeros(width.shape, dtype=np.uint8)  # the largest "digit" of a cell: 10 or more is no digit
+    point = np.zeros(width.shape, dtype=bool)
     at = ends - 1  # an offset left of the buffer wraps round, to a byte outside the cell
     for place in range(places):
-        char = buf.take(at)
+        digit = buf.take(at) - np.uint8(ord("0"))  # wraps round below "0"
         at -= 1
-        digit = char - np.uint8(ord("0"))  # wraps round below "0"
-        inside = inside_width > place
-        other = digit >= 10
+        digit *= inside[place]
         if tenths and place == 1:
             # a point sits between a digit and the one digit that ends its cell
-            point = (char == ord(".")) & (width >= 3)
-            other &= ~point
+            point = (digit == np.uint8((ord(".") - ord("0")) % 256)) & (width >= 3)
             digit *= ~point
-        bad |= inside & other
-        digit *= inside > other
+        np.maximum(worst, digit, out=worst)
         value += digit * np.int64(10**place)
-    bad |= width - point > _MAX_DIGITS
+    bad = (worst >= 10) | (width - point > _MAX_DIGITS)
     if tenths:
         # ticks, in place: a cell in whole us times ten; a point cell has its
         # tenth at place 0 and its units from place 2, 90 too many per hundred
@@ -488,17 +480,18 @@ class _Rows:
     """The data rows of a block of lines in the bytes `buf`, each split at
     its last 15 commas, so that only the config name may hold a comma.
     Blank and whitespace-only lines are dropped.  Cells are located by the
-    offsets of the separators that end them; only distinct text cells and
+    offsets of the separators around them; only distinct text cells and
     the lines with too few commas are decoded.
 
     A malformed line leaves its row's values undefined and is recorded in
-    `fault` as (line number, message): the first in line order, and on that
-    line the first check to fail, so the fault reported does not depend on
-    where the blocks end."""
+    `fault` as (line number, column, message): the first in line order, and
+    on that line the first in column order, a short row before its cells, so
+    the fault reported depends neither on where the blocks end nor on the
+    order the columns are decoded in."""
 
     def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_line: int):
         self.buf = buf
-        self.fault: tuple[int, str] | None = None
+        self.fault: tuple[int, int, str] | None = None
         commas = np.flatnonzero(buf == ord(","))
         last = np.searchsorted(commas, ends)  # one past each line's last comma
         few = last - np.searchsorted(commas, starts) < _SEPARATORS
@@ -508,45 +501,47 @@ class _Rows:
             if line.strip():
                 # the csv module would end the record at a "\r", a byte of its cell here
                 fields = len(next(csv.reader([line.replace("\r", " ")])))
-                self.fail(line_numbers[i], f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
+                self.fail(line_numbers[i], -1, f"row with {fields} fields, expected {len(CSV_COLUMNS)}")
                 break
         rows = ~few
-        self.line_numbers, self.row_starts, last = line_numbers[rows], starts[rows], last[rows]
-        # ends[i, j]: the comma or line end after cell j of row i
-        self.ends = np.column_stack((commas[last[:, None] + np.arange(-_SEPARATORS, 0)], ends[rows]))
+        self.line_numbers, last = line_numbers[rows], last[rows]
+        # separators[j, i]: the byte before cell j of row i, and after cell j - 1: a comma, or the line's edge
+        self.separators = np.vstack(
+            (starts[rows] - 1, commas[np.arange(-_SEPARATORS, 0)[:, None] + last], ends[rows])
+        )
 
     def __len__(self) -> int:
         return len(self.line_numbers)
 
-    def fail(self, line: int, message: str) -> None:
-        """Record a fault at `line` unless one at an earlier or the same line is."""
-        if self.fault is None or line < self.fault[0]:
-            self.fault = (int(line), message)
+    def fail(self, line: int, column: int, message: str) -> None:
+        """Record a fault at `line` and `column` unless one before it is."""
+        if self.fault is None or (line, column) < self.fault[:2]:
+            self.fault = (int(line), column, message)
 
     def bounds(self, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Start and end offsets of the cells of `columns`, one array row each."""
-        starts = [self.row_starts if c == 0 else self.ends[:, c - 1] + 1 for c in columns]
-        return np.array(starts), self.ends[:, columns].T
+        return self.separators[columns] + 1, self.separators[[c + 1 for c in columns]]
 
     def codes(self, column: int, codes: dict[bytes, int], new_code) -> np.ndarray:
         """The code of each cell of `column` in `codes`, keyed by the cell's
         bytes.  A cell not seen before gets `new_code` of its text, so each
         distinct cell is decoded and converted once, in order of first
-        appearance.  Equal cells are found a width at a time, as equal rows of
-        a table of the cells' bytes."""
+        appearance.  Equal cells are found a width at a time, each cell one
+        item of its bytes; a width whose cells are all one needs no sort."""
         (starts,), (ends,) = self.bounds([column])
         widths = ends - starts
         groups = []  # per width: its rows, the distinct cells and the one of each row
         firsts = []  # (row, cell) of the first row of each distinct cell
         for width in np.flatnonzero(np.bincount(widths)).tolist():
-            rows = np.flatnonzero(widths == width)
-            if width:
-                table = sliding_window_view(self.buf, width)[starts[rows]]
-                keys = table.view(np.dtype((np.void, width))).ravel()
-                distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
-                cells = [key.tobytes() for key in distinct]
-            else:  # no bytes to compare: every empty cell is the one cell b""
-                cells, first, index = [b""], [0], np.zeros(len(rows), dtype=np.int64)
+            rows = (widths == width).nonzero()[0]
+            distinct, first, index = [b""], [0], np.zeros(len(rows), dtype=np.int64)  # one cell, as in most blocks
+            if width:  # each cell one item, from a view of the block with an item at every byte
+                items = np.ndarray((len(self.buf) - width + 1,), np.dtype((np.void, width)), self.buf, 0, (1,))
+                keys = items[starts[rows]]
+                distinct = keys[:1]
+                if not (keys == keys[0]).all():
+                    distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
+            cells = [bytes(key) for key in distinct]
             groups.append((rows, cells, index))
             firsts += zip(rows[first].tolist(), cells)
         out = np.empty(len(self), dtype=np.int64)
@@ -556,26 +551,27 @@ class _Rows:
                 try:
                     codes[cell] = new_code(text)
                 except ValueError as exc:  # the first bad cell of the column
-                    self.fail(self.line_numbers[row], f"{CSV_COLUMNS[column]} {text!r} {exc}")
+                    self.fail(self.line_numbers[row], column, f"{CSV_COLUMNS[column]} {text!r} {exc}")
                     return out
         for rows, cells, index in groups:
             out[rows] = np.array([codes[cell] for cell in cells], dtype=np.int64)[index]
         return out
 
-    def numbers(self, columns: list[int], tenths: bool = False, empty_ok: bool = False) -> np.ndarray:
-        """The numeric `columns`, one array row each."""
-        starts, ends = (bounds.ravel() for bounds in self.bounds(columns))
-        values, bad = _decimals(self.buf, starts, ends, tenths, empty_ok)
-        bad = bad.reshape(len(columns), len(self))
+    def numbers(self, columns: list[int], tenths: bool = False, empty_ok: Sequence[int] = ()) -> np.ndarray:
+        """The numeric `columns`, one array row each; a cell of a column in
+        `empty_ok` may be empty."""
+        starts, ends = self.bounds(columns)
+        values, bad = _decimals(self.buf, starts, ends, tenths)
+        bad |= (values < 0) & np.array([[c not in empty_ok] for c in columns])
         if bad.any():  # the first row with a bad cell, and its first bad cell
             i = int(np.argmax(bad.any(axis=0)))
             k = int(np.argmax(bad[:, i]))
-            cell = self.buf[starts[k * len(self) + i] : ends[k * len(self) + i]].tobytes().decode()
+            cell = self.buf[starts[k, i] : ends[k, i]].tobytes().decode()
             what = "a time in us with at most one decimal place" if tenths else "a non-negative integer"
             if len(cell) - ("." in cell) > _MAX_DIGITS:
                 what += f": a cell holds at most {_MAX_DIGITS} digits"
-            self.fail(self.line_numbers[i], f"{CSV_COLUMNS[columns[k]]} {cell!r} is not {what}")
-        return values.reshape(len(columns), len(self))
+            self.fail(self.line_numbers[i], columns[k], f"{CSV_COLUMNS[columns[k]]} {cell!r} is not {what}")
+        return values
 
 
 def _decode_name(cell: str) -> str:
@@ -599,30 +595,25 @@ def _unknown_outcome(cell: str) -> int:
     raise ValueError(f"is not one of {', '.join(outcome.value for outcome in OUTCOMES)}")
 
 
-def _source_blocks(source: str | BinaryIO) -> Iterator[bytes]:
-    """The UTF-8 of `source`, a str or a binary file, _BLOCK_BYTES bytes at a
-    time.  The bytes are checked as they are read: a block holding a byte
-    that is not UTF-8, or a source that ends inside a character, raises
-    UnicodeDecodeError."""
+def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The lines of the UTF-8 of `source`, a str or a binary file, a block
+    of whole lines at a time: the block's bytes, the offsets where each line
+    starts and ends, and the number of its first line.  A line ends at "\\n"
+    or at the end of the text, and a "\\r" just before its end is dropped.
+    A block is the last one's unended line and the next _BLOCK_BYTES bytes,
+    cut after their last "\\n"; only the block's one copy of them is kept.
+    The bytes are checked as they are read: a byte that is not UTF-8, or a
+    source that ends inside a character, raises UnicodeDecodeError."""
     if isinstance(source, str):
         source = io.BytesIO(source.encode())
     check = codecs.getincrementaldecoder("utf-8")().decode
-    for block in iter(partial(source.read, _BLOCK_BYTES), b""):
-        check(block)
-        yield block
-    check(b"", final=True)
-
-
-def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The lines of the text of `source`, a block of whole lines at a time:
-    the block's bytes, the offsets where each line starts and ends, and the
-    number of its first line.  A line ends at "\\n" or at the end of the
-    text, and a "\\r" just before its end is dropped.  A block is the last
-    one's unended line and the next _BLOCK_BYTES bytes, cut after their
-    last "\\n"."""
-    carry, line_no = b"", 1
-    for block in chain(_source_blocks(source), [b"\n"]):  # the "\n" ends the last line
-        data = carry + block
+    carry, line_no, more = b"", 1, True
+    while more:
+        block = source.read(_BLOCK_BYTES)
+        more = bool(block)
+        check(block, final=not more)
+        data = carry + (block or b"\n")  # the "\n" ends the last line
+        del block
         whole = data.rfind(b"\n") + 1
         carry = data[whole:]
         buf = np.frombuffer(data, dtype=np.uint8, count=whole)
@@ -647,7 +638,7 @@ def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
     return comments, None, iter(())
 
 
-_COUNT_COLUMNS = ("round_index", "attempt", "duplicates_suppressed", "duplicates_delivered")
+_COUNT_COLUMNS = ("round_index", "attempt", "delivered_copy", "duplicates_suppressed", "duplicates_delivered")
 
 
 def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -> ConfigTally:
@@ -663,17 +654,19 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
     the side tables read so far, so a name or seed keeps its index from
     block to block.  Each block's batch goes to `into.add`, and `into` is
     returned; `into` may be any object with `add(batch)`.  Beyond what
-    `into` keeps, it holds about one block and its cells at once.  Without
-    `into` it is a new ConfigTally, whose `len()` is the rows added:
-    `bench/check.py` counts the rows of a `str` that way.
+    `into` keeps, it holds one copy of a block's bytes, the offsets of its
+    cells and its columns, and decodes at most five columns' cells at once:
+    about seven times _BLOCK_BYTES in all.  Without `into` it is a new
+    ConfigTally, whose `len()` is the rows added: `bench/check.py` counts
+    the rows of a `str` that way.
 
     Comment lines end at the column header, so a data row whose config name
     starts with '#' stays a row.  A config line splits at its last " hash=",
     which keeps the hash of an empty name or a name with spaces.  Config
     names, seeds and outcomes are decoded and converted once per distinct
     cell and the numeric cells a column at a time.  The first malformed row
-    raises SchemaError with its line number before its block is added; a
-    probe must be a time on the 0.1 us grid.
+    raises SchemaError with its line number and its leftmost bad cell before
+    its block is added; a probe must be a time on the 0.1 us grid.
     """
     comments, header, lines = _header(_lines(source))
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
@@ -701,18 +694,20 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
     outcome_codes = dict(_OUTCOME_CODES)
     into = ConfigTally() if into is None else into
     for chunk in starmap(_Rows, lines):
-        columns = dict(zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 14, 15])))
+        columns = dict(zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 12, 14, 15], empty_ok=[12])))
         columns["config_index"] = chunk.codes(
             0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))
         )
         columns["seed_index"] = chunk.codes(
             3, seed_codes, lambda cell: seeds.setdefault(_parse_seed(cell), len(seeds))
         )
-        columns["probes"] = chunk.numbers(list(range(4, 12)), tenths=True, empty_ok=True).T
-        columns["delivered_copy"] = chunk.numbers([12], empty_ok=True)[0]
+        probes = np.empty((len(PROBES), len(chunk)), dtype=np.int64)
+        for half in (slice(0, 4), slice(4, 8)):  # the cells decoded at once set the block's working set
+            probes[half] = chunk.numbers(list(range(4, 12)[half]), tenths=True, empty_ok=range(4, 12))
+        columns["probes"] = probes.T
         columns["outcome"] = chunk.codes(13, outcome_codes, _unknown_outcome)
         if chunk.fault:
-            raise SchemaError("line {}: {}".format(*chunk.fault))
+            raise SchemaError("line {}: {}".format(*chunk.fault[::2]))
         names_so_far = tuple(names)
         hashes_so_far = tuple(hashes.get(name, "") for name in names_so_far)
         into.add(RecordBatch(names=names_so_far, hashes=hashes_so_far, seeds=tuple(seeds), **columns))
@@ -759,34 +754,56 @@ class ConfigTally:
             raise ValueError(f"config names {batch.names!r} do not extend the tally's {self.names!r}")
         n_configs, new = len(batch.names), len(batch.names) - len(self.names)
         self.names = batch.names
-        self.ticks += [[np.zeros((2, 0), dtype=np.int64) for _ in self.intervals] for _ in range(new)]
-        self.lost, self.outcomes, self.duplicates = (
-            np.concatenate((counts, np.zeros((new, *counts.shape[1:]), dtype=np.int64)))
-            for counts in (self.lost, self.outcomes, self.duplicates)
-        )
+        if new:
+            self.ticks += [[np.zeros((2, 0), dtype=np.int64) for _ in self.intervals] for _ in range(new)]
+            self.lost, self.outcomes, self.duplicates = (
+                np.concatenate((counts, np.zeros((new, *counts.shape[1:]), dtype=np.int64)))
+                for counts in (self.lost, self.outcomes, self.duplicates)
+            )
         self.rows += len(batch)
 
         groups = batch.config_index
         outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_configs * len(OUTCOMES))
-        self.outcomes += outcomes.reshape(n_configs, len(OUTCOMES))
+        outcomes = outcomes.reshape(n_configs, len(OUTCOMES))
+        self.outcomes += outcomes
         # the weights are small counts, so their float sums are exact
         duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_configs)
         self.duplicates += duplicates.astype(np.int64)
-        present = _config_order(batch)
+        present = np.flatnonzero(outcomes.any(axis=1)).tolist()  # every row has an outcome
+        if len(present) > 1:  # in order of first appearance; a batch of one config needs no row mask
+            present.sort(key=lambda index: int(np.argmax(groups == index)))
         self.order += [index for index in present if index not in self.order]
         for index in present:
-            rows = groups == index
+            rows = groups == index if len(present) > 1 else slice(None)
             for k, interval in enumerate(self.intervals):
                 ticks, lost = _interval_ticks(batch, interval, rows)
-                table = self.ticks[index][k]
-                more = np.array(np.unique(ticks, return_counts=True))
-                at = np.searchsorted(table[0], more[0])
-                fresh = at == np.searchsorted(table[0], more[0], side="right")
-                table[1, at[~fresh]] += more[1, ~fresh]
-                if fresh.any():  # a long series soon has every duration it takes
-                    self.ticks[index][k] = np.insert(table, at[fresh], more[:, fresh], axis=1)
+                self.ticks[index][k] = _counted_in(self.ticks[index][k], ticks)
                 self.lost[index, k] += lost
         return batch
+
+
+def _counted_in(table: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """`table`, distinct ticks ascending over the rows at each, with the
+    rows of `ticks` added; `ticks` is sorted in place, and `table` is
+    updated in place when it holds every one of them."""
+    if not len(ticks):
+        return table
+    ticks.sort()
+    runs = np.concatenate(([True], ticks[1:] != ticks[:-1], [True])).nonzero()[0]  # where runs of equal ticks start
+    values, counts = ticks[runs[:-1]], runs[1:] - runs[:-1]
+    at = np.searchsorted(table[0], values)
+    known = table[0].take(at, mode="clip") == values if table.size else np.zeros(len(values), dtype=bool)
+    table[1][at[known]] += counts[known]
+    if known.all():  # a long series soon has every duration it takes
+        return table
+    fresh = (~known).nonzero()[0]
+    slots = at[fresh] + np.arange(len(fresh))  # where the fresh ticks go among the old ones
+    merged = np.empty((2, table.shape[1] + len(fresh)), dtype=np.int64)
+    old = np.ones(merged.shape[1], dtype=bool)
+    old[slots] = False
+    merged[0][old], merged[1][old] = table
+    merged[0][slots], merged[1][slots] = values[fresh], counts[fresh]
+    return merged
 
 
 def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]]:
