@@ -57,7 +57,9 @@ def _build_parser() -> _Parser:
         "--file": dict(help="experiment file (defaults to the built-in lowest-latency preset)"),
         "--seed": dict(type=_int_in(0, 2**64, "an unsigned 64-bit integer"), help="override the plan seed"),
         "--out": dict(default=".", help="output directory (default: current directory)"),
-        "--workers": dict(type=_positive, default=1, help="parallel workers (default 1)"),
+        "--workers": dict(
+            type=_positive, default=1, help="accepted and validated, and has no effect: a sweep runs in one process"
+        ),
         "--set": dict(
             dest="overrides",
             action="append",
@@ -212,7 +214,7 @@ def _cmd_sweep(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
     # checks every config, then makes each series as the writer takes it
-    series = sweep.run_sweep(exp.plan, exp.channel, pipeline, workers=args.workers)
+    series = sweep.run_sweep(exp.plan, exp.channel, pipeline)
     _write_outputs(series, args, _out_dir(args))
     return 0
 

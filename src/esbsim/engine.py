@@ -4,13 +4,13 @@ Simulated time counts integer tenths of microseconds ("ticks") so that
 timestamp arithmetic and comparisons are exact at the 0.1 us resolution the
 rest of the toolkit is built around.  Randomness comes from counter-based
 Philox generators (Salmon et al., SC'11) keyed by (seed, namespace), which
-makes every draw reproducible and lets independent attempts run on parallel
-workers without coordinating.
+makes every draw reproducible and lets attempts be made in any order
+without carrying generator state from one to the next.
 
 `block_uniforms` is the only source of random numbers: per (round, purpose)
 each attempt owns a fixed run of Philox counter blocks, so a row of draws
 depends only on its attempt index, never on how a series is split into
-chunks or spread over workers.
+chunks or in what order the series are made.
 """
 
 from __future__ import annotations

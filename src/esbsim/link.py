@@ -303,10 +303,11 @@ def run_attempt_series(
     """Run `n` attempts with independent randomness, deterministic per seed.
 
     Attempt starts are spaced ATTEMPT_SPACING_US apart on a per-config timeline,
-    and draws are addressed by attempt index, so a record is identical no
-    matter which worker produced it or how the series was split.  The whole
-    series is laid out at once: stage ticks, the first surviving copy and the
-    duplicate counts are array operations over its draws.
+    and draws are addressed by attempt index, so a record is identical
+    whatever order the attempts are made in and however the series is split
+    into chunks.  The whole series is laid out at once: stage ticks, the
+    first surviving copy and the duplicate counts are array operations over
+    its draws.
     """
     if n < 1:
         raise ValueError("need at least one attempt")

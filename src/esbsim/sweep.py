@@ -129,50 +129,28 @@ def run_series(
     )
 
 
-def _listed(run, *args) -> list[RecordBatch]:
-    """The chunks of `run(*args)` in a list, which a pool worker can return."""
-    return list(run(*args))
-
-
-def run_sweep(
-    plan: SweepPlan,
-    channel: ChannelModel,
-    pipeline: PipelineModel,
-    workers: int = 1,
-) -> Iterator[RecordBatch]:
+def run_sweep(plan: SweepPlan, channel: ChannelModel, pipeline: PipelineModel) -> Iterator[RecordBatch]:
     """The plan's (config, round) series in file order, by config, then by
-    round, in chunks made as they are taken and over the plan's side tables.
+    round, in chunks made in this process as they are taken and over the
+    plan's side tables.
 
     Every config's series is checked first, so a plan that cannot run
     fails before a chunk is made.  Each series is a `run_series` call,
     whose draws are addressed by the plan seed and its own indices, so the
-    records are identical for any worker count and any execution order.
-    At most `workers` processes run the series, and no more than there are
-    series or CPUs; one runs them in this process.  With more, a worker
-    returns a whole series, and those done before they are taken wait in it.
+    records do not depend on the order the series are made in or on how
+    they are chunked.  The configs and rounds are walked as the chunks are
+    taken, so no more than one chunk is held, however long the plan.
     """
     run = partial(run_series, plan, channel, pipeline, n=plan.attempts_per_round)
     for c in range(len(plan.configs)):
         run(c, 0)  # checks the config's series, and makes no chunk
     names = tuple(name for name, _ in plan.configs)
     hashes = tuple(config.digest() for _, config in plan.configs)
-    tasks = [(c, r) for c in range(len(plan.configs)) for r in range(plan.rounds)]
-    # a process per series and CPU at most: the pool starts every one at once
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-
-    def series() -> Iterator[Iterable[RecordBatch]]:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # its import costs every command ~20 ms
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(partial(_listed, run), *zip(*tasks))
-        else:
-            yield from map(run, *zip(*tasks))
-
     return (
         replace(batch, names=names, hashes=hashes, config_index=batch.config_index + c)
-        for (c, _), chunks in zip(tasks, series())
-        for batch in chunks
+        for c in range(len(plan.configs))
+        for r in range(plan.rounds)
+        for batch in run(c, r)
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from esbsim import airtime
+from esbsim import airtime, sweep
 from esbsim.analytics import (
     calibrate_pipeline,
     delivered_copy_distribution,
@@ -262,7 +262,7 @@ def test_a7_brute_force_link_oracle(trimodal_run):
     _criterion("A7 brute-force link oracle", checks)
 
 
-def test_a8_determinism(calibrated, tmp_path):
+def test_a8_determinism(calibrated, tmp_path, monkeypatch):
     crc16 = dataclasses.replace(olcfg_preset(), crc_mode=CrcMode.CRC16)
     plan = SweepPlan(
         configs=(("olcfg", olcfg_preset()), ("crc16", crc16)),
@@ -273,15 +273,17 @@ def test_a8_determinism(calibrated, tmp_path):
     )
     channel = ChannelModel(p_loss=0.2, p_corrupt=0.02)
 
-    def csv(workers: int, name: str) -> bytes:
-        write_results(run_sweep(plan, channel, calibrated, workers=workers), tmp_path / name)
+    def csv(name: str) -> bytes:
+        write_results(run_sweep(plan, channel, calibrated), tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    csv_a, csv_b, csv_c = csv(1, "a.csv"), csv(1, "b.csv"), csv(8, "c.csv")
+    csv_a, csv_b = csv("a.csv"), csv("b.csv")
+    monkeypatch.setattr(sweep, "_CHUNK_ROWS", 7)  # each 40-attempt series in five chunks of 7 and one of 5
+    csv_c = csv("c.csv")
     _criterion(
         "A8 determinism",
         [
             ("identical across runs", csv_a == csv_b),
-            ("identical across 1 vs 8 workers", csv_a == csv_c),
+            ("identical across chunk sizes", csv_a == csv_c),
         ],
     )

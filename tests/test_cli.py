@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -96,12 +97,20 @@ def test_seed_flag_overrides_the_file_seed(exp_file, tmp_path):
     assert (out_a / "results.csv").read_bytes() != (out_b / "results.csv").read_bytes()
 
 
-def test_worker_count_gives_byte_identical_results(exp_file, tmp_path):
-    out_a = tmp_path / "w1"
-    out_b = tmp_path / "w8"
-    assert main(["sweep", "--file", str(exp_file), "--out", str(out_a), "--workers", "1"]) == 0
-    assert main(["sweep", "--file", str(exp_file), "--out", str(out_b), "--workers", "8"]) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+def test_a_sweep_starts_no_process_whatever_workers_says(tmp_path, monkeypatch):
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(EXPERIMENT + MORE_CONFIGS)  # six series
+
+    def started(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
+
+    assert main(["sweep", "--file", str(exp), "--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+    monkeypatch.setattr(os, "fork", started)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert main(["sweep", "--file", str(exp), "--workers", "1000000", "--out", str(tmp_path / "many")]) == 0
+    for name in ("results.csv", "summary.json"):
+        assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_calibrate_writes_the_reference_pipeline(tmp_path, capsys):

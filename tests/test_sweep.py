@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -382,11 +381,6 @@ class TestRunSweep:
         b = swept(ordered, ChannelModel(p_loss=0.2), quiet_pipeline)
         assert a == b  # canonical output order; randomness is keyed, not ordered
 
-    def test_worker_count_does_not_change_results(self, small_plan, quiet_pipeline):
-        serial = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=1)
-        parallel = swept(small_plan, ChannelModel(p_loss=0.2), quiet_pipeline, workers=4)
-        assert serial == parallel
-
     def test_a_sweep_makes_each_series_as_it_is_taken(self, small_plan, quiet_pipeline, monkeypatch):
         made = []
         run_attempt_series = sweep.run_attempt_series
@@ -431,33 +425,6 @@ class TestRunSweep:
         assert summarize_by_config(tally) == summarize_by_config(whole)
         assert accounting_by_config(tally) == accounting_by_config(whole)
 
-    def test_the_workers_are_no_more_than_the_series_and_the_cpus(self, small_plan, quiet_pipeline, monkeypatch):
-        asked = []
-
-        class Pool:  # runs the series in this process, so no process starts
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        two_series = dataclasses.replace(small_plan, configs=small_plan.configs[:1], rounds=2)
-        channel = ChannelModel(p_loss=0.2)
-        # six series on three CPUs, two series on 64, and one CPU or an unknown count runs in this process
-        cases = ((small_plan, 3, [3]), (two_series, 64, [2]), (two_series, 1, []), (two_series, None, []))
-        for plan, cpus, pool in cases:
-            serial = swept(plan, channel, quiet_pipeline, workers=1)
-            asked.clear()
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert swept(plan, channel, quiet_pipeline, workers=10**6) == serial
-            assert asked == pool
-
     @settings(max_examples=30, deadline=None)
     @given(
         n_configs=st.integers(1, 3),
@@ -483,8 +450,7 @@ class TestRunSweep:
         joined = join([chunk for c in range(n_configs) for r in range(rounds) for chunk in series[c, r]])
         assert written(joined) == written(*run_sweep(plan, channel, pipeline))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_sweep_is_the_join_of_its_series_in_canonical_order(self, small_plan, pipeline, workers):
+    def test_the_sweep_is_the_join_of_its_series_in_canonical_order(self, small_plan, pipeline):
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
         series = [
             chunk
@@ -493,7 +459,7 @@ class TestRunSweep:
             for chunk in sweep.run_series(small_plan, channel, pipeline, c, r, small_plan.attempts_per_round)
         ]
         joined = join(series)
-        streamed = Collected(run_sweep(small_plan, channel, pipeline, workers=workers))
+        streamed = Collected(run_sweep(small_plan, channel, pipeline))
         assert streamed.batch() == joined
         # the chunks of each series, in file order, each over the plan's side tables
         assert list(streamed) == series
@@ -1511,6 +1477,18 @@ def test_a_sweep_holds_one_series_whatever_its_rounds(tmp_path, capsys):
     one, ten = peak(1), peak(10)
     # nine more series in memory at once would take 9 x 5000 rows x 128 B = 5.8 MB more
     assert ten <= one + 2**20
+
+
+def test_a_sweep_holds_no_list_of_its_series_before_its_first_chunk(quiet_pipeline):
+    def peak(rounds: int) -> int:
+        plan = SweepPlan(configs=(("olcfg", olcfg_preset()),), rounds=rounds, attempts_per_round=1)
+        first, peak = _traced_peak(lambda: next(run_sweep(plan, ChannelModel(), quiet_pipeline)))
+        assert len(first) == 1 and first.round_index.tolist() == [0]
+        return peak
+
+    few, many = peak(10), peak(10**5)
+    # a (config, round) pair or a series object per round would take 100 bytes or more each, 10 MB
+    assert many <= few + 2 * 2**20
 
 
 @pytest.mark.parametrize(
