@@ -166,8 +166,7 @@ class RecordBatch:
     2**64 - 1, which no int64 column holds.  `probes[i]` holds the eight
     probe times in clock ticks (0.1 us), -1 for a probe never reached;
     `delivered_copy` is -1 for a lost attempt, and `outcome` indexes
-    OUTCOMES.  Two batches are equal when every cell agrees once the side
-    table indices are resolved to their entries.
+    OUTCOMES.
     """
 
     names: tuple[str, ...]
@@ -195,25 +194,6 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return len(self.attempt)
-
-    def __eq__(self, other):
-        if not isinstance(other, RecordBatch):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            np.array_equal(a, b) for a, b in zip(self._resolved(), other._resolved())
-        )
-
-    def _resolved(self) -> list[np.ndarray]:
-        """Columns with the side-table indices replaced by their entries."""
-        looked_up = [
-            np.array(table, dtype=object)[index]
-            for table, index in (
-                (self.names, self.config_index),
-                (self.hashes, self.config_index),
-                (self.seeds, self.seed_index),
-            )
-        ]
-        return looked_up + [getattr(self, column) for column in _COLUMNS[2:]]
 
 
 def copy_offsets_ticks(config: EsbConfig) -> list[int]:

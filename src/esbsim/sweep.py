@@ -44,7 +44,6 @@ from .link import (
 DEFAULT_HISTOGRAM_BIN_US = 5.0
 DEFAULT_MODE_SPACING_US = 435.0
 MODE_FLOOR = 0.01  # a histogram peak below this share of the tallest bin is no mode
-MAX_HISTOGRAM_BINS = 10**6  # a latency span wider than this many bins is refused, not allocated
 _CHUNK_ROWS = 4096  # attempts made, and rows rendered and written, at a time
 
 RESULTS_FORMAT = "esbsim-results-v1"
@@ -156,7 +155,8 @@ def run_sweep(plan: SweepPlan, channel: ChannelModel, pipeline: PipelineModel) -
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Latency statistics over delivered attempts for one probe interval."""
+    """Latency statistics over delivered attempts for one probe interval;
+    the histogram is its non-empty bins' left edges, ascending, and counts."""
 
     n: int
     n_lost: int
@@ -164,17 +164,21 @@ class SummaryStats:
     median_us: float
     sd_us: float
     p99_us: float
+    hist_bins_us: tuple[float, ...]
     hist_counts: tuple[int, ...]
-    hist_edges: tuple[float, ...]
     modes_us: tuple[float, ...]
 
 
 def detect_modes(
-    hist_counts: Sequence[int],
-    hist_edges: Sequence[float],
+    bins: Sequence[int],
+    counts: Sequence[int],
+    width_us: float,
     expected_spacing_us: float,
 ) -> tuple[float, ...]:
-    """Locate well-separated peaks of a latency histogram, whose edges ascend.
+    """Locate well-separated peaks of a latency histogram given by its
+    listed bins: ascending distinct integers `bins`, bin k spanning
+    [k, k + 1) * `width_us` and centred at (k + 0.5) * `width_us`, and the
+    `counts` in them.  A bin not listed counts 0.
 
     Local maxima at least `MODE_FLOOR` of the tallest bin are kept greedily
     by height subject to a minimum separation of half the expected spacing;
@@ -182,15 +186,17 @@ def detect_modes(
     the bins within a quarter spacing, which pins the mode well below the bin
     width.  Positions return sorted ascending.
     """
-    counts = np.asarray(hist_counts, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     if counts.size == 0 or counts.sum() == 0:
         return ()
-    edges = np.asarray(hist_edges, dtype=float)
-    centers = (edges[:-1] + edges[1:]) / 2.0
+    bins = np.asarray(bins, dtype=np.int64)
+    centers = (bins + 0.5) * width_us
     floor = counts.max() * MODE_FLOOR
     # no lower than the bin to the left, higher than the bin to the right
-    padded = np.concatenate(([-np.inf], counts, [-np.inf]))
-    peaks = np.flatnonzero((counts >= floor) & (counts >= padded[:-2]) & (counts > padded[2:]))
+    adjacent = np.diff(bins) == 1
+    left = np.concatenate(([0.0], np.where(adjacent, counts[:-1], 0.0)))
+    right = np.concatenate((np.where(adjacent, counts[1:], 0.0), [0.0]))
+    peaks = np.flatnonzero((counts >= floor) & (counts >= left) & (counts > right))
     peaks = peaks[np.argsort(-counts[peaks], kind="stable")]  # tallest first, then leftmost
     # |a - b| grows with the distance between sorted floats, so a peak that
     # keeps clear of the nearest kept centre on each side keeps clear of all
@@ -227,23 +233,12 @@ def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tupl
     return (b - a)[present], len(a) - int(np.count_nonzero(present))
 
 
-def _histogram(values_us: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    width = DEFAULT_HISTOGRAM_BIN_US
-    lo = np.floor(values_us[0] / width) * width
-    hi = np.ceil(values_us[-1] / width) * width
-    n_bins = max(1, int(round((hi - lo) / width)))
-    if n_bins > MAX_HISTOGRAM_BINS:
-        raise DomainError(
-            f"latencies from {values_us[0]} to {values_us[-1]} us span more than "
-            f"{MAX_HISTOGRAM_BINS} histogram bins of {width} us"
-        )
-    return np.histogram(values_us, bins=n_bins, range=(lo, lo + n_bins * width), weights=counts)
-
-
 def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStats:
     """Statistics of the rows at ascending distinct int64 `values` in
     ticks, `counts` at each: the mean and SD from exact integer sums, the
-    rest as numpy gives them over the rows."""
+    rest as numpy gives them over the rows.  The histogram is the non-empty
+    bins of np.histogram over the DEFAULT_HISTOGRAM_BIN_US bins from the
+    least row's to the largest's, taken from the values, not the rows."""
     if values.size == 0:
         raise EmptyInputError("no delivered samples to summarize")
     ticks, weights = values.tolist(), counts.tolist()  # Python ints: the sums are exact
@@ -251,7 +246,12 @@ def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStat
     s1 = sum(weighted := list(map(mul, weights, ticks)))
     s2 = sum(map(mul, weighted, ticks))
     median, p99 = _order_statistics(values, np.cumsum(counts))
-    hist_counts, edges = _histogram(values / TICKS_PER_US, counts)
+    width = us_to_ticks(DEFAULT_HISTOGRAM_BIN_US)
+    bins = values // width
+    if values[-1] % width == 0 and bins[-1] > bins[0]:
+        bins[-1] -= 1  # np.histogram's last bin also holds its right edge
+    bins, first = np.unique(bins, return_index=True)  # the values are ascending, so each bin's are a run
+    hist_counts = np.add.reduceat(counts, first)
     return SummaryStats(
         n=n,
         n_lost=n_lost,
@@ -259,9 +259,9 @@ def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStat
         median_us=median / TICKS_PER_US,
         sd_us=math.sqrt((n * s2 - s1 * s1) / (n * n)) / TICKS_PER_US,
         p99_us=p99 / TICKS_PER_US,
+        hist_bins_us=tuple((bins * DEFAULT_HISTOGRAM_BIN_US).tolist()),
         hist_counts=tuple(hist_counts.tolist()),
-        hist_edges=tuple(edges.tolist()),
-        modes_us=detect_modes(hist_counts, edges, DEFAULT_MODE_SPACING_US),
+        modes_us=detect_modes(bins, hist_counts, DEFAULT_HISTOGRAM_BIN_US, DEFAULT_MODE_SPACING_US),
     )
 
 
@@ -789,18 +789,13 @@ def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]
     config's rows, configs in order of first appearance; an interval no row
     of a config has is left out, and lost attempts are counted in `n_lost`.
     They are computed in integer ticks and converted, so they are exact on
-    the 0.1 us grid and independent of row order.  An interval wider than
-    MAX_HISTOGRAM_BINS bins raises DomainError naming both."""
+    the 0.1 us grid and independent of row order."""
     out: dict[str, dict[str, SummaryStats]] = {}
     for index in tally.order:
         out[tally.names[index]] = stats = {}
-        for k, interval in enumerate(tally.intervals):
-            try:
-                stats[interval[0] + interval[1]] = _summary(*tally.ticks[index][k], int(tally.lost[index, k]))
-            except EmptyInputError:
-                continue
-            except DomainError as exc:
-                raise DomainError(f"config {tally.names[index]!r}, interval {'-'.join(interval)}: {exc}") from None
+        for (start, end), table, lost in zip(tally.intervals, tally.ticks[index], tally.lost[index].tolist()):
+            if table.size:
+                stats[start + end] = _summary(*table, lost)
     return out
 
 

@@ -19,6 +19,25 @@ class Collected(list):
         return dataclasses.replace(self[-1], **{c: np.concatenate([getattr(b, c) for b in self]) for c in columns})
 
 
+def same_rows(a: RecordBatch, b: RecordBatch) -> bool:
+    """Whether two batches hold the same rows: every cell agrees once the
+    side-table indices are resolved to their entries."""
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(_resolved(a), _resolved(b)))
+
+
+def _resolved(batch: RecordBatch) -> list[np.ndarray]:
+    """Columns with the side-table indices replaced by their entries."""
+    looked_up = [
+        np.array(table, dtype=object)[index]
+        for table, index in (
+            (batch.names, batch.config_index),
+            (batch.hashes, batch.config_index),
+            (batch.seeds, batch.seed_index),
+        )
+    ]
+    return looked_up + [getattr(batch, field.name) for field in dataclasses.fields(RecordBatch)[5:]]
+
+
 def summary_of(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> SummaryStats:
     """The statistics of `interval` over the rows of `batch`, all of one
     config, as the summaries of a tally of the batch give them."""

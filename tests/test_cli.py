@@ -19,7 +19,7 @@ from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
 from esbsim.sweep import read_results
 
-from conftest import Collected, summary_of
+from conftest import Collected, same_rows, summary_of
 
 EXPERIMENT = """\
 [sweep]
@@ -406,7 +406,7 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
 
     assert main(["simulate", "--file", str(exp), "--config", config, "--attempts", str(n),
                  "--out", str(tmp_path / "sim")]) == 0
-    assert read_results(tmp_path / "sim" / "results.csv", Collected()).batch() == series
+    assert same_rows(read_results(tmp_path / "sim" / "results.csv", Collected()).batch(), series)
 
     compared = []
     render = ble.render_comparison
@@ -488,28 +488,29 @@ def test_calibrate_reference_is_the_named_config_or_the_preset(tmp_path, capsys,
     assert parse_pipeline_file(text).radio_overhead_us == radio_overhead
 
 
-def test_report_refuses_a_latency_span_too_wide_to_histogram(exp_file, tmp_path, capsys):
-    out = tmp_path / "sim"
-    assert main(["simulate", "--file", str(exp_file), "--attempts", "3", "--out", str(out)]) == 0
-    results = out / "results.csv"
-    lines = results.read_text().splitlines()
-    row = lines.index(",".join(sweep.CSV_COLUMNS)) + 1
-    cells = lines[row].split(",")
-    cells[sweep.CSV_COLUMNS.index("d7")] = "99999999999999.9"  # a time the parser accepts
-    lines[row] = ",".join(cells)
-    results.write_text("\n".join(lines) + "\n")
+def test_report_summarizes_a_latency_span_too_wide_for_dense_bins_as_the_sweep_does(exp_file, tmp_path, capsys):
+    # 2 s of jitter a stage spreads d0-d7 over more than 10**6 bins of 5 us, few of which hold a row
+    assert main(["calibrate", "--out", str(tmp_path / "cal")]) == 0
+    pipeline = tmp_path / "wide.cfg"
+    calibrated = (tmp_path / "cal" / "pipeline.cfg").read_text()
+    pipeline.write_text(re.sub(r"(?m)^sigma_us=.*$", "sigma_us=2000000", calibrated))
+    out = tmp_path / "swept"
+    args = ["--file", str(exp_file), "--pipeline", str(pipeline), "--set", "sweep.attempts=100", "--out", str(out)]
+    assert main(["sweep", *args]) == 0
+    d0d7 = json.loads((out / "summary.json").read_text())["olcfg"]["d0d7"]
+    assert d0d7["hist_bins_us"][-1] - d0d7["hist_bins_us"][0] > 5.0 * 10**6
+    assert 0 not in d0d7["hist_counts"] and sum(d0d7["hist_counts"]) == d0d7["n"] > 0
     capsys.readouterr()
-    assert main(["report", "--file", str(results)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("esbsim: error: config 'olcfg', interval d0-d7: latencies from ")
-    assert f"more than {sweep.MAX_HISTOGRAM_BINS}" in err
+    assert main(["report", "--file", str(out / "results.csv"), "--out", str(tmp_path / "reported")]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text() + "\n"
+    assert (tmp_path / "reported" / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
 
 
 # sha256 of the outputs of a fixed sweep: three configs, 9000 rows, more than
 # one chunk of the writer and one block of the parser
 PINNED_SWEEP = {
     "results.csv": "2f09526eda62bf1c6e3ab3164d1bee04e4437b5e7ea194083e3c51f28dc8d069",
-    "summary.json": "8dbf3526282168c0250ebfbedb154262d8b27998e18f2959ec6f97f83f7ace02",
+    "summary.json": "254a8beaa3cf89c5bb1fd1d76d027a2e5039eb19643a8460254a29e8ded1c8a0",
     "summary.txt": "1a03671baaaed0c68e10208a93d9f1b033404361f209aaac603d241a27fb7257",
 }
 
