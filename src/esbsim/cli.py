@@ -241,15 +241,15 @@ def _cmd_compare_ble(args) -> int:
     exp = _load_experiment(args)
     pipeline = _resolve_pipeline(args, exp)
     index = _config_index(exp, args.config)
+    name, config = exp.plan.configs[index]
     tally = sweep.ConfigTally([("d0", "d7")])
     for chunk in sweep.run_series(exp.plan, exp.channel, pipeline, index, 0, args.samples):
         tally.add(chunk)
     (summaries,) = sweep.summarize_by_config(tally).values()
     if not summaries:
         raise sweep.EmptyInputError("no delivered samples to summarize")
-    ticks, counts = tally.ticks[0][0]  # the distinct d0-d7 durations, ascending, and the rows at each
+    ticks, counts = tally.configs[name].ticks[0]  # the distinct d0-d7 durations, ascending, and the rows at each
     within = [int(counts[: ticks.searchsorted(us_to_ticks(p), side="right")].sum()) for p in ble.SAMPLE_PERIODS_US]
-    config = exp.plan.configs[index][1]
     ble_config = exp.ble or BleConfig(transfer_time_us=airtime.on_air_time_us(config))
     text = ble.render_comparison(summaries["d0d7"], within, ble_config)
     out = _out_dir(args)

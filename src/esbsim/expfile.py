@@ -270,28 +270,17 @@ def _parse_sigmas(value: str) -> tuple[float, ...]:
     return sigmas * len(STAGES) if len(sigmas) == 1 else sigmas
 
 
-def _check_modifier_value(param: str, value: str) -> None:
-    """A modifier value must be one a config can take, spelled as the
-    experiment file spells it; any other would never apply."""
-    typed = _SECTIONS["config"][param][1](value)  # the enum, or int for power
-    if param == "power" and (str(typed) != value or not TX_POWER_MIN_DBM <= typed <= TX_POWER_MAX_DBM):
-        raise ValueError(f"power needs an integer dBm in {TX_POWER_MIN_DBM}..{TX_POWER_MAX_DBM}, got {value!r}")
-
-
-class _ModifierKeys(dict):
-    """`<parameter>.<value>` keys for every parameter that has a modifier
-    stage and every value that parameter takes."""
-
-    def __missing__(self, key: str):
-        param, _, value = key.partition(".")
-        if param not in MODIFIER_STAGE or not value:
-            raise KeyError(key)
-
-        def convert(add_us: str) -> float:
-            _check_modifier_value(param, value)
-            return finite_float(add_us)
-
-        return key, convert
+def _modifier_keys() -> dict[str, tuple[str, Callable[[str], object]]]:
+    """`<parameter>.<value>` for every parameter that has a modifier stage
+    and every value a config takes for it, spelled as experiment files
+    spell it; a modifier on any other value would never apply."""
+    keys = {}
+    for param in MODIFIER_STAGE:
+        kind = _SECTIONS["config"][param][1]  # the enum, or int for power
+        values = range(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM + 1) if kind is int else [member.value for member in kind]
+        for value in values:
+            keys[f"{param}.{value}"] = (f"{param}.{value}", finite_float)
+    return keys
 
 
 # Fields belong to PipelineModel, except [modifiers], whose keys are collected
@@ -300,7 +289,7 @@ _PIPELINE_SECTIONS: _Schema = {
     "stages": {f"{stage}_us": (f"{stage}_us", finite_float) for stage in STAGES},
     "jitter": {"family": ("jitter_family", str), "sigma_us": ("jitter_sigma_us", _parse_sigmas)},
     "dedup": {"escape_prob": ("dedup_escape_prob", finite_float)},
-    "modifiers": _ModifierKeys(),
+    "modifiers": _modifier_keys(),
 }
 
 

@@ -235,12 +235,10 @@ def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tupl
 
 def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStats:
     """Statistics of the rows at ascending distinct int64 `values` in
-    ticks, `counts` at each: the mean and SD from exact integer sums, the
+    ticks, at least one, `counts` at each: the mean and SD from exact integer sums, the
     rest as numpy gives them over the rows.  The histogram is the non-empty
     bins of np.histogram over the DEFAULT_HISTOGRAM_BIN_US bins from the
     least row's to the largest's, taken from the values, not the rows."""
-    if values.size == 0:
-        raise EmptyInputError("no delivered samples to summarize")
     ticks, weights = values.tolist(), counts.tolist()  # Python ints: the sums are exact
     n = sum(weights)
     s1 = sum(weighted := list(map(mul, weights, ticks)))
@@ -703,60 +701,59 @@ def read_results(path, into: ConfigTally) -> ConfigTally:
 REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 
 
+class _Counts:
+    """One config's rows in a tally: per interval, the distinct durations in
+    ticks of the rows with both probes, ascending, over the rows at each,
+    and the count of the rows without; the rows at each outcome; and the
+    duplicates delivered."""
+
+    def __init__(self, n_intervals: int):
+        self.ticks = [np.zeros((2, 0), dtype=np.int64) for _ in range(n_intervals)]
+        self.lost = [0] * n_intervals
+        self.outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
+        self.duplicates = 0
+
+
 class ConfigTally:
     """What the summaries of record batches need, tallied one batch at a
-    time, so that a results file is summarized as it is read: per config
-    and interval the distinct durations in ticks of the rows with both
-    probes and the rows at each, and the count of the rows without, and per
-    config the outcome and duplicate counts.  Each batch's side tables
-    extend the last one's, as the blocks `parse_results_csv` reads do;
-    `len()` is the rows added.  `add` returns its batch, so that
-    `map(tally.add, batches)` tallies a stream as it passes.
-    `summarize_by_config` and `accounting_by_config` read it."""
+    time, so that a results file is summarized as it is read: `configs`
+    holds one `_Counts` per config name, in order of first appearance.  A
+    row counts toward the name its own batch's side table gives it, so
+    batches need share no side table; `len()` is the rows added.  `add`
+    returns its batch, so that `map(tally.add, batches)` tallies a stream
+    as it passes.  `summarize_by_config` and `accounting_by_config` read
+    it."""
 
     def __init__(self, intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS):
         self.intervals = tuple(intervals)
         self.rows = 0
-        self.names: tuple[str, ...] = ()
-        self.order: list[int] = []  # config indices in order of first appearance
-        self.ticks: list[list[np.ndarray]] = []  # [config][interval]: distinct ticks, ascending, over their counts
-        self.lost = np.zeros((0, len(self.intervals)), dtype=np.int64)
-        self.outcomes = np.zeros((0, len(OUTCOMES)), dtype=np.int64)
-        self.duplicates = np.zeros(0, dtype=np.int64)
+        self.configs: dict[str, _Counts] = {}
 
     def __len__(self) -> int:
         return self.rows
 
     def add(self, batch: RecordBatch) -> RecordBatch:
-        if batch.names[: len(self.names)] != self.names:
-            raise ValueError(f"config names {batch.names!r} do not extend the tally's {self.names!r}")
-        n_configs, new = len(batch.names), len(batch.names) - len(self.names)
-        self.names = batch.names
-        if new:
-            self.ticks += [[np.zeros((2, 0), dtype=np.int64) for _ in self.intervals] for _ in range(new)]
-            self.lost, self.outcomes, self.duplicates = (
-                np.concatenate((counts, np.zeros((new, *counts.shape[1:]), dtype=np.int64)))
-                for counts in (self.lost, self.outcomes, self.duplicates)
-            )
         self.rows += len(batch)
-
-        groups = batch.config_index
+        groups, n_configs = batch.config_index, len(batch.names)
         outcomes = np.bincount(groups * len(OUTCOMES) + batch.outcome, minlength=n_configs * len(OUTCOMES))
         outcomes = outcomes.reshape(n_configs, len(OUTCOMES))
-        self.outcomes += outcomes
         # the weights are small counts, so their float sums are exact
         duplicates = np.bincount(groups, weights=batch.duplicates_delivered, minlength=n_configs)
-        self.duplicates += duplicates.astype(np.int64)
         present = np.flatnonzero(outcomes.any(axis=1)).tolist()  # every row has an outcome
         if len(present) > 1:  # in order of first appearance; a batch of one config needs no row mask
             present.sort(key=lambda index: int(np.argmax(groups == index)))
-        self.order += [index for index in present if index not in self.order]
         for index in present:
+            name = batch.names[index]
+            if name not in self.configs:
+                self.configs[name] = _Counts(len(self.intervals))
+            counts = self.configs[name]
+            counts.outcomes += outcomes[index]
+            counts.duplicates += int(duplicates[index])
             rows = groups == index if len(present) > 1 else slice(None)
             for k, interval in enumerate(self.intervals):
                 ticks, lost = _interval_ticks(batch, interval, rows)
-                self.ticks[index][k] = _counted_in(self.ticks[index][k], ticks)
-                self.lost[index, k] += lost
+                counts.ticks[k] = _counted_in(counts.ticks[k], ticks)
+                counts.lost[k] += lost
         return batch
 
 
@@ -791,9 +788,9 @@ def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]
     They are computed in integer ticks and converted, so they are exact on
     the 0.1 us grid and independent of row order."""
     out: dict[str, dict[str, SummaryStats]] = {}
-    for index in tally.order:
-        out[tally.names[index]] = stats = {}
-        for (start, end), table, lost in zip(tally.intervals, tally.ticks[index], tally.lost[index].tolist()):
+    for name, counts in tally.configs.items():
+        out[name] = stats = {}
+        for (start, end), table, lost in zip(tally.intervals, counts.ticks, counts.lost):
             if table.size:
                 stats[start + end] = _summary(*table, lost)
     return out
@@ -801,13 +798,14 @@ def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]
 
 def accounting_by_config(tally: ConfigTally) -> dict[str, AccountingRow]:
     """Sent/received/unique/valid accounting of each config's rows, keyed by
-    name in side-table order."""
+    name in order of first appearance."""
     accounting = {}
-    for name, counts, dups in zip(tally.names, tally.outcomes.tolist(), tally.duplicates.tolist()):
-        sent = sum(counts)
-        unique = sent - counts[LOST]
-        valid = unique - counts[DELIVERED_CORRUPTED]
-        accounting[name] = AccountingRow(sent=sent, received=unique + dups, unique=unique, valid=valid)
+    for name, counts in tally.configs.items():
+        outcomes = counts.outcomes.tolist()
+        sent = sum(outcomes)
+        unique = sent - outcomes[LOST]
+        valid = unique - outcomes[DELIVERED_CORRUPTED]
+        accounting[name] = AccountingRow(sent=sent, received=unique + counts.duplicates, unique=unique, valid=valid)
     return accounting
 
 

@@ -23,12 +23,13 @@ from esbsim.expfile import (
     ParseError,
     UnknownKeyError,
     apply_override,
+    finite_float,
     parse_experiment_file,
     parse_pipeline_file,
     render_pipeline_file,
 )
 from esbsim.cli import main
-from esbsim.link import DEFAULT_STAGE_JITTER_SIGMA_US, MODIFIER_STAGE, STAGES, PipelineModel
+from esbsim.link import DEFAULT_STAGE_JITTER_SIGMA_US, MODIFIER_STAGE, STAGES, PipelineModel, stage_modifiers_us
 from esbsim.sweep import SweepPlan
 
 SAMPLE = """\
@@ -167,12 +168,18 @@ class TestSchemaTable:
             "dedup": PipelineModel,
         }
         tables = {**_SECTIONS, **_PIPELINE_SECTIONS}
-        assert set(tables) == set(targets) | {"modifiers"}  # modifier keys are open-ended
+        assert set(tables) == set(targets) | {"modifiers"}
         for section, cls in targets.items():
             names = {f.name for f in dataclasses.fields(cls)}
             mapped = [field for field, _ in tables[section].values()]
             assert set(mapped) <= names, section
             assert len(set(mapped)) == len(mapped), section  # one key per field
+        # [modifiers] goes into `modifiers_us`: a key per parameter with a modifier stage and value a config takes
+        keys = {f"power.{dbm}" for dbm in range(-70, 11)}
+        for param in set(MODIFIER_STAGE) - {"power"}:
+            keys |= {f"{param}.{member.value}" for member in _SECTIONS["config"][param][1]}
+        assert set(tables["modifiers"]) == keys and len(keys) == 94
+        assert all(value == (key, finite_float) for key, value in tables["modifiers"].items())
 
 
 class TestOverrides:
@@ -258,25 +265,24 @@ class TestPipelineFile:
     )
     def test_modifier_value_no_config_takes(self, key, tmp_path, capsys):
         text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
-        with pytest.raises(ParseError, match=f"bad value for '{key}'") as err:
+        with pytest.raises(UnknownKeyError) as err:
             parse_pipeline_file(text + f"[modifiers]\n{key}=50\n")
-        assert err.value.line_no == len(text.splitlines()) + 2
+        assert err.value.name == key and err.value.line_no == len(text.splitlines()) + 2
         path = tmp_path / "pipeline.cfg"
         path.write_text(text + f"[modifiers]\n{key}=50\n")
         assert main(["simulate", "--pipeline", str(path), "--attempts", "2", "--out", str(tmp_path)]) == 1
-        assert f"line {err.value.line_no}: bad value" in capsys.readouterr().err
+        assert f"line {err.value.line_no}: unknown key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key", ["crc.off", "crc.8", "protocol.static", "bitrate.1M", "txmode.manual-start", "payload.standard",
-                "power.-70", "power.0", "power.10"],
-    )
+    @pytest.mark.parametrize("key", list(_PIPELINE_SECTIONS["modifiers"]))
     def test_modifier_values_configs_take(self, key):
         param, value = key.split(".", 1)
-        pipe = parse_pipeline_file(
-            render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
-            + f"[modifiers]\n{key}=1.5\n"
-        )
+        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        pipe = parse_pipeline_file(text + f"[modifiers]\n{key}=1.5\n")
         assert pipe.modifiers_us == {(param, value): 1.5}
+        assert parse_pipeline_file(render_pipeline_file(pipe)) == pipe
+        # a config given the value as an experiment file spells it takes the modifier
+        ((_, config),) = parse_experiment_file(f"[config a] {param}={value}\n").plan.configs
+        assert sum(stage_modifiers_us(pipe.modifiers_us, config)) == 1.5
 
     def test_file_without_sigma_takes_the_model_default(self):
         text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))

@@ -29,7 +29,6 @@ from esbsim.sweep import (
     REPORT_INTERVALS,
     RESULTS_FORMAT,
     ConfigTally,
-    EmptyInputError,
     SchemaError,
     SummaryStats,
     SweepPlan,
@@ -445,7 +444,7 @@ class TestRunSweep:
         tally = ConfigTally()
         streamed = Collected(map(tally.add, run_sweep(small_plan, channel, pipeline)))
         whole = tallied(streamed.batch())
-        assert len(tally) == len(whole) and tally.order == whole.order
+        assert len(tally) == len(whole) and list(tally.configs) == list(whole.configs)
         assert summarize_by_config(tally) == summarize_by_config(whole)
         assert accounting_by_config(tally) == accounting_by_config(whole)
 
@@ -522,12 +521,9 @@ class TestSummarize:
         stats = summary_of(records)
         assert sum(stats.hist_counts) == stats.n
 
-    def test_empty_input_raises(self, quiet_pipeline):
+    def test_an_all_lost_config_summarizes_to_no_interval(self, quiet_pipeline):
         records = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=1.0), quiet_pipeline, 10, seed=1)
-        tally = tallied(records)
-        with pytest.raises(EmptyInputError):
-            sweep._summary(*tally.ticks[0][0], int(tally.lost[0, 0]))
-        assert summarize_by_config(tally) == {"": {}}
+        assert summarize_by_config(tallied(records)) == {"": {}}
 
     def test_count_within_includes_the_limit_and_no_lost_attempt(self, tmp_path, monkeypatch):
         durations = (9999, 10000, 10001, 20000, 20001)
@@ -755,15 +751,17 @@ class TestAccounting:
         assert row.sent == row.unique + int((batch.outcome == LOST).sum())
         assert row.received == row.unique
 
-    def test_a_batch_whose_names_do_not_extend_the_tallys_is_refused(self, quiet_pipeline):
-        a = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=8, config_name="a")
-        b = run_attempt_series(olcfg_preset(), ChannelModel(), quiet_pipeline, 3, seed=8, config_name="b")
-        tally = tallied(a, join([a, b]))  # a block that adds a config
-        assert list(accounting_by_config(tally)) == ["a", "b"] and len(tally) == 9
-        with pytest.raises(ValueError, match="do not extend"):
-            tally.add(a)  # index 0 would mean another config
-        with pytest.raises(ValueError, match="do not extend"):
-            tallied(b, a)
+    def test_batches_over_any_side_tables_tally_as_their_join(self, quiet_pipeline):
+        a = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=0.3), quiet_pipeline, 6, seed=8, config_name="a")
+        b = run_attempt_series(olcfg_preset(), ChannelModel(p_loss=0.6), quiet_pipeline, 5, seed=9, config_name="b")
+        # a block that adds a config, then one over fewer names, then one whose index 0 is another config
+        tally = tallied(a, join([a, b]), a, b)
+        whole = tallied(join([a, a, b, a, b]))
+        assert b.names == ("b",) and len(tally) == len(whole) == 28
+        assert list(tally.configs) == list(whole.configs) == ["a", "b"]
+        assert summarize_by_config(tally) == summarize_by_config(whole)
+        assert accounting_by_config(tally) == accounting_by_config(whole)
+        assert [row.sent for row in accounting_by_config(tally).values()] == [18, 10]
 
     def test_no_corruption_means_valid_equals_unique(self, quiet_pipeline):
         records = run_attempt_series(
@@ -1425,7 +1423,8 @@ _LARGE_DURATIONS = st.none() | st.integers(10**17 - 3, 10**17 - 1) | st.integers
 def test_a_tally_fed_in_blocks_summarizes_the_rows_as_numpy_does(large, names, data):
     # configs interleaved, the later ones first seen in a later batch, and
     # batches cut anywhere, zero-row ones too, each over the names seen so far
-    # as the parser's, or each over one side table in any order as a sweep's
+    # as the parser's, each over one side table in any order as a sweep's, or
+    # each over only the names its rows use, in any order
     durations = data.draw(st.lists(_LARGE_DURATIONS if large else _DURATIONS, min_size=len(names), max_size=len(names)))
     outcomes = data.draw(st.lists(st.sampled_from(Outcome), min_size=len(names), max_size=len(names)))
     records = [
@@ -1434,32 +1433,41 @@ def test_a_tally_fed_in_blocks_summarizes_the_rows_as_numpy_does(large, names, d
         for k, (name, t, outcome) in enumerate(zip(names, durations, outcomes))
     ]
     whole = batch_of(records)
-    if one_table := data.draw(st.booleans()):
-        order = data.draw(st.permutations(range(len(whole.names))))
-        whole = dataclasses.replace(
-            whole,
-            names=tuple(whole.names[i] for i in order),
-            hashes=tuple(whole.hashes[i] for i in order),
-            config_index=np.argsort(order)[whole.config_index],
-        )
+    side_tables = data.draw(st.sampled_from(["parser", "sweep", "own"]))
+    one_table = data.draw(st.permutations(range(len(whole.names))))  # a sweep's, as indices into whole's
     cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=8)))
     tally = ConfigTally([("d0", "d7")])
-    columns = [field.name for field in dataclasses.fields(RecordBatch)[3:]]
+    columns = [field.name for field in dataclasses.fields(RecordBatch)[4:]]
+    seen = 0
     for rows in np.split(np.arange(len(records)), cuts):
-        seen = int(whole.config_index[: rows[-1] + 1].max()) + 1 if rows.size else len(tally.names)
-        seen = len(whole.names) if one_table else seen
+        used = whole.config_index[rows]
+        if side_tables == "parser":
+            seen = int(whole.config_index[: rows[-1] + 1].max()) + 1 if rows.size else seen
+            entries = list(range(seen))
+        elif side_tables == "sweep":
+            entries = one_table
+        else:
+            entries = data.draw(st.permutations(np.unique(used).tolist()))
+        at = np.zeros(len(whole.names), dtype=np.int64)  # each of whole's configs' index in the batch's table
+        at[entries] = np.arange(len(entries))
         tally.add(dataclasses.replace(
-            whole, names=whole.names[:seen], hashes=whole.hashes[:seen], **{c: getattr(whole, c)[rows] for c in columns}
+            whole,
+            names=tuple(whole.names[i] for i in entries),
+            hashes=tuple(whole.hashes[i] for i in entries),
+            config_index=at[used],
+            **{c: getattr(whole, c)[rows] for c in columns},
         ))
-    assert len(tally) == len(records) and tally.names == whole.names
-    assert [tally.names[index] for index in tally.order] == list(dict.fromkeys(names))
-    for index, name in enumerate(whole.names):
-        ticks = [t for r, t in zip(records, durations) if r.config_name == name and t is not None]
+    assert len(tally) == len(records) and list(tally.configs) == list(dict.fromkeys(names))
+    for name, counts in tally.configs.items():
+        rows = [(r, t) for r, t in zip(records, durations) if r.config_name == name]
+        ticks = [t for _, t in rows if t is not None]
         # the distinct durations over the rows at each, as np.unique gives them
         expected = np.array(np.unique(np.array(ticks, dtype=np.int64), return_counts=True), dtype=np.int64)
-        (table,) = tally.ticks[index]
+        (table,) = counts.ticks
         assert table.dtype == np.int64 and table.shape == expected.shape and np.array_equal(table, expected)
-        assert tally.lost[index].tolist() == [sum(r.config_name == name for r in records) - len(ticks)]
+        assert counts.lost == [len(rows) - len(ticks)]
+        assert counts.outcomes.tolist() == [sum(r.outcome is outcome for r, _ in rows) for outcome in Outcome]
+        assert counts.duplicates == sum(r.duplicates_delivered for r, _ in rows)
     # numpy on the sorted rows in every field but sd_us, which is the exact
     # integer formula, and past 2**53 mean_us: numpy's float sum rounds there
     expected = oracle_summarize_by_config(records, intervals=[("d0", "d7")])
