@@ -16,7 +16,6 @@ import csv
 import io
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, starmap
@@ -42,8 +41,6 @@ from .link import (
 )
 
 DEFAULT_HISTOGRAM_BIN_US = 5.0
-DEFAULT_MODE_SPACING_US = 435.0
-MODE_FLOOR = 0.01  # a histogram peak below this share of the tallest bin is no mode
 _CHUNK_ROWS = 4096  # attempts made, and rows rendered and written, at a time
 
 RESULTS_FORMAT = "esbsim-results-v1"
@@ -156,7 +153,9 @@ def run_sweep(plan: SweepPlan, channel: ChannelModel, pipeline: PipelineModel) -
 @dataclass(frozen=True)
 class SummaryStats:
     """Latency statistics over delivered attempts for one probe interval;
-    the histogram is its non-empty bins' left edges, ascending, and counts."""
+    the histogram is its non-empty bins' left edges, ascending, and counts.
+    `copies` holds (copy, share, mean_us) of each copy that delivered rows,
+    ascending: the share of the rows that delivered a copy, and their mean."""
 
     n: int
     n_lost: int
@@ -166,63 +165,13 @@ class SummaryStats:
     p99_us: float
     hist_bins_us: tuple[float, ...]
     hist_counts: tuple[int, ...]
-    modes_us: tuple[float, ...]
+    copies: tuple[tuple[int, float, float], ...]
 
 
-def detect_modes(
-    bins: Sequence[int],
-    counts: Sequence[int],
-    width_us: float,
-    expected_spacing_us: float,
-) -> tuple[float, ...]:
-    """Locate well-separated peaks of a latency histogram given by its
-    listed bins: ascending distinct integers `bins`, bin k spanning
-    [k, k + 1) * `width_us` and centred at (k + 0.5) * `width_us`, and the
-    `counts` in them.  A bin not listed counts 0.
-
-    Local maxima at least `MODE_FLOOR` of the tallest bin are kept greedily
-    by height subject to a minimum separation of half the expected spacing;
-    each kept peak's position is refined to the count-weighted centroid of
-    the bins within a quarter spacing, which pins the mode well below the bin
-    width.  Positions return sorted ascending.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.size == 0 or counts.sum() == 0:
-        return ()
-    bins = np.asarray(bins, dtype=np.int64)
-    centers = (bins + 0.5) * width_us
-    floor = counts.max() * MODE_FLOOR
-    # no lower than the bin to the left, higher than the bin to the right
-    adjacent = np.diff(bins) == 1
-    left = np.concatenate(([0.0], np.where(adjacent, counts[:-1], 0.0)))
-    right = np.concatenate((np.where(adjacent, counts[1:], 0.0), [0.0]))
-    peaks = np.flatnonzero((counts >= floor) & (counts >= left) & (counts > right))
-    peaks = peaks[np.argsort(-counts[peaks], kind="stable")]  # tallest first, then leftmost
-    # |a - b| grows with the distance between sorted floats, so a peak that
-    # keeps clear of the nearest kept centre on each side keeps clear of all
-    kept: list[float] = []
-    min_sep = expected_spacing_us / 2.0
-    for center in centers[peaks].tolist():
-        at = bisect_left(kept, center)
-        if (at == 0 or center - kept[at - 1] >= min_sep) and (at == len(kept) or kept[at] - center >= min_sep):
-            kept.insert(at, center)
-
-    positions = []
-    half_window = expected_spacing_us / 4.0
-    ascending = centers.tolist()
-    for center in kept:
-        # the bins within the window, a run of the ascending centers
-        lo = bisect_left(ascending, True, key=lambda c: center - c <= half_window)
-        hi = bisect_left(ascending, True, lo=lo, key=lambda c: c - center > half_window)
-        weight = counts[lo:hi].sum()
-        positions.append(float((counts[lo:hi] * centers[lo:hi]).sum() / weight))
-    return tuple(sorted(positions))
-
-
-def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tuple[np.ndarray, int]:
+def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tuple[np.ndarray, np.ndarray, int]:
     """Interval durations in ticks over the `rows` (a boolean mask or a
-    slice) with both probes, in row order, and the count of those without
-    them.  Only the two probe columns are read."""
+    slice) with both probes, in row order, their delivered copies, and the
+    count of the rows without them."""
     start, end = interval
     if start not in PROBES or end not in PROBES:
         raise ValueError(f"unknown probe pair {interval!r}")
@@ -230,20 +179,22 @@ def _interval_ticks(batch: RecordBatch, interval: tuple[str, str], rows) -> tupl
     a = batch.probes[:, PROBES.index(start)][rows]
     b = batch.probes[:, PROBES.index(end)][rows]
     present = (a >= 0) & (b >= 0)
-    return (b - a)[present], len(a) - int(np.count_nonzero(present))
+    return (b - a)[present], batch.delivered_copy[rows][present], len(a) - int(np.count_nonzero(present))
 
 
-def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStats:
+def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int, copies: Sequence[Sequence[int]]) -> SummaryStats:
     """Statistics of the rows at ascending distinct int64 `values` in
     ticks, at least one, `counts` at each: the mean and SD from exact integer sums, the
     rest as numpy gives them over the rows.  The histogram is the non-empty
     bins of np.histogram over the DEFAULT_HISTOGRAM_BIN_US bins from the
-    least row's to the largest's, taken from the values, not the rows."""
+    least row's to the largest's, taken from the values, not the rows.
+    `copies` holds [rows, exact sum of their ticks] of each delivered copy."""
     ticks, weights = values.tolist(), counts.tolist()  # Python ints: the sums are exact
     n = sum(weights)
     s1 = sum(weighted := list(map(mul, weights, ticks)))
     s2 = sum(map(mul, weighted, ticks))
     median, p99 = _order_statistics(values, np.cumsum(counts))
+    delivered = sum(rows for rows, _ in copies)
     width = us_to_ticks(DEFAULT_HISTOGRAM_BIN_US)
     bins = values // width
     if values[-1] % width == 0 and bins[-1] > bins[0]:
@@ -259,7 +210,9 @@ def _summary(values: np.ndarray, counts: np.ndarray, n_lost: int) -> SummaryStat
         p99_us=p99 / TICKS_PER_US,
         hist_bins_us=tuple((bins * DEFAULT_HISTOGRAM_BIN_US).tolist()),
         hist_counts=tuple(hist_counts.tolist()),
-        modes_us=detect_modes(bins, hist_counts, DEFAULT_HISTOGRAM_BIN_US, DEFAULT_MODE_SPACING_US),
+        copies=tuple(
+            (copy, rows / delivered, total / rows / TICKS_PER_US) for copy, (rows, total) in enumerate(copies) if rows
+        ),
     )
 
 
@@ -704,11 +657,13 @@ REPORT_INTERVALS = (("d0", "d7"), ("d2", "d5"), ("d3", "d4"))
 class _Counts:
     """One config's rows in a tally: per interval, the distinct durations in
     ticks of the rows with both probes, ascending, over the rows at each,
-    and the count of the rows without; the rows at each outcome; and the
+    [rows, exact sum of their ticks] of each copy those rows delivered, and
+    the count of the rows without; the rows at each outcome; and the
     duplicates delivered."""
 
     def __init__(self, n_intervals: int):
         self.ticks = [np.zeros((2, 0), dtype=np.int64) for _ in range(n_intervals)]
+        self.copies: list[list[list[int]]] = [[] for _ in range(n_intervals)]
         self.lost = [0] * n_intervals
         self.outcomes = np.zeros(len(OUTCOMES), dtype=np.int64)
         self.duplicates = 0
@@ -751,10 +706,31 @@ class ConfigTally:
             counts.duplicates += int(duplicates[index])
             rows = groups == index if len(present) > 1 else slice(None)
             for k, interval in enumerate(self.intervals):
-                ticks, lost = _interval_ticks(batch, interval, rows)
+                ticks, copies, lost = _interval_ticks(batch, interval, rows)
+                _copies_in(counts.copies[k], copies, ticks)
                 counts.ticks[k] = _counted_in(counts.ticks[k], ticks)
                 counts.lost[k] += lost
         return batch
+
+
+_HALF = 31  # ticks are summed per copy in halves: the bits below _HALF, and the rest
+_SUM_ROWS = 1 << 22  # rows summed at a time: 2**22 halves of under 2**31 stay below 2**53, so float sums are exact
+
+
+def _copies_in(sums: list[list[int]], copies: np.ndarray, ticks: np.ndarray) -> None:
+    """Add to `sums`, [rows, sum of their ticks] of each delivered copy
+    0, 1, ..., the rows of `ticks` at `copies`; a row of copy -1 delivered
+    none and is left out.  The sums are exact for ticks below 2**57: each
+    half of a tick is summed with `np.bincount`'s float64 weights, which
+    are exact integers below 2**53, and the halves are joined as Python
+    ints."""
+    for start in range(0, len(ticks), _SUM_ROWS):
+        part, at = ticks[start : start + _SUM_ROWS], copies[start : start + _SUM_ROWS] + 1
+        rows, low, high = (np.bincount(at, w).tolist()[1:] for w in (None, part & ((1 << _HALF) - 1), part >> _HALF))
+        sums.extend([0, 0] for _ in range(len(rows) - len(sums)))
+        for copy, (n, lo, hi) in enumerate(zip(rows, low, high)):
+            sums[copy][0] += n
+            sums[copy][1] += (int(hi) << _HALF) + int(lo)
 
 
 def _counted_in(table: np.ndarray, ticks: np.ndarray) -> np.ndarray:
@@ -790,9 +766,9 @@ def summarize_by_config(tally: ConfigTally) -> dict[str, dict[str, SummaryStats]
     out: dict[str, dict[str, SummaryStats]] = {}
     for name, counts in tally.configs.items():
         out[name] = stats = {}
-        for (start, end), table, lost in zip(tally.intervals, counts.ticks, counts.lost):
+        for (start, end), table, copies, lost in zip(tally.intervals, counts.ticks, counts.copies, counts.lost):
             if table.size:
-                stats[start + end] = _summary(*table, lost)
+                stats[start + end] = _summary(*table, lost, copies)
     return out
 
 
@@ -832,7 +808,7 @@ def render_report(tally: ConfigTally, summaries: Mapping[str, Mapping[str, Summa
                 f"{stats.median_us:>12.2f} {stats.p99_us:>10.2f}"
             )
         d0d7 = intervals.get("d0d7")
-        if d0d7 and d0d7.modes_us:
-            lines.append("  modes [us]: " + ", ".join(f"{m:.1f}" for m in d0d7.modes_us))
+        if d0d7 and d0d7.copies:
+            lines.append("  copies: " + ", ".join(f"{c} {share:.3f} at {mean:.1f} us" for c, share, mean in d0d7.copies))
         lines.append("")
     return "\n".join(lines)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 
 from esbsim.link import RecordBatch
-from esbsim.sweep import ConfigTally, SummaryStats, summarize_by_config
+from esbsim.sweep import DEFAULT_HISTOGRAM_BIN_US, ConfigTally, SummaryStats, summarize_by_config
 
 
 class Collected(list):
@@ -45,3 +45,14 @@ def summary_of(batch: RecordBatch, interval: tuple[str, str] = ("d0", "d7")) -> 
     tally.add(batch)
     (summaries,) = summarize_by_config(tally).values()
     return summaries[interval[0] + interval[1]]
+
+
+def densified(stats: SummaryStats) -> tuple[list[int], list[float]]:
+    """The histogram of `stats` with its empty bins put back, as np.histogram
+    gives it: every bin from the first listed to the last, and the edges."""
+    width = DEFAULT_HISTOGRAM_BIN_US
+    bins = [round(left / width) for left in stats.hist_bins_us]
+    counts = [0] * (bins[-1] - bins[0] + 1)
+    for k, count in zip(bins, stats.hist_counts):
+        counts[k - bins[0]] = count
+    return counts, [(bins[0] + i) * width for i in range(len(counts) + 1)]

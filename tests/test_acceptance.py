@@ -32,7 +32,7 @@ from esbsim.sweep import (
     write_results,
 )
 
-from conftest import summary_of
+from conftest import densified, summary_of
 
 TRIMODAL_LOSS = 0.2655  # (14/750)^(1/3) from the reference accounting, rounded
 REFERENCE_LOSS = 0.043  # reproduces the reference mean-median gap via p * 435
@@ -103,32 +103,46 @@ def test_a1_calibration_exactness(calibrated):
     )
 
 
+def histogram_peaks(counts, edges, spacing_us: float, floor: float = 0.01) -> tuple[float, ...]:
+    """Well-separated peaks of a histogram with every bin listed: the local
+    maxima at least `floor` of the tallest bin, kept by height, tallest
+    first, at least half `spacing_us` from every kept one; each placed at
+    the count-weighted centre of the bins within a quarter spacing of it.
+    Ascending."""
+    counts = np.asarray(counts, dtype=float)
+    centers = (np.asarray(edges[:-1]) + np.asarray(edges[1:])) / 2
+    peaks = [
+        i
+        for i in range(counts.size)
+        if counts[i] >= counts.max() * floor
+        and (i == 0 or counts[i] >= counts[i - 1])
+        and (i == counts.size - 1 or counts[i] > counts[i + 1])
+    ]
+    kept = []
+    for i in sorted(peaks, key=lambda i: (-counts[i], i)):
+        if all(abs(centers[i] - centers[j]) >= spacing_us / 2 for j in kept):
+            kept.append(i)
+    near = [np.abs(centers - centers[i]) <= spacing_us / 4 for i in kept]
+    return tuple(sorted(float((counts[m] * centers[m]).sum() / counts[m].sum()) for m in near))
+
+
 def test_a2_trimodal_structure(trimodal_run):
     records, elapsed = trimodal_run
     stats = summary_of(records, ("d0", "d7"))
+    peaks = histogram_peaks(*densified(stats), 435.0)
     checks = [
-        (f"{len(stats.modes_us)} modes", len(stats.modes_us) == 3),
+        (f"copies {[copy for copy, _, _ in stats.copies]}", [copy for copy, _, _ in stats.copies] == [0, 1, 2]),
+        (f"{len(peaks)} histogram peaks", len(peaks) == 3),
         (f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0),
     ]
-    spacings = np.diff(stats.modes_us)
-    for i, spacing in enumerate(spacings):
-        checks.append((f"spacing{i} {spacing:.1f}us", abs(spacing - 435.0) <= 5.0))
+    for what, positions in (("copy", [mean for _, _, mean in stats.copies]), ("peak", peaks)):
+        for i, spacing in enumerate(np.diff(positions)):
+            checks.append((f"{what} spacing{i} {spacing:.1f}us", abs(spacing - 435.0) <= 5.0))
     probs, lost_mass = delivered_copy_distribution(TRIMODAL_LOSS, 3)
     expected = np.array(probs) / (1.0 - lost_mass)
-    # the share of delivered attempts nearest each mode
-    delivered = records.delivered_copy >= 0
-    values = (records.probes[delivered, 7] - records.probes[delivered, 0]) / 10
-    nearest = np.argmin(np.abs(values[:, None] - np.asarray(stats.modes_us)), axis=1)
-    masses = np.bincount(nearest, minlength=len(stats.modes_us)) / nearest.size
-    n = stats.n
-    for k in range(3):
-        sigma = np.sqrt(expected[k] * (1 - expected[k]) / n)
-        checks.append(
-            (
-                f"mass{k} {masses[k]:.4f} vs {expected[k]:.4f}",
-                abs(masses[k] - expected[k]) <= 3 * sigma,
-            )
-        )
+    for k, share, _ in stats.copies:
+        sigma = np.sqrt(expected[k] * (1 - expected[k]) / stats.n)
+        checks.append((f"share{k} {share:.4f} vs {expected[k]:.4f}", abs(share - expected[k]) <= 3 * sigma))
     _criterion("A2 tri-modal structure", checks)
 
 

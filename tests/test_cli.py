@@ -510,8 +510,8 @@ def test_report_summarizes_a_latency_span_too_wide_for_dense_bins_as_the_sweep_d
 # one chunk of the writer and one block of the parser
 PINNED_SWEEP = {
     "results.csv": "2f09526eda62bf1c6e3ab3164d1bee04e4437b5e7ea194083e3c51f28dc8d069",
-    "summary.json": "254a8beaa3cf89c5bb1fd1d76d027a2e5039eb19643a8460254a29e8ded1c8a0",
-    "summary.txt": "1a03671baaaed0c68e10208a93d9f1b033404361f209aaac603d241a27fb7257",
+    "summary.json": "fd4f966ea776aaf71fff069258866a9bf44ef24d5eca61679b901f6c09f1b1d4",
+    "summary.txt": "6c0598d9c8bdecb0e568f2313ddbf9d7d8560f045c3af4be50eba2bde0cdd688",
 }
 
 
