@@ -118,12 +118,4 @@ def calibrate_pipeline(targets: CalibrationTargets, config: EsbConfig) -> Pipeli
         )
     radio_stack_us = (targets.d2d5_us - targets.d3d4_us) / 2.0
     ipc_us = (targets.d0d7_us - targets.d2d5_us) / 4.0
-    return PipelineModel(
-        tx_app_to_ipc_us=ipc_us,
-        tx_ipc_to_esb_us=ipc_us,
-        tx_esb_stack_us=radio_stack_us,
-        radio_overhead_us=radio_overhead_us,
-        rx_esb_stack_us=radio_stack_us,
-        rx_to_ipc_us=ipc_us,
-        rx_ipc_to_app_us=ipc_us,
-    )
+    return PipelineModel(base_us=(ipc_us, ipc_us, radio_stack_us, radio_overhead_us, radio_stack_us, ipc_us, ipc_us))

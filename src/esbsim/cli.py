@@ -14,7 +14,7 @@ from . import airtime, analytics, ble, expfile, sweep
 from .config import BleConfig, ConfigError, EsbConfig, olcfg_preset
 from .engine import RNG_ALGORITHM, us_to_ticks
 from .expfile import Experiment, ParseError
-from .link import PipelineModel
+from .link import STAGES, PipelineModel
 from .sweep import SchemaError, SweepPlan
 
 INTERVALS = {a + b: (a, b) for a, b in sweep.REPORT_INTERVALS}
@@ -233,7 +233,7 @@ def _cmd_calibrate(args) -> int:
     path = out / "pipeline.cfg"
     path.write_text(expfile.render_pipeline_file(pipeline, header=header), encoding="utf-8")
     print(f"wrote {path}")
-    print(f"radio_overhead_us={pipeline.radio_overhead_us:.6g}")
+    print(f"radio_overhead_us={dict(zip(STAGES, pipeline.base_us))['radio_overhead']:.6g}")
     return 0
 
 

@@ -283,10 +283,11 @@ def _modifier_keys() -> dict[str, tuple[str, Callable[[str], object]]]:
     return keys
 
 
-# Fields belong to PipelineModel, except [modifiers], whose keys are collected
-# into `modifiers_us`.
+# Fields belong to PipelineModel, except those of [stages], which name the
+# stages whose base delays are collected in STAGES order into `base_us`, and
+# [modifiers], whose keys are collected into `modifiers_us`.
 _PIPELINE_SECTIONS: _Schema = {
-    "stages": {f"{stage}_us": (f"{stage}_us", finite_float) for stage in STAGES},
+    "stages": {f"{stage}_us": (stage, finite_float) for stage in STAGES},
     "jitter": {"family": ("jitter_family", str), "sigma_us": ("jitter_sigma_us", _parse_sigmas)},
     "dedup": {"escape_prob": ("dedup_escape_prob", finite_float)},
     "modifiers": _modifier_keys(),
@@ -301,16 +302,19 @@ def parse_pipeline_file(text: str) -> PipelineModel:
     (25/sqrt(7) us).
     """
     fields: dict[str, object] = {}
+    bases: dict[str, object] = {}
     for section, _, found in _read_sections(text, _PIPELINE_SECTIONS):
-        if section == "modifiers":
+        if section == "stages":
+            bases = found
+        elif section == "modifiers":
             fields["modifiers_us"] = {tuple(key.split(".", 1)): add_us for key, add_us in found.items()}
         else:
             fields.update(found)
-    missing = [stage for stage in STAGES if f"{stage}_us" not in fields]
+    missing = [stage for stage in STAGES if stage not in bases]
     if missing:
         raise ParseError(None, f"[stages] missing {sorted(missing)}")
     try:
-        return PipelineModel(**fields)
+        return PipelineModel(base_us=tuple(bases[stage] for stage in STAGES), **fields)
     except ValueError as exc:
         raise ParseError(None, str(exc)) from exc
 
@@ -321,8 +325,8 @@ def render_pipeline_file(pipeline: PipelineModel, header: str = "") -> str:
     if header:
         lines.extend("# " + h for h in header.splitlines())
     lines.append("[stages]")
-    for stage in STAGES:
-        lines.append(f"{stage}_us={pipeline.stage_base_us(stage)!r}")
+    for stage, base in zip(STAGES, pipeline.base_us):
+        lines.append(f"{stage}_us={base!r}")
     lines.append("[jitter]")
     lines.append(f"family={pipeline.jitter_family}")
     sigmas = pipeline.jitter_sigma_us

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import airtime
-from .config import ChannelModel, CrcMode, CopySpacing, EsbConfig, ScheduleError, validate
+from .config import ChannelModel, ConfigError, CrcMode, CopySpacing, EsbConfig, ScheduleError, validate
 from .engine import (
     PURPOSE_CORRUPT,
     PURPOSE_ESCAPE,
@@ -93,30 +93,27 @@ def stage_modifiers_us(modifiers_us: Mapping[tuple[str, str], float], config: Es
 class PipelineModel:
     """Per-stage base delays, jitter spec, and per-parameter modifiers.
 
-    Base delays are microseconds at full precision; they snap to the 0.1 us
-    clock grid only when an attempt is scheduled.  `modifiers_us` maps
-    (parameter, value) pairs - using the experiment-file spellings, e.g.
-    ("crc", "16") - to additive microseconds on the stage given by
-    MODIFIER_STAGE.  Jitter is drawn per stage and truncated so no stage goes
-    negative; `jitter_sigma_us` holds one standard deviation per stage
-    ("uniform" family draws with the same SD).
+    `base_us` holds one base delay per stage, in STAGES order, in
+    microseconds at full precision; they snap to the 0.1 us clock grid only
+    when an attempt is scheduled.  `modifiers_us` maps (parameter, value)
+    pairs - using the experiment-file spellings, e.g. ("crc", "16") - to
+    additive microseconds on the stage given by MODIFIER_STAGE.  Jitter is
+    drawn per stage and truncated so no stage goes negative;
+    `jitter_sigma_us` holds one standard deviation per stage, as `base_us`
+    does its base ("uniform" family draws with the same SD).
     """
 
-    tx_app_to_ipc_us: float
-    tx_ipc_to_esb_us: float
-    tx_esb_stack_us: float
-    radio_overhead_us: float
-    rx_esb_stack_us: float
-    rx_to_ipc_us: float
-    rx_ipc_to_app_us: float
+    base_us: tuple[float, ...]
     jitter_family: str = "normal"  # off | normal | uniform
     jitter_sigma_us: tuple[float, ...] = (DEFAULT_STAGE_JITTER_SIGMA_US,) * len(STAGES)
     modifiers_us: Mapping[tuple[str, str], float] = field(default_factory=dict)
     dedup_escape_prob: float = DEFAULT_DEDUP_ESCAPE_PROB
 
     def __post_init__(self):
-        for stage in STAGES:
-            if getattr(self, stage + "_us") < 0:
+        if len(self.base_us) != len(STAGES):
+            raise ValueError(f"expected {len(STAGES)} base delays, got {len(self.base_us)}")
+        for stage, base in zip(STAGES, self.base_us):
+            if base < 0:
                 raise ValueError(f"stage {stage} has negative base delay")
         if self.jitter_family not in ("off", "normal", "uniform"):
             raise ValueError(f"unknown jitter family {self.jitter_family!r}")
@@ -125,13 +122,10 @@ class PipelineModel:
         if not 0.0 <= self.dedup_escape_prob <= 1.0:
             raise ValueError(f"dedup_escape_prob out of range: {self.dedup_escape_prob}")
 
-    def stage_base_us(self, stage: str) -> float:
-        return getattr(self, stage + "_us")
-
     def stage_totals_us(self, config: EsbConfig) -> tuple[float, ...]:
         """Base plus the config's applicable modifiers, per stage."""
         extras = stage_modifiers_us(self.modifiers_us, config)
-        return tuple(self.stage_base_us(stage) + extra for stage, extra in zip(STAGES, extras))
+        return tuple(base + extra for base, extra in zip(self.base_us, extras))
 
 
 class Outcome(str, Enum):
@@ -196,14 +190,23 @@ class RecordBatch:
         return len(self.attempt)
 
 
+def _copy_step_ticks(config: EsbConfig) -> int:
+    """Ticks from one copy's start to the next's; only a train of two or more
+    copies reads its delay."""
+    if config.copies == 1:
+        return 0
+    step = us_to_ticks(config.retransmit_delay_us)
+    if config.copy_spacing is CopySpacing.END_TO_START:
+        step += airtime.on_air_ticks(config)
+    return step
+
+
 def copy_offsets_ticks(config: EsbConfig) -> list[int]:
     """Start-time offsets of every copy relative to the first, in ticks.
     Copies are unconditional: no acknowledgements exist in broadcast mode, so
     every copy is sent even after a successful delivery."""
-    delay = us_to_ticks(config.retransmit_delay_us)
-    if config.copy_spacing is CopySpacing.END_TO_START:
-        delay += airtime.on_air_ticks(config)
-    return [k * delay for k in range(config.copies)]
+    step = _copy_step_ticks(config)
+    return [k * step for k in range(config.copies)]
 
 
 class SeriesDraws(NamedTuple):
@@ -260,12 +263,23 @@ def draw_series(
 
 ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
 
+# A stage takes fewer ticks than this, so that no probe time wraps int64, no
+# interval reaches the tally's 2**57 exactness bound, and a probe time too
+# large for a results cell is still refused by the writer.
+_MAX_STAGE_TICKS = 10**16
+
 
 def check_copy_train(config: EsbConfig) -> None:
-    """Raise ScheduleError unless an attempt's last copy ends before the next attempt starts."""
-    end = copy_offsets_ticks(config)[-1] + airtime.on_air_ticks(config)
+    """Raise ScheduleError unless an attempt's last copy ends before the next
+    attempt starts.  The last copy's end is closed-form, so the check costs
+    the same for any number of copies, and a delay longer than the whole
+    window is refused before it is converted to ticks."""
+    overlaps = f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train"
+    if config.copies > 1 and config.retransmit_delay_us > ATTEMPT_SPACING_US:
+        raise ScheduleError(f"{overlaps} (retransmit_delay_us={config.retransmit_delay_us})")
+    end = (config.copies - 1) * _copy_step_ticks(config) + airtime.on_air_ticks(config)
     if us_to_ticks(ATTEMPT_SPACING_US) < end:
-        raise ScheduleError(f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train ({ticks_to_us(end)} us)")
+        raise ScheduleError(f"{overlaps} ({ticks_to_us(end)} us)")
 
 
 def run_attempt_series(
@@ -298,19 +312,21 @@ def run_attempt_series(
     spacing = us_to_ticks(ATTEMPT_SPACING_US)
     totals = np.asarray(pipeline.stage_totals_us(config))
     crc_on = config.crc_mode is not CrcMode.OFF
-    draws = draw_series(
-        channel,
-        pipeline,
-        config.copies,
-        n,
-        seed=seed,
-        namespace=namespace,
-        round_index=round_index,
-        start_attempt=start_attempt,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a stage too long for a float is inf, refused below
+        draws = draw_series(channel, pipeline, config.copies, n, seed=seed, namespace=namespace,
+                            round_index=round_index, start_attempt=start_attempt)
+        stage_us = totals + draws.jitter_us
+        ticks = np.rint(stage_us * TICKS_PER_US)
+    outside = ~(ticks < _MAX_STAGE_TICKS)  # NaN included
+    if outside.any():
+        row, stage = np.argwhere(outside)[0]
+        raise ConfigError(
+            f"stage {STAGES[stage]} would take {stage_us[row, stage]:.6g} us in attempt {start_attempt + row}: "
+            f"a stage must take less than {ticks_to_us(_MAX_STAGE_TICKS):.0e} us"
+        )
     # floor of one tick: jitter never drives a stage negative, and probe
     # timestamps stay strictly increasing
-    ticks = np.maximum(1, np.rint((totals + draws.jitter_us) * TICKS_PER_US)).astype(np.int64)
+    ticks = np.maximum(1, ticks).astype(np.int64)
 
     # The first copy that is neither lost nor rejected by CRC delivers; every
     # later surviving copy is suppressed or, with CRC off, may escape as a

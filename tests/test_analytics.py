@@ -164,26 +164,21 @@ class TestSuccessRate:
 
 class TestCalibratePipeline:
     def test_reference_targets_for_the_optimal_preset(self):
-        pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+        base = dict(zip(STAGES, calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()).base_us))
         # radio turnaround absorbs d3-d4 minus the 36.5 us on air
-        assert pipe.radio_overhead_us == pytest.approx(185.86 - 36.5)
-        assert pipe.radio_overhead_us == pytest.approx(149.36)
+        assert base["radio_overhead"] == pytest.approx(185.86 - 36.5)
+        assert base["radio_overhead"] == pytest.approx(149.36)
         # radio-stack pair shares d2d5 - d3d4 = 107.21 us
-        assert pipe.tx_esb_stack_us + pipe.rx_esb_stack_us == pytest.approx(107.21)
+        assert base["tx_esb_stack"] + base["rx_esb_stack"] == pytest.approx(107.21)
         # the four IPC stages share d0d7 - d2d5 = 193.23 us
-        outer = (
-            pipe.tx_app_to_ipc_us
-            + pipe.tx_ipc_to_esb_us
-            + pipe.rx_to_ipc_us
-            + pipe.rx_ipc_to_app_us
-        )
+        outer = base["tx_app_to_ipc"] + base["tx_ipc_to_esb"] + base["rx_to_ipc"] + base["rx_ipc_to_app"]
         assert outer == pytest.approx(193.23)
 
     def test_symmetric_split(self):
-        pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
-        assert pipe.tx_esb_stack_us == pipe.rx_esb_stack_us
-        assert pipe.tx_app_to_ipc_us == pipe.rx_ipc_to_app_us
-        assert pipe.tx_ipc_to_esb_us == pipe.rx_to_ipc_us
+        base = dict(zip(STAGES, calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()).base_us))
+        assert base["tx_esb_stack"] == base["rx_esb_stack"]
+        assert base["tx_app_to_ipc"] == base["rx_ipc_to_app"]
+        assert base["tx_ipc_to_esb"] == base["rx_to_ipc"]
 
     def test_infeasible_when_frame_exceeds_air_interval(self):
         targets = CalibrationTargets(d0d7_us=100.0, d2d5_us=50.0, d3d4_us=20.0)
@@ -233,8 +228,8 @@ def test_calibration_reproduces_the_targets_or_is_infeasible(case):
         assert split["radio_overhead"] < 0
         return
     assert pipe.modifiers_us == {}
-    for stage in STAGES:
-        assert pipe.stage_base_us(stage) == split[stage]
+    for stage, base in zip(STAGES, pipe.base_us, strict=True):
+        assert base == split[stage]
     totals = pipe.stage_totals_us(config)
     assert sum(totals) + on_air == pytest.approx(targets.d0d7_us, **tolerance)
     assert sum(totals[2:5]) + on_air == pytest.approx(targets.d2d5_us, **tolerance)

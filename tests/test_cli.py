@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from esbsim.cli import main
 from esbsim.config import BleConfig, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
+from esbsim.link import STAGES
 from esbsim.sweep import read_results
 
 from conftest import Collected, same_rows, summary_of
@@ -118,7 +120,7 @@ def test_calibrate_writes_the_reference_pipeline(tmp_path, capsys):
     assert main(["calibrate", "--targets", "486.30,293.07,185.86", "--out", str(out)]) == 0
     text = (out / "pipeline.cfg").read_text()
     pipe = parse_pipeline_file(text)
-    assert pipe.radio_overhead_us == pytest.approx(149.36)
+    assert dict(zip(STAGES, pipe.base_us))["radio_overhead"] == pytest.approx(149.36)
     assert "radio_overhead_us=149.36" in capsys.readouterr().out
 
 
@@ -343,6 +345,13 @@ OUT_OF_RANGE = {
     # the copy train outruns the attempt window
     ("simulate", "--set", "config.olcfg.retransmits=14"):
         "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)",
+    # a delay longer than the window, which no tick count need hold, with the file's two retransmits
+    ("simulate", "--set", "config.olcfg.retransmit_delay_us=1e308"):
+        "attempt spacing 6000.0 us overlaps the copy train (retransmit_delay_us=1e+308)",
+    ("sweep", "--set", "config.olcfg.retransmit_delay_us=1e308"):
+        "attempt spacing 6000.0 us overlaps the copy train (retransmit_delay_us=1e+308)",
+    ("compare-ble", "--set", "config.olcfg.retransmit_delay_us=1e308"):
+        "attempt spacing 6000.0 us overlaps the copy train (retransmit_delay_us=1e+308)",
     ("calibrate", "--targets", "100,50,20"):
         "stage radio_overhead would be -16.5 us: the d3-d4 target 20.0 us is shorter than the frame's on-air time 36.5 us",
     ("calibrate", "--targets", "abc,1,2"):
@@ -378,6 +387,97 @@ def test_a_sweep_checks_every_copy_train_before_its_first_row(tmp_path, capsys, 
     assert capsys.readouterr().err == "esbsim: error: attempt spacing 6000.0 us overlaps the copy train (6126.5 us)\n"
     assert not (tmp_path / "out").exists()
     assert [path.name for path in tmp_path.rglob("*")] == ["two.cfg"]  # no results, no *.tmp
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
+def test_a_copy_train_of_any_length_is_refused_at_once(exp_file, tmp_path, capsys, command):
+    start = time.perf_counter()
+    args = ["--file", str(exp_file), "--set", "config.olcfg.retransmits=1000000000000", "--out", str(tmp_path / "out")]
+    assert main([command, *args]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "esbsim: error: attempt spacing 6000.0 us overlaps the copy train (435000000000036.5 us)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
+def test_a_single_copy_never_reads_its_delay(exp_file, tmp_path, capsys, command):
+    outputs = {}
+    for delay in ("435", "1e308"):
+        out = tmp_path / delay
+        overrides = ["--set", "config.olcfg.retransmits=0", "--set", f"config.olcfg.retransmit_delay_us={delay}"]
+        assert main([command, "--file", str(exp_file), *overrides, "--out", str(out)]) == 0
+        outputs[delay] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert capsys.readouterr().err == ""
+    # the config hash covers the delay, so only the results' `# config` line differs
+    hashed = re.compile(rb"(?m)^# config olcfg hash=[0-9a-f]{12}$")
+    for name, data in outputs["435"].items():
+        other = outputs["1e308"][name]
+        assert hashed.sub(b"", data) == hashed.sub(b"", other), name
+        assert (data != other) == (name == "results.csv"), name
+    assert sorted(outputs["435"]) == sorted(outputs["1e308"])
+
+
+def _calibrated(tmp_path, targets: str) -> str:
+    assert main(["calibrate", "--targets", targets, "--out", str(tmp_path / "cal")]) == 0
+    return str(tmp_path / "cal" / "pipeline.cfg")
+
+
+def _pipeline(tmp_path, **changes) -> str:
+    """The reference pipeline with some fields replaced, as a file."""
+    pipeline = dataclasses.replace(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()), **changes)
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(render_pipeline_file(pipeline))
+    return str(path)
+
+
+_LONGEST_STAGE = "a stage must take less than 1e+15 us"
+
+# pipelines whose stage delays, base or drawn, the tick clock cannot hold -> the error
+OVERSIZE_STAGES = {
+    "calibrated-1e308": (
+        lambda tmp: _calibrated(tmp, "1e308,1e307,1e306"),
+        f"stage tx_app_to_ipc would take 2.25e+307 us in attempt 0: {_LONGEST_STAGE}",
+    ),
+    "base-1e15": (
+        lambda tmp: _pipeline(tmp, base_us=(1.0, 1.0, 1.0, 1e15, 1.0, 1.0, 1.0), jitter_family="off"),
+        f"stage radio_overhead would take 1e+15 us in attempt 0: {_LONGEST_STAGE}",
+    ),
+    "normal-sigma-1e308": (
+        lambda tmp: _pipeline(tmp, jitter_sigma_us=(1e308,) * len(STAGES)),
+        f"stage tx_ipc_to_esb would take 1.04746e+308 us in attempt 0: {_LONGEST_STAGE}",
+    ),
+    "uniform-sigma-1e308": (
+        lambda tmp: _pipeline(tmp, jitter_family="uniform", jitter_sigma_us=(1e308,) * len(STAGES)),
+        f"stage tx_ipc_to_esb would take 6.44422e+307 us in attempt 0: {_LONGEST_STAGE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
+@pytest.mark.parametrize("case", list(OVERSIZE_STAGES))
+def test_a_stage_the_clock_cannot_hold_exits_one_naming_it(exp_file, tmp_path, capsys, command, case):
+    make_pipeline, message = OVERSIZE_STAGES[case]
+    pipeline = make_pipeline(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--file", str(exp_file), "--pipeline", pipeline, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"esbsim: error: {message}\n"
+    assert list(out.glob("*")) == []  # no results
+
+
+def test_the_longest_stages_the_clock_holds_run_and_read_back(exp_file, tmp_path, capsys):
+    # seven stages just under 10**15 us each: d0-d7 takes just under 7 * 10**16 ticks, 17 digits
+    pipeline = _pipeline(tmp_path, base_us=(1e15 - 0.1,) * len(STAGES), jitter_family="off")
+    out = tmp_path / "out"
+    assert main(["simulate", "--file", str(exp_file), "--pipeline", pipeline, "--out", str(out)]) == 0
+    d0d7 = json.loads((out / "summary.json").read_text())["olcfg"]["d0d7"]
+    assert d0d7["median_us"] >= 7 * (1e15 - 0.1)
+    capsys.readouterr()
+    assert main(["report", "--file", str(out / "results.csv"), "--out", str(tmp_path / "reported")]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text() + "\n"
+    assert (tmp_path / "reported" / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--attempts", "1000000000000"], ["sweep"]])
@@ -485,7 +585,7 @@ def test_calibrate_reference_is_the_named_config_or_the_preset(tmp_path, capsys,
     reference = olcfg_preset() if config is None else dict(parse_experiment_file(NOT_PRESET_FIRST).plan.configs)[config]
     assert f"# reference config={config or 'olcfg'} hash={reference.digest()}\n" in text
     radio_overhead = olcfg_calibration_targets().d3d4_us - airtime.on_air_time_us(reference)
-    assert parse_pipeline_file(text).radio_overhead_us == radio_overhead
+    assert dict(zip(STAGES, parse_pipeline_file(text).base_us))["radio_overhead"] == radio_overhead
 
 
 def test_report_summarizes_a_latency_span_too_wide_for_dense_bins_as_the_sweep_does(exp_file, tmp_path, capsys):

@@ -163,17 +163,18 @@ class TestSchemaTable:
             "channel": ChannelModel,
             "ble": BleConfig,
             "targets": CalibrationTargets,
-            "stages": PipelineModel,
             "jitter": PipelineModel,
             "dedup": PipelineModel,
         }
         tables = {**_SECTIONS, **_PIPELINE_SECTIONS}
-        assert set(tables) == set(targets) | {"modifiers"}
+        assert set(tables) == set(targets) | {"stages", "modifiers"}
         for section, cls in targets.items():
             names = {f.name for f in dataclasses.fields(cls)}
             mapped = [field for field, _ in tables[section].values()]
             assert set(mapped) <= names, section
             assert len(set(mapped)) == len(mapped), section  # one key per field
+        # [stages] goes into `base_us`: its keys map one-to-one onto STAGES, in order
+        assert list(tables["stages"].items()) == [(f"{stage}_us", (stage, finite_float)) for stage in STAGES]
         # [modifiers] goes into `modifiers_us`: a key per parameter with a modifier stage and value a config takes
         keys = {f"power.{dbm}" for dbm in range(-70, 11)}
         for param in set(MODIFIER_STAGE) - {"power"}:
@@ -290,7 +291,7 @@ class TestPipelineFile:
         pipe = parse_pipeline_file("\n".join(kept))
         assert pipe.jitter_family == "normal"
         assert pipe.jitter_sigma_us == (DEFAULT_STAGE_JITTER_SIGMA_US,) * len(STAGES)
-        assert pipe.jitter_sigma_us == PipelineModel(**{f"{s}_us": 1.0 for s in STAGES}).jitter_sigma_us
+        assert pipe.jitter_sigma_us == PipelineModel(base_us=(1.0,) * len(STAGES)).jitter_sigma_us
 
     @pytest.mark.parametrize("sigma", [None, "0", "3.5,1,2,3,4,5,6"])
     def test_calibrate_output_parses_unchanged(self, tmp_path, capsys, sigma):

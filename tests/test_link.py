@@ -15,6 +15,7 @@ from esbsim.analytics import (
 )
 from esbsim.config import (
     ChannelModel,
+    ConfigError,
     CopySpacing,
     CrcMode,
     PayloadMode,
@@ -133,6 +134,16 @@ class TestScheduleCopies:
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0)
         assert copy_offsets_ticks(cfg) == [0]
 
+    @pytest.mark.parametrize("spacing", list(CopySpacing))
+    def test_a_single_copy_never_reads_its_delay(self, pipeline, spacing):
+        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0, copy_spacing=spacing)
+        far = dataclasses.replace(cfg, retransmit_delay_us=1e308)  # no tick count holds it
+        assert copy_offsets_ticks(far) == [0]
+        channel = ChannelModel(p_loss=0.3, p_corrupt=0.1)
+        near = run_attempt_series(cfg, channel, pipeline, 50, seed=4)
+        far_rows = run_attempt_series(far, channel, pipeline, 50, seed=4)
+        assert same_rows(far_rows, dataclasses.replace(near, hashes=(far.digest(),)))
+
     @pytest.mark.parametrize("n", range(16))
     def test_copy_count_is_retransmits_plus_one(self, n):
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=n)
@@ -151,7 +162,7 @@ class TestScheduleCopies:
         on_air = airtime.on_air_ticks(cfg)
         step = on_air + 100
         assert copy_offsets_ticks(cfg) == [0, step, 2 * step]
-        overhead = round(quiet_pipeline.radio_overhead_us * 10)
+        overhead = round(dict(zip(STAGES, quiet_pipeline.base_us))["radio_overhead"] * 10)
         records = run_attempt_series(cfg, ChannelModel(p_loss=0.5), quiet_pipeline, 200, seed=12)
         delivered = records.delivered_copy >= 0
         copy = records.delivered_copy[delivered]
@@ -161,6 +172,16 @@ class TestScheduleCopies:
 
 
 class TestTransmit:
+    def test_a_stage_no_float_holds_is_refused_naming_it(self, pipeline):
+        # base plus modifier is inf, and jitter past a float either way makes the stage inf or nan
+        base = dict(zip(STAGES, pipeline.base_us), radio_overhead=1e308)
+        sigma = tuple(1e308 if stage == "radio_overhead" else 0.0 for stage in STAGES)
+        huge = dataclasses.replace(
+            pipeline, base_us=tuple(base.values()), jitter_sigma_us=sigma, modifiers_us={("bitrate", "2M-ble"): 1e308}
+        )
+        with pytest.raises(ConfigError, match="^stage radio_overhead would take inf us in attempt 0: "):
+            run_attempt_series(olcfg_preset(), LOSSLESS, huge, 1000, seed=1)
+
     def test_calibrated_quiet_run_reproduces_the_reference_latency(self, quiet_pipeline):
         rec = one_attempt(olcfg_preset(), LOSSLESS, quiet_pipeline, 1)
         assert d0d7_ticks(rec).tolist() == [4863]  # 486.3 us
@@ -197,7 +218,7 @@ class TestTransmit:
         # d4 - d3 = copy offset + on-air time + radio overhead, exactly
         channel = ChannelModel(p_loss=0.45)
         on_air = airtime.on_air_ticks(olcfg_preset())
-        overhead = round(quiet_pipeline.radio_overhead_us * 10)
+        overhead = round(dict(zip(STAGES, quiet_pipeline.base_us))["radio_overhead"] * 10)
         records = run_attempt_series(olcfg_preset(), channel, quiet_pipeline, 500, seed=11)
         delivered = records.delivered_copy >= 0
         gap = records.probes[delivered, 4] - records.probes[delivered, 3]

@@ -878,6 +878,19 @@ class TestPersistence:
         write_results([last], tmp_path / "results.csv")
         assert same_rows(read_batch(tmp_path / "results.csv"), last)
 
+    def test_the_longest_stages_at_the_latest_start_wrap_no_probe_and_the_writer_refuses_them(
+        self, quiet_pipeline, tmp_path
+    ):
+        # seven stages just under 10**16 ticks each, after the latest start a series accepts
+        longest = dataclasses.replace(quiet_pipeline, base_us=(1e15 - 0.1,) * 7)
+        last = run_attempt_series(olcfg_preset(), ChannelModel(), longest, 1, seed=1, start_attempt=1_666_666_666_666)
+        probes = last.probes[0]
+        assert probes[0] == 99_999_999_999_960_000 < 10**17 < probes[1]
+        assert (0 < np.diff(probes)).all() and probes[7] - probes[0] < 2**57  # the tally's exactness bound
+        with pytest.raises(SchemaError, match=f"cannot write {probes[1]} in a results cell: a cell holds at most 17"):
+            write_results([last], tmp_path / "results.csv")
+        assert os.listdir(tmp_path) == []
+
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())
     @example(records=WIDE_ROWS)
