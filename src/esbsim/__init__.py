@@ -9,7 +9,6 @@ from .config import (
     BleConfig,
     ChannelModel,
     ConfigError,
-    CopySpacing,
     CrcMode,
     EsbConfig,
     PayloadMode,
@@ -26,7 +25,6 @@ __all__ = [
     "BleConfig",
     "ChannelModel",
     "ConfigError",
-    "CopySpacing",
     "CrcMode",
     "EsbConfig",
     "PayloadMode",

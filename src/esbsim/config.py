@@ -49,13 +49,6 @@ class PayloadMode(str, Enum):
     OPTIMIZED = "optimized"
 
 
-class CopySpacing(str, Enum):
-    """Reference points for the delay between consecutive copies."""
-
-    START_TO_START = "start-to-start"
-    END_TO_START = "end-to-start"
-
-
 class ConfigError(ValueError):
     """Base class for configuration validation failures."""
 
@@ -75,7 +68,8 @@ def _check_range(field: str, value, lo, hi=math.inf) -> None:
 
 
 class ScheduleError(ConfigError):
-    """Copy spacing too small for the frame to fit on air."""
+    """A copy train the attempt cannot hold: copies that would overlap on air,
+    or a last copy that ends after the next attempt starts."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,6 @@ class EsbConfig:
     payload_len_bytes: int = 8
     retransmit_count: int = 2
     retransmit_delay_us: float = 435.0
-    copy_spacing: CopySpacing = CopySpacing.START_TO_START
 
     @property
     def copies(self) -> int:
@@ -110,30 +103,23 @@ class EsbConfig:
             return f"{type(value).__name__}.{value.name}" if isinstance(value, Enum) else str(value)
 
         text = ";".join(f"{f.name}={spelled(getattr(self, f.name))}" for f in fields(self))
+        # the retired copy_spacing field, at the one rule left, so that every
+        # config hash, and so every results file, stays byte-identical
+        text += ";copy_spacing=CopySpacing.START_TO_START"
         return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
 
 
 def validate(config: EsbConfig) -> EsbConfig:
-    """Return the config unchanged iff every invariant holds.
+    """Return the config unchanged iff every field is in its range.
 
-    Raises RangeError naming the offending field, or ScheduleError when
-    start-to-start copies are spaced closer than one frame's on-air time
-    (copies would overlap on air).  With end-to-start spacing the delay is a
-    gap after each frame, so any non-negative delay fits.
+    Raises RangeError naming the offending field.  Whether the copy train
+    fits an attempt is `link.copy_offsets_ticks`'s check, made for each
+    series that runs.
     """
     _check_range("tx_power_dbm", config.tx_power_dbm, TX_POWER_MIN_DBM, TX_POWER_MAX_DBM)
     _check_range("payload_len_bytes", config.payload_len_bytes, 1, PAYLOAD_MAX_BYTES)
     _check_range("retransmit_count", config.retransmit_count, 0)
     _check_range("retransmit_delay_us", config.retransmit_delay_us, 0)
-    # airtime depends on config enums; imported lazily to keep layering simple
-    from . import airtime
-
-    frame_us = airtime.on_air_time_us(config)
-    if config.copy_spacing is CopySpacing.START_TO_START and config.retransmit_delay_us < frame_us:
-        raise ScheduleError(
-            f"retransmit_delay_us={config.retransmit_delay_us} shorter than "
-            f"one frame on air ({frame_us} us); copies would overlap"
-        )
     return config
 
 

@@ -26,7 +26,6 @@ from .config import (
     BitrateMode,
     BleConfig,
     ChannelModel,
-    CopySpacing,
     CrcMode,
     EsbConfig,
     PayloadMode,
@@ -109,7 +108,6 @@ _SECTIONS: _Schema = {
         "payload_len": ("payload_len_bytes", int),
         "retransmits": ("retransmit_count", int),
         "retransmit_delay_us": ("retransmit_delay_us", finite_float),
-        "spacing": ("copy_spacing", CopySpacing),
     },
     "channel": {"p_loss": ("p_loss", finite_float), "p_corrupt": ("p_corrupt", finite_float)},
     "ble": {

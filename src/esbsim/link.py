@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import airtime
-from .config import ChannelModel, ConfigError, CrcMode, CopySpacing, EsbConfig, ScheduleError, validate
+from .config import ChannelModel, ConfigError, CrcMode, EsbConfig, ScheduleError, validate
 from .engine import (
     PURPOSE_CORRUPT,
     PURPOSE_ESCAPE,
@@ -190,25 +190,6 @@ class RecordBatch:
         return len(self.attempt)
 
 
-def _copy_step_ticks(config: EsbConfig) -> int:
-    """Ticks from one copy's start to the next's; only a train of two or more
-    copies reads its delay."""
-    if config.copies == 1:
-        return 0
-    step = us_to_ticks(config.retransmit_delay_us)
-    if config.copy_spacing is CopySpacing.END_TO_START:
-        step += airtime.on_air_ticks(config)
-    return step
-
-
-def copy_offsets_ticks(config: EsbConfig) -> list[int]:
-    """Start-time offsets of every copy relative to the first, in ticks.
-    Copies are unconditional: no acknowledgements exist in broadcast mode, so
-    every copy is sent even after a successful delivery."""
-    step = _copy_step_ticks(config)
-    return [k * step for k in range(config.copies)]
-
-
 class SeriesDraws(NamedTuple):
     """Every random draw of an attempt series, one row per attempt."""
 
@@ -269,17 +250,34 @@ ATTEMPT_SPACING_US = 6000.0  # one capture window per attempt
 _MAX_STAGE_TICKS = 10**16
 
 
-def check_copy_train(config: EsbConfig) -> None:
-    """Raise ScheduleError unless an attempt's last copy ends before the next
-    attempt starts.  The last copy's end is closed-form, so the check costs
-    the same for any number of copies, and a delay longer than the whole
-    window is refused before it is converted to ticks."""
+def copy_offsets_ticks(config: EsbConfig) -> list[int]:
+    """Start-time offsets of every copy relative to the first, in ticks: each
+    copy starts `retransmit_delay_us` after the one before.  Copies are
+    unconditional: no acknowledgements exist in broadcast mode, so every copy
+    is sent even after a successful delivery.
+
+    A single copy reads no delay.  A train of two or more raises
+    ScheduleError if a copy would start before the one before it ends on
+    air, or if the last copy would end after the next attempt starts.  The
+    last copy's end is closed-form, so the check costs the same for any
+    number of copies, and a delay longer than the whole window is refused
+    before it is converted to ticks.
+    """
+    if config.copies == 1:
+        return [0]
+    delay_us = config.retransmit_delay_us
+    frame_us = airtime.on_air_time_us(config)
+    if delay_us < frame_us:
+        raise ScheduleError(f"retransmit_delay_us={delay_us} shorter than one frame on air ({frame_us} us); "
+                            "copies would overlap")
     overlaps = f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train"
-    if config.copies > 1 and config.retransmit_delay_us > ATTEMPT_SPACING_US:
-        raise ScheduleError(f"{overlaps} (retransmit_delay_us={config.retransmit_delay_us})")
-    end = (config.copies - 1) * _copy_step_ticks(config) + airtime.on_air_ticks(config)
+    if delay_us > ATTEMPT_SPACING_US:
+        raise ScheduleError(f"{overlaps} (retransmit_delay_us={delay_us})")
+    step = us_to_ticks(delay_us)
+    end = (config.copies - 1) * step + airtime.on_air_ticks(config)
     if us_to_ticks(ATTEMPT_SPACING_US) < end:
         raise ScheduleError(f"{overlaps} ({ticks_to_us(end)} us)")
+    return [k * step for k in range(config.copies)]
 
 
 def run_attempt_series(
@@ -306,7 +304,6 @@ def run_attempt_series(
     if n < 1:
         raise ValueError("need at least one attempt")
     validate(config)
-    check_copy_train(config)
     offsets = copy_offsets_ticks(config)
     on_air = airtime.on_air_ticks(config)
     spacing = us_to_ticks(ATTEMPT_SPACING_US)

@@ -36,7 +36,7 @@ from .link import (
     PROBES,
     PipelineModel,
     RecordBatch,
-    check_copy_train,
+    copy_offsets_ticks,
     run_attempt_series,
 )
 
@@ -108,13 +108,13 @@ def run_series(
     n: int,
 ) -> Iterator[RecordBatch]:
     """Attempts 0..n-1 of the plan's (config, round) series, made _CHUNK_ROWS
-    at a time as they are taken.  A series whose copy train outruns the
-    attempt spacing, or whose last start is too large for a results cell, is
-    refused first.  Every command that simulates a config addresses its
-    draws here: the plan seed, the config's index as namespace, the round
-    and the attempt."""
+    at a time as they are taken.  A series whose copy train the attempt
+    cannot hold (`copy_offsets_ticks`), or whose last start is too large for
+    a results cell, is refused first.  Every command that simulates a config
+    addresses its draws here: the plan seed, the config's index as
+    namespace, the round and the attempt."""
     name, config = plan.configs[config_index]
-    check_copy_train(config)
+    copy_offsets_ticks(config)
     if (last := (n - 1) * us_to_ticks(ATTEMPT_SPACING_US)) >= 10**_MAX_DIGITS:
         raise ConfigError(f"{n} attempts are too many: the last would start at {last // 10}.{last % 10} us, "
                           f"and a results cell holds at most {_MAX_DIGITS} digits")

@@ -310,6 +310,8 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, co
 # whole-file errors have no line; an override error names the override
 WHOLE_FILES = {"empty.cfg": "# nothing but a comment\n", "no-config.cfg": "[sweep] rounds=2\n"}
 
+_OVERLAP_10 = "retransmit_delay_us=10.0 shorter than one frame on air (36.5 us); copies would overlap"
+
 # (command, option, value) -> the error it prints
 OUT_OF_RANGE = {
     ("sweep", "--seed", "-1"): "argument --seed: '-1' is not an unsigned 64-bit integer",
@@ -352,12 +354,18 @@ OUT_OF_RANGE = {
         "attempt spacing 6000.0 us overlaps the copy train (retransmit_delay_us=1e+308)",
     ("compare-ble", "--set", "config.olcfg.retransmit_delay_us=1e308"):
         "attempt spacing 6000.0 us overlaps the copy train (retransmit_delay_us=1e+308)",
+    # copies closer than one frame on air, refused when the series runs
+    ("simulate", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
+    ("sweep", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
+    ("compare-ble", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
     ("calibrate", "--targets", "100,50,20"):
         "stage radio_overhead would be -16.5 us: the d3-d4 target 20.0 us is shorter than the frame's on-air time 36.5 us",
     ("calibrate", "--targets", "abc,1,2"):
         "--targets needs three comma-separated medians d0d7,d2d5,d3d4: could not convert string to float: 'abc'",
     ("sweep", "--set", "sweep.rounds=0"): "--set 'sweep.rounds=0': rounds must be >= 1",
     ("sweep", "--set", "sweep.cadence=3"): "--set 'sweep.cadence=3': unknown key 'sweep.cadence'",
+    ("simulate", "--set", "config.olcfg.spacing=end-to-start"):
+        "--set 'config.olcfg.spacing=end-to-start': unknown key 'config.olcfg.spacing'",
     ("sweep", "--set", "sweep.rounds"): "--set 'sweep.rounds': needs key=value",
     ("sweep", "--set", "config.nope.crc=16"): "--set 'config.nope.crc=16': no config named 'nope' to override",
     ("sweep", "--set", "targets.d0d7=500"): "--set 'targets.d0d7=500': cannot override targets: none defined",
@@ -376,17 +384,46 @@ def test_out_of_range_value_exits_one(exp_file, tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_a_sweep_checks_every_copy_train_before_its_first_row(tmp_path, capsys, monkeypatch, workers):
-    # the first config could run; the second's copy train outruns the attempt window
+# a config `b` whose copy train no attempt holds -> its copy settings and the error a run of it prints
+UNRUNNABLE = {
+    "overrun": ("retransmits=14 retransmit_delay_us=435",
+                "attempt spacing 6000.0 us overlaps the copy train (6126.5 us)"),
+    "overlap": ("retransmits=2 retransmit_delay_us=10", _OVERLAP_10),
+}
+
+
+def _with_unrunnable(tmp_path, case: str) -> Path:
+    """EXPERIMENT, whose config runs, and a config `b` that cannot."""
     exp = tmp_path / "two.cfg"
-    exp.write_text(EXPERIMENT + "[config long] crc=off protocol=dynamic bitrate=2M-ble txmode=manual power=0"
-                   " payload=optimized payload_len=1 retransmits=14 retransmit_delay_us=435\n")
+    exp.write_text(EXPERIMENT + "[config b] crc=off protocol=dynamic bitrate=2M-ble txmode=manual power=0"
+                   f" payload=optimized payload_len=1 {UNRUNNABLE[case][0]}\n")
+    return exp
+
+
+@pytest.mark.parametrize(
+    "workers, case", [("1", "overrun"), ("2", "overrun"), ("1", "overlap")], ids=["1", "2", "overlap"]
+)
+def test_a_sweep_checks_every_copy_train_before_its_first_row(tmp_path, capsys, monkeypatch, workers, case):
+    exp = _with_unrunnable(tmp_path, case)
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--file", str(exp), "--workers", workers, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "esbsim: error: attempt spacing 6000.0 us overlaps the copy train (6126.5 us)\n"
+    assert capsys.readouterr().err == f"esbsim: error: {UNRUNNABLE[case][1]}\n"
     assert not (tmp_path / "out").exists()
     assert [path.name for path in tmp_path.rglob("*")] == ["two.cfg"]  # no results, no *.tmp
+
+
+@pytest.mark.parametrize("case", list(UNRUNNABLE))
+def test_a_config_that_cannot_run_stops_no_command_that_does_not_run_it(exp_file, tmp_path, capsys, case):
+    exp = _with_unrunnable(tmp_path, case)
+    args = ["--file", str(exp), "--config", "olcfg", "--attempts", "20", "--out", str(tmp_path / "sim")]
+    assert main(["simulate", *args]) == 0
+    assert (tmp_path / "sim" / "results.csv").exists()
+    pipelines = []
+    for path, out in ((exp, "cal-b"), (exp_file, "cal")):
+        assert main(["calibrate", "--file", str(path), "--out", str(tmp_path / out)]) == 0
+        pipelines.append((tmp_path / out / "pipeline.cfg").read_bytes())
+    assert pipelines[0] == pipelines[1]
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
@@ -404,7 +441,7 @@ def test_a_copy_train_of_any_length_is_refused_at_once(exp_file, tmp_path, capsy
 @pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
 def test_a_single_copy_never_reads_its_delay(exp_file, tmp_path, capsys, command):
     outputs = {}
-    for delay in ("435", "1e308"):
+    for delay in ("435", "1e308", "10"):
         out = tmp_path / delay
         overrides = ["--set", "config.olcfg.retransmits=0", "--set", f"config.olcfg.retransmit_delay_us={delay}"]
         assert main([command, "--file", str(exp_file), *overrides, "--out", str(out)]) == 0
@@ -412,11 +449,12 @@ def test_a_single_copy_never_reads_its_delay(exp_file, tmp_path, capsys, command
     assert capsys.readouterr().err == ""
     # the config hash covers the delay, so only the results' `# config` line differs
     hashed = re.compile(rb"(?m)^# config olcfg hash=[0-9a-f]{12}$")
-    for name, data in outputs["435"].items():
-        other = outputs["1e308"][name]
-        assert hashed.sub(b"", data) == hashed.sub(b"", other), name
-        assert (data != other) == (name == "results.csv"), name
-    assert sorted(outputs["435"]) == sorted(outputs["1e308"])
+    for delay in ("1e308", "10"):
+        for name, data in outputs["435"].items():
+            other = outputs[delay][name]
+            assert hashed.sub(b"", data) == hashed.sub(b"", other), name
+            assert (data != other) == (name == "results.csv"), name
+        assert sorted(outputs["435"]) == sorted(outputs[delay])
 
 
 def _calibrated(tmp_path, targets: str) -> str:

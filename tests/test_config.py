@@ -64,15 +64,21 @@ class TestValidate:
     def test_delay_shorter_than_frame_on_air(self):
         # 8-byte payload, 8-bit CRC, dynamic, 1 Mbit/s:
         # 8 + 40 + 9 + 64 + 8 = 129 bits -> 129 us on air
+        from esbsim.link import copy_offsets_ticks
+
         cfg = EsbConfig(
             crc_mode=CrcMode.CRC8,
             bitrate_mode=BitrateMode.MBPS1,
             payload_len_bytes=8,
             retransmit_delay_us=10.0,
         )
-        with pytest.raises(ScheduleError):
-            validate(cfg)
-        assert validate(dataclasses.replace(cfg, retransmit_delay_us=129.0))
+        fits = dataclasses.replace(cfg, retransmit_delay_us=129.0)
+        # validate checks ranges only; the copy train is the schedule's to refuse
+        assert validate(cfg) == cfg and validate(fits) == fits
+        overlap = r"^retransmit_delay_us=10.0 shorter than one frame on air \(129.0 us\); copies would overlap$"
+        with pytest.raises(ScheduleError, match=overlap):
+            copy_offsets_ticks(cfg)
+        assert copy_offsets_ticks(fits) == [0, 1290, 2580]
 
     def test_negative_retransmit_count(self):
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=-1)

@@ -8,7 +8,6 @@ from esbsim.config import (
     BitrateMode,
     BleConfig,
     ChannelModel,
-    CopySpacing,
     CrcMode,
     EsbConfig,
     PayloadMode,
@@ -120,6 +119,8 @@ class TestParseErrors:
         with pytest.raises(UnknownKeyError) as err:
             parse_experiment_file("[sweep] cadence=9\n[config a] crc=off\n")
         assert err.value.name == "cadence"
+        with pytest.raises(UnknownKeyError, match="^line 1: unknown key 'spacing'$"):
+            parse_experiment_file("[config a] crc=off spacing=end-to-start\n")  # a retired key
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError, match="duplicate key"):
@@ -203,6 +204,8 @@ class TestOverrides:
         exp = parse_experiment_file(SAMPLE)
         with pytest.raises(UnknownKeyError):
             apply_override(exp, "config.olcfg.antenna=big")
+        with pytest.raises(UnknownKeyError, match="unknown key 'config.olcfg.spacing'$"):
+            apply_override(exp, "config.olcfg.spacing=start-to-start")  # a retired key
 
     def test_config_names_may_contain_dots(self):
         exp = parse_experiment_file("[config lab.v2] crc=off\n")
@@ -309,8 +312,9 @@ class TestPipelineFile:
 
 
 # Every key of a full experiment file, with a value from which any single
-# key may be changed to any value its strategy draws: end-to-start spacing
-# and a 5 ms delay fit every frame, and the targets stay nested.
+# key may be changed to any value its strategy draws: the targets stay
+# nested, and a copy train is checked only when it runs, so every delay
+# parses.
 FULL = {
     "sweep": {"seed": "42", "rounds": "3", "attempts": "20", "shuffle": "true"},
     "config": {
@@ -323,7 +327,6 @@ FULL = {
         "payload_len": "1",
         "retransmits": "2",
         "retransmit_delay_us": "5000",
-        "spacing": "end-to-start",
     },
     "channel": {"p_loss": "0.2655", "p_corrupt": "0.020408"},
     "ble": {"connection_interval_us": "10000", "transfer_us": "36.5"},
@@ -353,7 +356,6 @@ VALUES = {
     ("config", "payload_len"): st.integers(1, 252).map(str),
     ("config", "retransmits"): st.integers(0, 10).map(str),
     ("config", "retransmit_delay_us"): _floats(0.0, 1e5),
-    ("config", "spacing"): _values(CopySpacing),
     ("channel", "p_loss"): _floats(0.0, 1.0),
     ("channel", "p_corrupt"): _floats(0.0, 1.0),
     ("ble", "connection_interval_us"): _floats(7500.0, 1e6),

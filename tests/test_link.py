@@ -1,7 +1,8 @@
 import dataclasses
 import pickle
 from collections import Counter
-from math import cos, erf, log1p, pi, sin, sqrt
+from fractions import Fraction
+from math import cos, erf, log1p, nextafter, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -14,19 +15,20 @@ from esbsim.analytics import (
     olcfg_calibration_targets,
 )
 from esbsim.config import (
+    BitrateMode,
     ChannelModel,
     ConfigError,
-    CopySpacing,
     CrcMode,
     PayloadMode,
+    ProtocolMode,
     ScheduleError,
     olcfg_preset,
-    validate,
 )
 from esbsim.engine import (
     PURPOSE_CORRUPT,
     PURPOSE_JITTER,
     PURPOSE_LOSS,
+    TICKS_PER_US,
     block_uniforms,
     us_to_ticks,
 )
@@ -134,41 +136,75 @@ class TestScheduleCopies:
         cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0)
         assert copy_offsets_ticks(cfg) == [0]
 
-    @pytest.mark.parametrize("spacing", list(CopySpacing))
-    def test_a_single_copy_never_reads_its_delay(self, pipeline, spacing):
-        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0, copy_spacing=spacing)
-        far = dataclasses.replace(cfg, retransmit_delay_us=1e308)  # no tick count holds it
-        assert copy_offsets_ticks(far) == [0]
+    @pytest.mark.parametrize("delay", [1e308, 10.0])  # no tick count holds 1e308; 10 us is shorter than the frame
+    def test_a_single_copy_never_reads_its_delay(self, pipeline, delay):
+        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=0)
+        other = dataclasses.replace(cfg, retransmit_delay_us=delay)
+        assert copy_offsets_ticks(other) == [0]
         channel = ChannelModel(p_loss=0.3, p_corrupt=0.1)
         near = run_attempt_series(cfg, channel, pipeline, 50, seed=4)
-        far_rows = run_attempt_series(far, channel, pipeline, 50, seed=4)
-        assert same_rows(far_rows, dataclasses.replace(near, hashes=(far.digest(),)))
+        other_rows = run_attempt_series(other, channel, pipeline, 50, seed=4)
+        assert same_rows(other_rows, dataclasses.replace(near, hashes=(other.digest(),)))
 
     @pytest.mark.parametrize("n", range(16))
     def test_copy_count_is_retransmits_plus_one(self, n):
-        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=n)
+        cfg = dataclasses.replace(olcfg_preset(), retransmit_count=n, retransmit_delay_us=300.0)  # 16 copies fit
         assert len(copy_offsets_ticks(cfg)) == n + 1
 
-    def test_end_to_start_spacing_adds_the_frame_time(self):
-        cfg = dataclasses.replace(olcfg_preset(), copy_spacing=CopySpacing.END_TO_START)
-        assert copy_offsets_ticks(cfg) == [0, 4715, 9430]  # 435 + 36.5 on air
-
-    def test_end_to_start_gap_shorter_than_a_frame(self, quiet_pipeline):
-        # the delay is a gap after each frame, so copies cannot overlap
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bitrate=st.sampled_from(BitrateMode),
+        crc=st.sampled_from(CrcMode),
+        protocol=st.sampled_from(ProtocolMode),
+        payload_len=st.integers(1, 252),
+        retransmits=st.integers(0, 200),
+        data=st.data(),
+    )
+    def test_the_closed_form_matches_a_copy_by_copy_layout(
+        self, bitrate, crc, protocol, payload_len, retransmits, data
+    ):
         cfg = dataclasses.replace(
-            olcfg_preset(), copy_spacing=CopySpacing.END_TO_START, retransmit_delay_us=10.0
+            olcfg_preset(), bitrate_mode=bitrate, crc_mode=crc, protocol_mode=protocol,
+            payload_len_bytes=payload_len, retransmit_count=retransmits,
         )
-        assert validate(cfg) == cfg
-        on_air = airtime.on_air_ticks(cfg)
-        step = on_air + 100
-        assert copy_offsets_ticks(cfg) == [0, step, 2 * step]
-        overhead = round(dict(zip(STAGES, quiet_pipeline.base_us))["radio_overhead"] * 10)
-        records = run_attempt_series(cfg, ChannelModel(p_loss=0.5), quiet_pipeline, 200, seed=12)
-        delivered = records.delivered_copy >= 0
-        copy = records.delivered_copy[delivered]
-        assert set(copy.tolist()) == {0, 1, 2}
-        gap = records.probes[delivered, 4] - records.probes[delivered, 3]
-        assert np.array_equal(gap, copy * step + on_air + overhead)
+        # delays at either edge as well: one frame on air, and the longest
+        # step whose last copy ends inside the window, each side of where the
+        # delay rounds to the next tick
+        frame_us = airtime.on_air_time_us(cfg)
+        fit_us = (us_to_ticks(ATTEMPT_SPACING_US) - airtime.on_air_ticks(cfg)) // max(1, retransmits) / TICKS_PER_US
+        edges = [frame_us, nextafter(frame_us, 0.0), frame_us - 0.05, fit_us, fit_us + 0.049, fit_us + 0.051]
+        delay = data.draw(st.floats(0.0, 7000.0) | st.just(1e308) | st.sampled_from(edges), label="delay")
+        cfg = dataclasses.replace(cfg, retransmit_delay_us=delay)
+        starts = laid_out_copy_train(cfg)
+        if starts is None:
+            with pytest.raises(ScheduleError):
+                copy_offsets_ticks(cfg)
+        else:
+            assert copy_offsets_ticks(cfg) == starts
+
+
+def laid_out_copy_train(config):
+    """Every copy's [start, start + on-air) in ticks, one copy at a time: the
+    starts, or None if two copies overlap or a copy ends past the attempt
+    window.  Copy k is configured to start k delays after the first, exactly,
+    and runs at that start snapped to the tick grid; overlap is judged at the
+    configured starts, and the window at the snapped ones."""
+    on_air = airtime.on_air_ticks(config)
+    window = us_to_ticks(ATTEMPT_SPACING_US)
+    delay = Fraction(config.retransmit_delay_us) * TICKS_PER_US
+    starts, end = [], 0
+    for k in range(config.copies):
+        configured = k * delay
+        if configured < end:
+            return None  # starts before the copy before it has ended
+        if configured > 2 * window:
+            return None  # so far past the window that no snapping brings it back
+        start = k * us_to_ticks(config.retransmit_delay_us) if k else 0
+        if start + on_air > window:
+            return None
+        starts.append(start)
+        end = configured + on_air
+    return starts
 
 
 class TestTransmit:
@@ -431,17 +467,14 @@ class TestTimelineProperties:
         retransmits=st.integers(0, 3),
         p_loss=st.floats(0.0, 1.0),
         p_corrupt=st.floats(0.0, 1.0),
-        spacing=st.sampled_from(CopySpacing),
         jitter=st.sampled_from(("off", "normal", "uniform")),
         n=st.integers(2, 8),
         data=st.data(),
     )
     def test_first_surviving_copy_delivers(
-        self, pipeline, seed, round_index, crc, retransmits, p_loss, p_corrupt, spacing, jitter, n, data
+        self, pipeline, seed, round_index, crc, retransmits, p_loss, p_corrupt, jitter, n, data
     ):
-        cfg = dataclasses.replace(
-            olcfg_preset(), crc_mode=crc, retransmit_count=retransmits, copy_spacing=spacing
-        )
+        cfg = dataclasses.replace(olcfg_preset(), crc_mode=crc, retransmit_count=retransmits)
         channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
         pipe = dataclasses.replace(pipeline, jitter_family=jitter, dedup_escape_prob=0.5)
 
@@ -489,18 +522,15 @@ class TestTimelineProperties:
         p_loss=st.floats(0.0, 1.0),
         p_corrupt=st.floats(0.0, 1.0),
         escape=st.sampled_from((0.0, 0.5, 1.0)),
-        spacing=st.sampled_from(CopySpacing),
         jitter=st.sampled_from(("off", "normal", "uniform")),
         jitter_scale=st.sampled_from((1.0, 30.0)),  # 30x drives stages onto the 1-tick floor
         data=st.data(),
     )
     def test_fast_path_matches_the_scalar_oracle(
         self, pipeline, seed, round_index, start_attempt, n, crc, retransmits, p_loss, p_corrupt,
-        escape, spacing, jitter, jitter_scale, data,
+        escape, jitter, jitter_scale, data,
     ):
-        cfg = dataclasses.replace(
-            olcfg_preset(), crc_mode=crc, retransmit_count=retransmits, copy_spacing=spacing
-        )
+        cfg = dataclasses.replace(olcfg_preset(), crc_mode=crc, retransmit_count=retransmits)
         channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
         pipe = dataclasses.replace(
             pipeline,
