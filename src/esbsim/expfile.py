@@ -286,7 +286,7 @@ def _modifier_keys() -> dict[str, tuple[str, Callable[[str], object]]]:
 # [modifiers], whose keys are collected into `modifiers_us`.
 _PIPELINE_SECTIONS: _Schema = {
     "stages": {f"{stage}_us": (stage, finite_float) for stage in STAGES},
-    "jitter": {"family": ("jitter_family", str), "sigma_us": ("jitter_sigma_us", _parse_sigmas)},
+    "jitter": {"sigma_us": ("jitter_sigma_us", _parse_sigmas)},
     "dedup": {"escape_prob": ("dedup_escape_prob", finite_float)},
     "modifiers": _modifier_keys(),
 }
@@ -326,7 +326,6 @@ def render_pipeline_file(pipeline: PipelineModel, header: str = "") -> str:
     for stage, base in zip(STAGES, pipeline.base_us):
         lines.append(f"{stage}_us={base!r}")
     lines.append("[jitter]")
-    lines.append(f"family={pipeline.jitter_family}")
     sigmas = pipeline.jitter_sigma_us
     if len(set(sigmas)) == 1:
         lines.append(f"sigma_us={sigmas[0]!r}")

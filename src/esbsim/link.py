@@ -98,13 +98,12 @@ class PipelineModel:
     when an attempt is scheduled.  `modifiers_us` maps (parameter, value)
     pairs - using the experiment-file spellings, e.g. ("crc", "16") - to
     additive microseconds on the stage given by MODIFIER_STAGE.  Jitter is
-    drawn per stage and truncated so no stage goes negative;
+    normal, drawn per stage and truncated so no stage goes negative;
     `jitter_sigma_us` holds one standard deviation per stage, as `base_us`
-    does its base ("uniform" family draws with the same SD).
+    does its base, and a stage at 0 has no jitter.
     """
 
     base_us: tuple[float, ...]
-    jitter_family: str = "normal"  # off | normal | uniform
     jitter_sigma_us: tuple[float, ...] = (DEFAULT_STAGE_JITTER_SIGMA_US,) * len(STAGES)
     modifiers_us: Mapping[tuple[str, str], float] = field(default_factory=dict)
     dedup_escape_prob: float = DEFAULT_DEDUP_ESCAPE_PROB
@@ -115,8 +114,6 @@ class PipelineModel:
         for stage, base in zip(STAGES, self.base_us):
             if base < 0:
                 raise ValueError(f"stage {stage} has negative base delay")
-        if self.jitter_family not in ("off", "normal", "uniform"):
-            raise ValueError(f"unknown jitter family {self.jitter_family!r}")
         if len(self.jitter_sigma_us) != len(STAGES):
             raise ValueError(f"expected {len(STAGES)} jitter sigmas, got {len(self.jitter_sigma_us)}")
         if not 0.0 <= self.dedup_escape_prob <= 1.0:
@@ -213,32 +210,23 @@ def draw_series(
     """Draw loss, corruption and escape bits per copy and jitter per stage.
 
     Each purpose is one block-addressed draw (`engine.block_uniforms`), so a
-    row depends only on its attempt index.  Jitter takes a fixed number of
-    uniforms per attempt: the uniform family stretches 7 of them to the stage
-    SD, the normal family turns 8 into normals by Box-Muller and keeps 7.
+    row depends only on its attempt index.  Jitter takes 8 uniforms per
+    attempt, turns them into normals by Box-Muller and scales the first 7 by
+    each stage's SD.
     """
 
     def uniforms(purpose: int, width: int) -> np.ndarray:
         return block_uniforms(seed, namespace, round_index, purpose, start_attempt, n, width)
 
-    stages = len(STAGES)
-    sigma = np.asarray(pipeline.jitter_sigma_us)
-    if pipeline.jitter_family == "off":
-        jitter = np.zeros((n, stages))
-    elif pipeline.jitter_family == "uniform":
-        # same per-stage SD as the normal family: halfwidth = sigma * sqrt(3)
-        jitter = sqrt(3.0) * (2.0 * uniforms(PURPOSE_JITTER, stages) - 1.0) * sigma
-    else:
-        u = uniforms(PURPOSE_JITTER, 8)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, :4]))
-        angle = 2.0 * pi * u[:, 4:]
-        normals = np.hstack((radius * np.cos(angle), radius * np.sin(angle)))
-        jitter = normals[:, :stages] * sigma
+    u = uniforms(PURPOSE_JITTER, 8)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :4]))
+    angle = 2.0 * pi * u[:, 4:]
+    normals = np.hstack((radius * np.cos(angle), radius * np.sin(angle)))
     return SeriesDraws(
         lost=uniforms(PURPOSE_LOSS, copies) < channel.p_loss,
         corrupted=uniforms(PURPOSE_CORRUPT, copies) < channel.p_corrupt,
         escaped=uniforms(PURPOSE_ESCAPE, copies) < pipeline.dedup_escape_prob,
-        jitter_us=jitter,
+        jitter_us=normals[:, :len(STAGES)] * np.asarray(pipeline.jitter_sigma_us),
     )
 
 
@@ -258,23 +246,24 @@ def copy_offsets_ticks(config: EsbConfig) -> list[int]:
 
     A single copy reads no delay.  A train of two or more raises
     ScheduleError if a copy would start before the one before it ends on
-    air, or if the last copy would end after the next attempt starts.  The
-    last copy's end is closed-form, so the check costs the same for any
-    number of copies, and a delay longer than the whole window is refused
-    before it is converted to ticks.
+    air, judged on the tick grid the copies run on, or if the last copy
+    would end after the next attempt starts.  The last copy's end is
+    closed-form, so the check costs the same for any number of copies, and a
+    delay longer than the whole window is refused before it is converted to
+    ticks.
     """
     if config.copies == 1:
         return [0]
     delay_us = config.retransmit_delay_us
-    frame_us = airtime.on_air_time_us(config)
-    if delay_us < frame_us:
-        raise ScheduleError(f"retransmit_delay_us={delay_us} shorter than one frame on air ({frame_us} us); "
-                            "copies would overlap")
     overlaps = f"attempt spacing {ATTEMPT_SPACING_US} us overlaps the copy train"
     if delay_us > ATTEMPT_SPACING_US:
         raise ScheduleError(f"{overlaps} (retransmit_delay_us={delay_us})")
     step = us_to_ticks(delay_us)
-    end = (config.copies - 1) * step + airtime.on_air_ticks(config)
+    on_air = airtime.on_air_ticks(config)
+    if step < on_air:
+        raise ScheduleError(f"retransmit_delay_us={delay_us} shorter than one frame on air "
+                            f"({ticks_to_us(on_air)} us); copies would overlap")
+    end = (config.copies - 1) * step + on_air
     if us_to_ticks(ATTEMPT_SPACING_US) < end:
         raise ScheduleError(f"{overlaps} ({ticks_to_us(end)} us)")
     return [k * step for k in range(config.copies)]

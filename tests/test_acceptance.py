@@ -23,7 +23,7 @@ from esbsim.analytics import (
 from esbsim.ble import exact_summary
 from esbsim.config import BleConfig, ChannelModel, CrcMode, olcfg_preset
 from esbsim.engine import PURPOSE_LOSS, block_uniforms
-from esbsim.link import run_attempt_series
+from esbsim.link import STAGES, run_attempt_series
 from esbsim.sweep import (
     ConfigTally,
     SweepPlan,
@@ -81,7 +81,7 @@ def reference_run(calibrated):
 
 def test_a1_calibration_exactness(calibrated):
     t0 = time.perf_counter()
-    quiet = dataclasses.replace(calibrated, jitter_family="off")
+    quiet = dataclasses.replace(calibrated, jitter_sigma_us=(0.0,) * len(STAGES))
     records = run_attempt_series(
         olcfg_preset(), ChannelModel(), quiet, 101, seed=1, config_name="olcfg"
     )

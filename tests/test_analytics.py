@@ -246,7 +246,7 @@ def lossy_run():
     from esbsim.link import run_attempt_series
 
     pipe = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
-    pipe = dataclasses.replace(pipe, jitter_family="off")
+    pipe = dataclasses.replace(pipe, jitter_sigma_us=(0.0,) * len(STAGES))
     records = run_attempt_series(
         olcfg_preset(), ChannelModel(p_loss=0.043), pipe, 30_000, seed=14
     )

@@ -358,6 +358,9 @@ OUT_OF_RANGE = {
     ("simulate", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
     ("sweep", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
     ("compare-ble", "--set", "config.olcfg.retransmit_delay_us=10"): _OVERLAP_10,
+    # 364 ticks, one short of the 36.5 us frame
+    ("simulate", "--set", "config.olcfg.retransmit_delay_us=36.44"):
+        "retransmit_delay_us=36.44 shorter than one frame on air (36.5 us); copies would overlap",
     ("calibrate", "--targets", "100,50,20"):
         "stage radio_overhead would be -16.5 us: the d3-d4 target 20.0 us is shorter than the frame's on-air time 36.5 us",
     ("calibrate", "--targets", "abc,1,2"):
@@ -438,6 +441,15 @@ def test_a_copy_train_of_any_length_is_refused_at_once(exp_file, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_copies_one_frame_apart_on_the_tick_grid_run(exp_file, tmp_path, capsys):
+    # 36.46 us snaps to 365 ticks, exactly one 36.5 us frame on air
+    out = tmp_path / "out"
+    args = ["--file", str(exp_file), "--set", "config.olcfg.retransmit_delay_us=36.46", "--out", str(out)]
+    assert main(["simulate", *args]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "compare-ble"])
 def test_a_single_copy_never_reads_its_delay(exp_file, tmp_path, capsys, command):
     outputs = {}
@@ -479,16 +491,12 @@ OVERSIZE_STAGES = {
         f"stage tx_app_to_ipc would take 2.25e+307 us in attempt 0: {_LONGEST_STAGE}",
     ),
     "base-1e15": (
-        lambda tmp: _pipeline(tmp, base_us=(1.0, 1.0, 1.0, 1e15, 1.0, 1.0, 1.0), jitter_family="off"),
+        lambda tmp: _pipeline(tmp, base_us=(1.0, 1.0, 1.0, 1e15, 1.0, 1.0, 1.0), jitter_sigma_us=(0.0,) * len(STAGES)),
         f"stage radio_overhead would take 1e+15 us in attempt 0: {_LONGEST_STAGE}",
     ),
     "normal-sigma-1e308": (
         lambda tmp: _pipeline(tmp, jitter_sigma_us=(1e308,) * len(STAGES)),
         f"stage tx_ipc_to_esb would take 1.04746e+308 us in attempt 0: {_LONGEST_STAGE}",
-    ),
-    "uniform-sigma-1e308": (
-        lambda tmp: _pipeline(tmp, jitter_family="uniform", jitter_sigma_us=(1e308,) * len(STAGES)),
-        f"stage tx_ipc_to_esb would take 6.44422e+307 us in attempt 0: {_LONGEST_STAGE}",
     ),
 }
 
@@ -507,7 +515,7 @@ def test_a_stage_the_clock_cannot_hold_exits_one_naming_it(exp_file, tmp_path, c
 
 def test_the_longest_stages_the_clock_holds_run_and_read_back(exp_file, tmp_path, capsys):
     # seven stages just under 10**15 us each: d0-d7 takes just under 7 * 10**16 ticks, 17 digits
-    pipeline = _pipeline(tmp_path, base_us=(1e15 - 0.1,) * len(STAGES), jitter_family="off")
+    pipeline = _pipeline(tmp_path, base_us=(1e15 - 0.1,) * len(STAGES), jitter_sigma_us=(0.0,) * len(STAGES))
     out = tmp_path / "out"
     assert main(["simulate", "--file", str(exp_file), "--pipeline", pipeline, "--out", str(out)]) == 0
     d0d7 = json.loads((out / "summary.json").read_text())["olcfg"]["d0d7"]

@@ -243,12 +243,15 @@ class TestPipelineFile:
         "tail, line_no, match",
         [
             ("[stages] tx_app_to_ipc_us=999\n", 14, "duplicate section \\[stages\\]"),
+            # a duplicate section is refused at its header, before its keys are read
             ("[jitter] family=off\n", 14, "duplicate section \\[jitter\\]"),
             ("[modifiers] crc.16=1 crc.16=2\n", 14, "duplicate key 'crc.16'"),
         ],
     )
     def test_duplicates_rejected(self, tail, line_no, match):
-        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        # the header comment counts toward the line numbers
+        pipeline = calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset())
+        text = render_pipeline_file(pipeline, header="calibrated")
         assert len(text.splitlines()) == line_no - 1
         with pytest.raises(ParseError, match=match) as err:
             parse_pipeline_file(text + tail)
@@ -292,9 +295,25 @@ class TestPipelineFile:
         text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
         kept = [line for line in text.splitlines() if not line.startswith("sigma_us=")]
         pipe = parse_pipeline_file("\n".join(kept))
-        assert pipe.jitter_family == "normal"
         assert pipe.jitter_sigma_us == (DEFAULT_STAGE_JITTER_SIGMA_US,) * len(STAGES)
         assert pipe.jitter_sigma_us == PipelineModel(base_us=(1.0,) * len(STAGES)).jitter_sigma_us
+
+    @pytest.mark.parametrize("family", ["off", "normal", "uniform"])
+    def test_the_retired_family_key_is_an_unknown_key(self, tmp_path, capsys, family):
+        text = render_pipeline_file(calibrate_pipeline(olcfg_calibration_targets(), olcfg_preset()))
+        assert "family" not in text
+        lines = text.splitlines()
+        line_no = lines.index("[jitter]") + 2
+        lines.insert(line_no - 1, f"family={family}")
+        with pytest.raises(UnknownKeyError, match=f"^line {line_no}: unknown key 'family'$"):
+            parse_pipeline_file("\n".join(lines))
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--pipeline", str(path), "--attempts", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"esbsim: error: line {line_no}: unknown key 'family'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma", [None, "0", "3.5,1,2,3,4,5,6"])
     def test_calibrate_output_parses_unchanged(self, tmp_path, capsys, sigma):

@@ -104,7 +104,7 @@ def pipeline():
 
 @pytest.fixture(scope="module")
 def quiet_pipeline(pipeline):
-    return dataclasses.replace(pipeline, jitter_family="off")
+    return dataclasses.replace(pipeline, jitter_sigma_us=(0.0,) * len(STAGES))
 
 
 def one_attempt(config, channel, pipeline, seed):
@@ -172,7 +172,8 @@ class TestScheduleCopies:
         # delay rounds to the next tick
         frame_us = airtime.on_air_time_us(cfg)
         fit_us = (us_to_ticks(ATTEMPT_SPACING_US) - airtime.on_air_ticks(cfg)) // max(1, retransmits) / TICKS_PER_US
-        edges = [frame_us, nextafter(frame_us, 0.0), frame_us - 0.05, fit_us, fit_us + 0.049, fit_us + 0.051]
+        edges = [frame_us, nextafter(frame_us, 0.0), frame_us - 0.049, frame_us - 0.051, frame_us - 0.1,
+                 fit_us, fit_us + 0.049, fit_us + 0.051]
         delay = data.draw(st.floats(0.0, 7000.0) | st.just(1e308) | st.sampled_from(edges), label="delay")
         cfg = dataclasses.replace(cfg, retransmit_delay_us=delay)
         starts = laid_out_copy_train(cfg)
@@ -187,23 +188,22 @@ def laid_out_copy_train(config):
     """Every copy's [start, start + on-air) in ticks, one copy at a time: the
     starts, or None if two copies overlap or a copy ends past the attempt
     window.  Copy k is configured to start k delays after the first, exactly,
-    and runs at that start snapped to the tick grid; overlap is judged at the
-    configured starts, and the window at the snapped ones."""
+    and runs at that start snapped to the tick grid, where both overlap and
+    the window are judged."""
     on_air = airtime.on_air_ticks(config)
     window = us_to_ticks(ATTEMPT_SPACING_US)
     delay = Fraction(config.retransmit_delay_us) * TICKS_PER_US
     starts, end = [], 0
     for k in range(config.copies):
-        configured = k * delay
-        if configured < end:
-            return None  # starts before the copy before it has ended
-        if configured > 2 * window:
+        if k * delay > 2 * window:
             return None  # so far past the window that no snapping brings it back
         start = k * us_to_ticks(config.retransmit_delay_us) if k else 0
+        if start < end:
+            return None  # starts before the copy before it has ended
         if start + on_air > window:
             return None
         starts.append(start)
-        end = configured + on_air
+        end = start + on_air
     return starts
 
 
@@ -467,16 +467,20 @@ class TestTimelineProperties:
         retransmits=st.integers(0, 3),
         p_loss=st.floats(0.0, 1.0),
         p_corrupt=st.floats(0.0, 1.0),
-        jitter=st.sampled_from(("off", "normal", "uniform")),
+        jitter_scale=st.sampled_from((0.0, 1.0)),  # 0 is no jitter
         n=st.integers(2, 8),
         data=st.data(),
     )
     def test_first_surviving_copy_delivers(
-        self, pipeline, seed, round_index, crc, retransmits, p_loss, p_corrupt, jitter, n, data
+        self, pipeline, seed, round_index, crc, retransmits, p_loss, p_corrupt, jitter_scale, n, data
     ):
         cfg = dataclasses.replace(olcfg_preset(), crc_mode=crc, retransmit_count=retransmits)
         channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
-        pipe = dataclasses.replace(pipeline, jitter_family=jitter, dedup_escape_prob=0.5)
+        pipe = dataclasses.replace(
+            pipeline,
+            jitter_sigma_us=tuple(s * jitter_scale for s in pipeline.jitter_sigma_us),
+            dedup_escape_prob=0.5,
+        )
 
         def series(count, start=0):
             return run_attempt_series(
@@ -522,19 +526,18 @@ class TestTimelineProperties:
         p_loss=st.floats(0.0, 1.0),
         p_corrupt=st.floats(0.0, 1.0),
         escape=st.sampled_from((0.0, 0.5, 1.0)),
-        jitter=st.sampled_from(("off", "normal", "uniform")),
-        jitter_scale=st.sampled_from((1.0, 30.0)),  # 30x drives stages onto the 1-tick floor
+        # 0 is no jitter, and 30x drives stages onto the 1-tick floor
+        jitter_scale=st.sampled_from((0.0, 1.0, 30.0)),
         data=st.data(),
     )
     def test_fast_path_matches_the_scalar_oracle(
         self, pipeline, seed, round_index, start_attempt, n, crc, retransmits, p_loss, p_corrupt,
-        escape, jitter, jitter_scale, data,
+        escape, jitter_scale, data,
     ):
         cfg = dataclasses.replace(olcfg_preset(), crc_mode=crc, retransmit_count=retransmits)
         channel = ChannelModel(p_loss=p_loss, p_corrupt=p_corrupt)
         pipe = dataclasses.replace(
             pipeline,
-            jitter_family=jitter,
             jitter_sigma_us=tuple(s * jitter_scale for s in pipeline.jitter_sigma_us),
             dedup_escape_prob=escape,
         )
@@ -556,7 +559,7 @@ class TestTimelineProperties:
 
 
 class TestDraws:
-    """The block-addressed draws and the jitter families built on them."""
+    """The block-addressed draws and the jitter built on them."""
 
     def test_rows_depend_only_on_the_attempt_index(self):
         full = block_uniforms(5, (2,), 3, PURPOSE_LOSS, 10, 9, 6)
@@ -591,47 +594,44 @@ class TestDraws:
             with pytest.raises(ValueError):
                 block_uniforms(seed, (), 0, PURPOSE_LOSS, 0, 2, 3)
 
-    @pytest.mark.parametrize("family", ["normal", "uniform"])
-    def test_jitter_is_the_documented_transform_of_the_uniforms(self, pipeline, family):
-        pipe = dataclasses.replace(pipeline, jitter_family=family)
-        jitter = draw_series(LOSSLESS, pipe, 3, 50, seed=8, round_index=2, start_attempt=7).jitter_us
-        sigma = pipe.jitter_sigma_us
-        width = 8 if family == "normal" else len(STAGES)
-        for row, u in zip(jitter, block_uniforms(8, (), 2, PURPOSE_JITTER, 7, 50, width)):
-            if family == "uniform":
-                expected = [sqrt(3.0) * (2.0 * x - 1.0) for x in u]
-            else:
-                radius = [sqrt(-2.0 * log1p(-x)) for x in u[:4]]
-                angle = [2.0 * pi * x for x in u[4:]]
-                expected = [r * cos(a) for r, a in zip(radius, angle)]
-                expected += [r * sin(a) for r, a in zip(radius, angle)]
+    def test_jitter_is_the_documented_transform_of_the_uniforms(self, pipeline):
+        jitter = draw_series(LOSSLESS, pipeline, 3, 50, seed=8, round_index=2, start_attempt=7).jitter_us
+        sigma = pipeline.jitter_sigma_us
+        for row, u in zip(jitter, block_uniforms(8, (), 2, PURPOSE_JITTER, 7, 50, 8)):
+            radius = [sqrt(-2.0 * log1p(-x)) for x in u[:4]]
+            angle = [2.0 * pi * x for x in u[4:]]
+            expected = [r * cos(a) for r, a in zip(radius, angle)]
+            expected += [r * sin(a) for r, a in zip(radius, angle)]
             assert list(row) == pytest.approx([e * s for e, s in zip(expected, sigma)], rel=1e-12, abs=1e-12)
 
     def test_jitter_off_draws_nothing(self, pipeline):
-        jitter = draw_series(LOSSLESS, dataclasses.replace(pipeline, jitter_family="off"), 3, 10, seed=1).jitter_us
-        assert jitter.shape == (10, len(STAGES))
-        assert not jitter.any()
+        # a stage at sigma 0 has no jitter; the others draw as they do when
+        # every stage has its SD, bit for bit
+        full = draw_series(LOSSLESS, pipeline, 3, 10, seed=1).jitter_us
+        assert full.all()
+        for moving in ([False] * len(STAGES), [True, False, True, False, False, True, False]):
+            sigma = tuple(s if on else 0.0 for s, on in zip(pipeline.jitter_sigma_us, moving))
+            jitter = draw_series(LOSSLESS, dataclasses.replace(pipeline, jitter_sigma_us=sigma), 3, 10, seed=1).jitter_us
+            assert jitter.shape == (10, len(STAGES))
+            moving = np.array(moving)
+            assert not jitter[:, ~moving].any()
+            assert np.array_equal(jitter[:, moving], full[:, moving])
 
-    @pytest.mark.parametrize("family", ["normal", "uniform"])
-    def test_per_stage_jitter_has_the_stage_sd(self, pipeline, family):
+    def test_per_stage_jitter_has_the_stage_sd(self, pipeline):
         n = 40_000
         sigma = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        pipe = dataclasses.replace(pipeline, jitter_family=family, jitter_sigma_us=tuple(sigma))
+        pipe = dataclasses.replace(pipeline, jitter_sigma_us=tuple(sigma))
         jitter = draw_series(LOSSLESS, pipe, 3, n, seed=21, namespace=(1,)).jitter_us
         # standard errors: sigma/sqrt(n) for the mean; for the SD at most
-        # sigma/sqrt(2n) (normal; the uniform's is smaller), so 5 SE bounds
+        # sigma/sqrt(2n), so 5 SE bounds
         assert np.all(np.abs(jitter.mean(axis=0)) < 5 * sigma / sqrt(n))
         assert np.all(np.abs(jitter.std(axis=0) - sigma) < 5 * sigma / sqrt(2 * n))
         corr = np.corrcoef(jitter, rowvar=False) - np.eye(len(STAGES))
         assert np.abs(corr).max() < 5 / sqrt(n)
         # Kolmogorov-Smirnov distance of the standardized draws from the
-        # family's CDF; sqrt(m) * D exceeds 2.2 with probability ~1e-4
+        # normal CDF; sqrt(m) * D exceeds 2.2 with probability ~1e-4
         z = np.sort((jitter / sigma).ravel())
-        if family == "uniform":
-            assert np.abs(z).max() <= sqrt(3.0)
-            cdf = (z + sqrt(3.0)) / (2.0 * sqrt(3.0))
-        else:
-            cdf = np.array([0.5 * (1.0 + erf(x / sqrt(2.0))) for x in z.tolist()])
+        cdf = np.array([0.5 * (1.0 + erf(x / sqrt(2.0))) for x in z.tolist()])
         m = z.size
         distance = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
         assert distance < 2.2 / sqrt(m)

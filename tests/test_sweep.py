@@ -22,7 +22,7 @@ from esbsim.analytics import calibrate_pipeline, olcfg_calibration_targets
 from esbsim.cli import main
 from esbsim.config import ChannelModel, ConfigError, CrcMode, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
-from esbsim.link import DELIVERED, DELIVERED_CORRUPTED, LOST, OUTCOMES, PROBES, Outcome, RecordBatch, run_attempt_series
+from esbsim.link import DELIVERED, DELIVERED_CORRUPTED, LOST, OUTCOMES, PROBES, STAGES, Outcome, RecordBatch, run_attempt_series
 from esbsim.sweep import (
     CSV_COLUMNS,
     DEFAULT_HISTOGRAM_BIN_US,
@@ -321,7 +321,7 @@ def pipeline():
 
 @pytest.fixture(scope="module")
 def quiet_pipeline(pipeline):
-    return dataclasses.replace(pipeline, jitter_family="off")
+    return dataclasses.replace(pipeline, jitter_sigma_us=(0.0,) * len(STAGES))
 
 
 @pytest.fixture(scope="module")
