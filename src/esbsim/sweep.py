@@ -16,9 +16,13 @@ import csv
 import io
 import math
 import os
+import pickle
+import stat
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain
 from operator import mul
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -524,21 +528,21 @@ def _unknown_outcome(cell: str) -> int:
     raise ValueError(f"is not one of {', '.join(outcome.value for outcome in OUTCOMES)}")
 
 
-def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """The lines of the UTF-8 of `source`, a str or a binary file, a block
-    of whole lines at a time: the block's bytes, the offsets where each line
-    starts and ends, and the number of its first line.  A line ends at "\\n"
-    or at the end of the text, and a "\\r" just before its end is dropped.
-    A block is the last one's unended line and the next _BLOCK_BYTES bytes,
-    cut after their last "\\n"; only the block's one copy of them is kept.
-    The bytes are checked as they are read: a byte that is not UTF-8, or a
-    source that ends inside a character, raises UnicodeDecodeError."""
-    if isinstance(source, str):
-        source = io.BytesIO(source.encode())
+def _lines(read) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """The lines of the UTF-8 bytes `read(size)` returns up to its first
+    empty return, a block of whole lines at a time: the block's bytes, the
+    offsets where each line starts and ends, and the number of its first
+    line.  A line ends at "\\n" or at the end of the bytes, and a "\\r" just
+    before its end is dropped, so the last block is the bytes' unended line,
+    or an empty line after a last "\\n".  A block is the last one's unended
+    line and the next _BLOCK_BYTES bytes, cut after their last "\\n"; only
+    the block's one copy of them is kept.  The bytes are checked as they are
+    read: a byte that is not UTF-8, or bytes that end inside a character,
+    raise UnicodeDecodeError."""
     check = codecs.getincrementaldecoder("utf-8")().decode
     carry, line_no, more = b"", 1, True
     while more:
-        block = source.read(_BLOCK_BYTES)
+        block = read(_BLOCK_BYTES)
         more = bool(block)
         check(block, final=not more)
         data = carry + (block or b"\n")  # the "\n" ends the last line
@@ -553,18 +557,20 @@ def _lines(source: str | BinaryIO) -> Iterator[tuple[np.ndarray, np.ndarray, np.
         line_no += len(breaks)
 
 
-def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator]:
+def _header(lines: Iterator) -> tuple[list[str], str | None, Iterator, int]:
     """The comment lines before the column header, the header (None if
-    there is none) and the lines after it."""
-    comments = []
+    there is none), the lines after it and the offset of their first byte."""
+    comments, offset = [], 0
     for buf, starts, ends, first in lines:
         for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
             line = buf[start:end].tobytes().decode()
             if line.startswith("#"):
                 comments.append(line)
             elif line.strip():
-                return comments, line, chain([(buf, starts[i + 1 :], ends[i + 1 :], first + i + 1)], lines)
-    return comments, None, iter(())
+                rest = chain([(buf, starts[i + 1 :], ends[i + 1 :], first + i + 1)], lines)
+                return comments, line, rest, offset + (int(starts[i + 1]) if i + 1 < len(starts) else len(buf))
+        offset += len(buf)
+    return comments, None, iter(()), offset
 
 
 _COUNT_COLUMNS = ("round_index", "attempt", "delivered_copy", "duplicates_suppressed", "duplicates_delivered")
@@ -596,8 +602,14 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
     cell and the numeric cells a column at a time.  The first malformed row
     raises SchemaError with its line number and its leftmost bad cell before
     its block is added; a probe must be a time on the 0.1 us grid.
+
+    A text or a file the caller opened is read in this process; only a file
+    `read_results` opened may be read in two (`_second_part`), after the
+    header.
     """
-    comments, header, lines = _header(_lines(source))
+    comments, header, lines, data_start = _header(
+        _lines(io.BytesIO(source.encode()).read if isinstance(source, str) else source.read)
+    )
     for expected in (f"# {RESULTS_FORMAT}", f"# rng={RNG_ALGORITHM}"):
         if expected not in comments:
             raise SchemaError(f"results file lacks the {expected!r} header line")
@@ -616,13 +628,29 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
             if sep:
                 hashes[name] = config_hash
 
+    into = ConfigTally() if into is None else into
+    with _second_part(source, data_start, hashes, into) as merge_second:
+        fault, line = _tally_rows(lines, hashes, into)
+        if merge_second and not fault:
+            fault = merge_second(line)
+    if fault:
+        raise SchemaError("line {}: {}".format(*fault))
+    return into
+
+
+def _tally_rows(lines: Iterator, hashes: dict[str, str], into) -> tuple[tuple[int, str] | None, int]:
+    """Add the rows of each block of `lines` to `into` as a RecordBatch over
+    the side tables read so far and the config hashes in `hashes`.  Returns
+    the first malformed row's line number and message, found before its
+    block is added, or None; and the last block's first line number, after
+    lines that end with a line break that of the line after them."""
     names: dict[str, int] = {}
     seeds: dict[int, int] = {}
     name_codes: dict[bytes, int] = {}
     seed_codes: dict[bytes, int] = {}
     outcome_codes = dict(_OUTCOME_CODES)
-    into = ConfigTally() if into is None else into
-    for chunk in starmap(_Rows, lines):
+    for buf, starts, ends, first in lines:
+        chunk = _Rows(buf, starts, ends, first)
         columns = dict(zip(_COUNT_COLUMNS, chunk.numbers([1, 2, 12, 14, 15], empty_ok=[12])))
         columns["config_index"] = chunk.codes(
             0, name_codes, lambda cell: names.setdefault(_decode_name(cell), len(names))
@@ -636,18 +664,145 @@ def parse_results_csv(source: str | BinaryIO, into: ConfigTally | None = None) -
         columns["probes"] = probes.T
         columns["outcome"] = chunk.codes(13, outcome_codes, _unknown_outcome)
         if chunk.fault:
-            raise SchemaError("line {}: {}".format(*chunk.fault[::2]))
+            return chunk.fault[::2], first
         names_so_far = tuple(names)
         hashes_so_far = tuple(hashes.get(name, "") for name in names_so_far)
         into.add(RecordBatch(names=names_so_far, hashes=hashes_so_far, seeds=tuple(seeds), **columns))
         del chunk, columns  # free them before the next block is read
-    return into
+    return None, first
+
+
+class _ResultsFile(io.BufferedReader):
+    """A results file `read_results` opened: its reads, `at` bytes so far,
+    end at `stop`, where `_second_part` may have handed the rest of the file
+    to a child."""
+
+    at, stop = 0, 1 << 63
+
+    def read(self, size: int) -> bytes:
+        block = super().read(max(0, min(size, self.stop - self.at)))
+        self.at += len(block)
+        return block
+
+
+def _pread(fd: int, at: int, stop: int):
+    """A read function over the bytes from `at` to `stop` of the open file
+    `fd`, by `os.pread`: the file's offset, which a forked child shares
+    with its parent, stays where it is."""
+
+    def read(size: int) -> bytes:
+        nonlocal at
+        block = os.pread(fd, max(0, min(size, stop - at)), at)
+        at += len(block)
+        return block
+
+    return read
+
+
+def _second_start(source, data_start: int) -> tuple[int, int] | None:
+    """Where a second process would start and stop reading `source`, whose
+    data rows start at byte `data_start`, or None if one process reads it
+    all.  Two read a file `read_results` opened when it is regular, its data
+    hold two blocks or more and two CPUs or more are usable; the second
+    starts at the first line start at or past the data's midpoint."""
+    if not isinstance(source, _ResultsFile) or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+        return None
+    fd = source.fileno()
+    info = os.fstat(fd)
+    stop = info.st_size
+    if not stat.S_ISREG(info.st_mode) or stop - data_start < 2 * _BLOCK_BYTES:
+        return None
+    at = data_start + (stop - data_start) // 2 - 1  # a line starts after a "\n"
+    while piece := os.pread(fd, 1 << 12, at):
+        if (i := piece.find(b"\n")) >= 0:
+            return (at + i + 1, stop) if at + i + 1 < stop else None
+        at += len(piece)
+    return None
+
+
+@contextmanager
+def _second_part(source, data_start: int, hashes: dict[str, str], into: ConfigTally):
+    """Yields None, or, when `_second_start` gives a second part of
+    `source`, a function of the part's first line number that merges a
+    forked child's tally of the part into `into`.  `source`'s reads then stop
+    at the part.  The child sends its ConfigTally, its first malformed row
+    or its exception through a pipe, and the function merges the tally,
+    returns the row with its line number in the file, or raises the
+    exception; a child that sent nothing is a ChildProcessError.  A child
+    whose result is not taken is killed, and every child is reaped."""
+    if (part := _second_start(source, data_start)) is None:
+        yield None
+        return
+    start, stop = part
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with other threads, as numpy's OpenBLAS pool is: the child
+            # makes no BLAS call, and OpenBLAS resets its pool in the child with its own atfork handler
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to be had: this one reads it all
+        os.close(reader)
+        os.close(writer)
+        yield None
+        return
+    if pid == 0:  # the child returns to no caller, and exits without flushing the files it shares
+        code = 1
+        try:
+            os.close(reader)
+            tally = ConfigTally(into.intervals)
+            try:
+                fault, _ = _tally_rows(_lines(_pread(source.fileno(), start, stop)), hashes, tally)
+                result = fault or tally
+            except BaseException as exc:  # raised again in the parent
+                result = exc
+            with open(writer, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def merge(first_line: int) -> tuple[int, str] | None:
+        nonlocal status
+        try:
+            result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            result = None
+        status = os.waitpid(pid, 0)[1]
+        if result is None:
+            raise ChildProcessError(f"the process reading lines {first_line} on exited with code "
+                                    f"{os.waitstatus_to_exitcode(status)} and no result")
+        if isinstance(result, BaseException):
+            raise result
+        if isinstance(result, tuple):  # its line number counts from the part's first line
+            return result[0] + first_line - 1, result[1]
+        into.merge(result)
+        return None
+
+    status = None
+    try:
+        os.close(writer)
+        source.stop = start
+        with open(reader, "rb") as pipe:
+            yield merge
+    finally:
+        if status is None:
+            from signal import SIGKILL  # loaded only to stop a child
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def read_results(path, into: ConfigTally) -> ConfigTally:
     """`parse_results_csv` of the file at `path`, opened in binary and read
-    in blocks, into `into`."""
-    with open(path, "rb") as fh:
+    in blocks, into `into`.  A regular file whose data hold two blocks or
+    more is read in two processes when two CPUs are usable: a forked child
+    tallies the lines from the data's midpoint on while this process reads
+    the ones before, and its tally is merged into `into` (`_second_part`).
+    The tally is the one a read in one process gives, and so is the fault
+    reported: the first malformed row of this process's part, else of the
+    child's, or a file that is not UTF-8."""
+    with _ResultsFile(io.FileIO(path)) as fh:
         return parse_results_csv(fh, into)
 
 
@@ -676,8 +831,8 @@ class ConfigTally:
     row counts toward the name its own batch's side table gives it, so
     batches need share no side table; `len()` is the rows added.  `add`
     returns its batch, so that `map(tally.add, batches)` tallies a stream
-    as it passes.  `summarize_by_config` and `accounting_by_config` read
-    it."""
+    as it passes, and `merge` adds another tally's rows.
+    `summarize_by_config` and `accounting_by_config` read it."""
 
     def __init__(self, intervals: Sequence[tuple[str, str]] = REPORT_INTERVALS):
         self.intervals = tuple(intervals)
@@ -708,9 +863,26 @@ class ConfigTally:
             for k, interval in enumerate(self.intervals):
                 ticks, copies, lost = _interval_ticks(batch, interval, rows)
                 _copies_in(counts.copies[k], copies, ticks)
-                counts.ticks[k] = _counted_in(counts.ticks[k], ticks)
                 counts.lost[k] += lost
+                if len(ticks):  # the distinct ticks, and the rows at each
+                    ticks.sort()
+                    runs = np.concatenate(([True], ticks[1:] != ticks[:-1], [True])).nonzero()[0]
+                    counts.ticks[k] = _counted_in(counts.ticks[k], ticks[runs[:-1]], runs[1:] - runs[:-1])
         return batch
+
+    def merge(self, other: ConfigTally) -> None:
+        """Add the rows `other`, a tally of the same intervals, holds, as if
+        its batches were added after this one's: the same counts and sums,
+        and its configs this tally has not seen after those it has."""
+        self.rows += other.rows
+        for name, theirs in other.configs.items():
+            counts = self.configs.setdefault(name, _Counts(len(self.intervals)))
+            counts.outcomes += theirs.outcomes
+            counts.duplicates += theirs.duplicates
+            for k in range(len(self.intervals)):
+                _sums_in(counts.copies[k], theirs.copies[k])
+                counts.ticks[k] = _counted_in(counts.ticks[k], *theirs.ticks[k])
+                counts.lost[k] += theirs.lost[k]
 
 
 _HALF = 31  # ticks are summed per copy in halves: the bits below _HALF, and the rest
@@ -727,21 +899,24 @@ def _copies_in(sums: list[list[int]], copies: np.ndarray, ticks: np.ndarray) -> 
     for start in range(0, len(ticks), _SUM_ROWS):
         part, at = ticks[start : start + _SUM_ROWS], copies[start : start + _SUM_ROWS] + 1
         rows, low, high = (np.bincount(at, w).tolist()[1:] for w in (None, part & ((1 << _HALF) - 1), part >> _HALF))
-        sums.extend([0, 0] for _ in range(len(rows) - len(sums)))
-        for copy, (n, lo, hi) in enumerate(zip(rows, low, high)):
-            sums[copy][0] += n
-            sums[copy][1] += (int(hi) << _HALF) + int(lo)
+        _sums_in(sums, [(n, (int(hi) << _HALF) + int(lo)) for n, lo, hi in zip(rows, low, high)])
 
 
-def _counted_in(table: np.ndarray, ticks: np.ndarray) -> np.ndarray:
-    """`table`, distinct ticks ascending over the rows at each, with the
-    rows of `ticks` added; `ticks` is sorted in place, and `table` is
-    updated in place when it holds every one of them."""
-    if not len(ticks):
+def _sums_in(sums: list[list[int]], more: Sequence[Sequence[int]]) -> None:
+    """Add each [rows, sum] of `more` to that of its copy in `sums`, which
+    grows to hold every copy."""
+    sums.extend([0, 0] for _ in range(len(more) - len(sums)))
+    for mine, (n, total) in zip(sums, more):
+        mine[0] += n
+        mine[1] += total
+
+
+def _counted_in(table: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """`table`, distinct ticks ascending over the rows at each, with
+    `counts` rows added at each of the distinct ascending ticks `values`;
+    `table` is updated in place when it holds every one of them."""
+    if not len(values):
         return table
-    ticks.sort()
-    runs = np.concatenate(([True], ticks[1:] != ticks[:-1], [True])).nonzero()[0]  # where runs of equal ticks start
-    values, counts = ticks[runs[:-1]], runs[1:] - runs[:-1]
     at = np.searchsorted(table[0], values)
     known = table[0].take(at, mode="clip") == values if table.size else np.zeros(len(values), dtype=bool)
     table[1][at[known]] += counts[known]

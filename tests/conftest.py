@@ -19,6 +19,16 @@ class Collected(list):
         return dataclasses.replace(self[-1], **{c: np.concatenate([getattr(b, c) for b in self]) for c in columns})
 
 
+def tally_fields(tally: ConfigTally) -> tuple:
+    """Every field of `tally`, its configs in order, as plain lists: equal
+    for two tallies exactly when they hold the same counts and sums."""
+    return tally.intervals, tally.rows, [
+        (name, [t.tolist() for t in counts.ticks], counts.copies, counts.lost, counts.outcomes.tolist(),
+         counts.duplicates)
+        for name, counts in tally.configs.items()
+    ]
+
+
 def same_rows(a: RecordBatch, b: RecordBatch) -> bool:
     """Whether two batches hold the same rows: every cell agrees once the
     side-table indices are resolved to their entries."""

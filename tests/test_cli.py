@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from esbsim.config import BleConfig, olcfg_preset
 from esbsim.engine import RNG_ALGORITHM
 from esbsim.expfile import parse_experiment_file, parse_pipeline_file, render_pipeline_file
 from esbsim.link import STAGES
-from esbsim.sweep import read_results
+from esbsim.sweep import parse_results_csv
 
 from conftest import Collected, same_rows, summary_of
 
@@ -113,6 +115,225 @@ def test_a_sweep_starts_no_process_whatever_workers_says(tmp_path, monkeypatch):
     assert main(["sweep", "--file", str(exp), "--workers", "1000000", "--out", str(tmp_path / "many")]) == 0
     for name in ("results.csv", "summary.json"):
         assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+# --- a report read in two processes -------------------------------------------------
+
+# a results file is read in two processes when its data hold two blocks: at 1 KiB, a part of a 15 KiB file holds seven
+SPLIT_BLOCK = 1024
+
+
+def _swept_results(tmp_path) -> Path:
+    """The results file of a sweep of three configs, 120 rows in some 15 KiB."""
+    exp = tmp_path / "exp.cfg"
+    exp.write_text(EXPERIMENT + MORE_CONFIGS)
+    assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "swept")]) == 0
+    return tmp_path / "swept" / "results.csv"
+
+
+def _second_start(data: bytes) -> int:
+    """The offset where a second process starts reading `data`: the first
+    line start at or past the middle of the bytes after the column header."""
+    data_start = data.index(b"\nconfig_name,") + 1
+    data_start = data.index(b"\n", data_start) + 1
+    return data.index(b"\n", data_start + (len(data) - data_start) // 2 - 1) + 1
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks(monkeypatch) -> list[int]:
+    """The pids os.fork returns in this process from now on."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(pid := fork()) or pid)
+    return forks
+
+
+def _report(path, cpus: int, monkeypatch, capsys, *options) -> tuple:
+    """Exit code, stdout and stderr of `report` over `path` with `cpus`
+    usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    capsys.readouterr()
+    code = main(["report", "--file", str(path), *options])
+    return (code, *capsys.readouterr())
+
+
+def test_a_report_in_two_processes_prints_and_writes_what_one_and_the_sweep_do(tmp_path, monkeypatch, capsys):
+    path = _swept_results(tmp_path)
+    swept = path.parent
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    forks = _forks(monkeypatch)
+    outputs = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}"
+        printed = _report(path, cpus, monkeypatch, capsys, "--out", str(out))
+        outputs.append((printed, (out / "summary.json").read_bytes()))
+        assert len(forks) == cpus - 1
+        _no_child_left()
+    assert outputs[0] == outputs[1] == ((0, (swept / "summary.txt").read_text() + "\n", ""),
+                                        (swept / "summary.json").read_bytes())
+
+
+def _spoiled(data: bytes, line_start: int, byte: bytes) -> bytes:
+    """`data` with the first byte of the attempt cell of the line at `line_start` replaced by `byte`."""
+    at = data.index(b",", data.index(b",", line_start) + 1) + 1
+    return data[:at] + byte + data[at + 1 :]
+
+
+def _line_starts(data: bytes, split: int) -> dict[str, int]:
+    """The first and the last data line of each part of `data` read in two."""
+    header_end = data.index(b"\n", data.index(b"\nconfig_name,") + 1) + 1
+    return {
+        "first": header_end,
+        "last": data.rindex(b"\n", 0, split - 1) + 1,
+        "second-first": split,
+        "second-last": data.rindex(b"\n", 0, len(data) - 1) + 1,
+    }
+
+
+@pytest.mark.parametrize("where", ["first", "last", "second-first", "second-last"])
+@pytest.mark.parametrize("byte", [b"x", b"\xff"])
+def test_a_fault_in_either_part_is_reported_as_one_process_reports_it(tmp_path, monkeypatch, capsys, where, byte):
+    data = _swept_results(tmp_path).read_bytes()
+    split = _second_start(data)
+    path = tmp_path / "spoiled.csv"
+    path.write_bytes(_spoiled(data, _line_starts(data, split)[where], byte))
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    forks = _forks(monkeypatch)
+    one = _report(path, 1, monkeypatch, capsys)
+    assert one[0] == 1 and one[1] == "" and one[2].count("\n") == 1
+    assert one[2].startswith("esbsim: error: line " if byte == b"x" else f"esbsim: error: {path}: not UTF-8")
+    assert _report(path, 2, monkeypatch, capsys) == one
+    assert len(forks) == ((where, byte) != ("first", b"\xff"))  # the first block's bytes are checked before a fork
+    _no_child_left()
+
+
+@pytest.mark.parametrize("first, second", [(b"x", b"x"), (b"x", b"\xff"), (b"\xff", b"x")])
+def test_with_a_fault_in_each_part_the_first_parts_is_reported(tmp_path, monkeypatch, capsys, first, second):
+    data = _swept_results(tmp_path).read_bytes()
+    starts = _line_starts(data, _second_start(data))
+    path = tmp_path / "spoiled.csv"
+    path.write_bytes(_spoiled(data, starts["last"], first))
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    expected = _report(path, 1, monkeypatch, capsys)  # the first part's fault alone, read in one process
+    assert expected[0] == 1
+    path.write_bytes(_spoiled(path.read_bytes(), starts["second-first"], second))
+    forks = _forks(monkeypatch)
+    assert _report(path, 2, monkeypatch, capsys) == expected
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_second_process_that_sends_nothing_is_an_error(tmp_path, monkeypatch, capsys):
+    path = _swept_results(tmp_path)
+    split = _second_start(path.read_bytes())
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    parent, tally_rows = os.getpid(), sweep._tally_rows
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return tally_rows(*args)
+
+    monkeypatch.setattr(sweep, "_tally_rows", dying)
+    line = path.read_bytes()[:split].count(b"\n") + 1
+    assert _report(path, 2, monkeypatch, capsys) == (
+        2, "", f"esbsim: i/o error: the process reading lines {line} on exited with code 1 and no result\n"
+    )
+    _no_child_left()
+
+
+def test_a_report_that_cannot_fork_reads_in_one_process(tmp_path, monkeypatch, capsys):
+    path = _swept_results(tmp_path)
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    one = _report(path, 1, monkeypatch, capsys)
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert _report(path, 2, monkeypatch, capsys) == one
+    assert one[0] == 0
+
+
+def test_the_fork_warning_of_a_process_with_threads_is_not_an_error(tmp_path, monkeypatch, capsys):
+    # Python 3.12 warns so on a fork while numpy's OpenBLAS pool runs; the suite turns warnings into errors
+    path = _swept_results(tmp_path)
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    one = _report(path, 1, monkeypatch, capsys)
+    fork = os.fork
+
+    def warning_fork():
+        pid = os.getpid()
+        message = f"This process (pid={pid}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert _report(path, 2, monkeypatch, capsys) == one
+    _no_child_left()
+
+
+def test_a_report_of_a_stream_or_a_file_under_two_blocks_starts_no_process(tmp_path, monkeypatch, capsys):
+    path = _swept_results(tmp_path)
+    data = path.read_bytes()
+    one = _report(path, 1, monkeypatch, capsys)
+
+    def started(*args, **kwargs):
+        raise AssertionError("a report started a process")
+
+    monkeypatch.setattr(os, "fork", started)
+    data_start = data.index(b"\n", data.index(b"\nconfig_name,") + 1) + 1
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", (len(data) - data_start) // 2 + 1)  # a byte short of two blocks
+    assert _report(path, 64, monkeypatch, capsys) == one
+    monkeypatch.setattr(sweep, "_BLOCK_BYTES", SPLIT_BLOCK)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert _report(fifo, 64, monkeypatch, capsys) == one
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+REPORT_ONCE = """\
+import os, sys
+from esbsim import cli, sweep
+sweep._BLOCK_BYTES = {block}
+os.sched_getaffinity = lambda pid: {{0, 1}}
+forks, fork = [], os.fork
+def counted():
+    if sys.argv[1] == "stream":
+        raise AssertionError("a report of a stream started a process")
+    forks.append(1)
+    return fork()
+os.fork = counted
+print("printed before the report")
+try:
+    code = cli.main(["report", "--file", sys.argv[2]])
+finally:
+    with open(sys.argv[3], "a") as fh:
+        fh.write(f"{{len(forks)}}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("source", ["file", "stream"])
+def test_a_report_is_printed_once_into_a_pipe(tmp_path, source):
+    # what the parent printed before the fork is flushed once, and only the parent runs its caller's finally
+    path = _swept_results(tmp_path)
+    marker = tmp_path / "finally"
+    env = dict(os.environ, PYTHONPATH=str(Path(esbsim.__file__).parents[1]))
+    script = REPORT_ONCE.format(block=SPLIT_BLOCK)
+    argv = [sys.executable, "-c", script, source, str(path) if source == "file" else "/dev/stdin", str(marker)]
+    feed = dict(input=path.read_bytes()) if source == "stream" else dict(stdin=subprocess.DEVNULL)
+    run = subprocess.run(argv, capture_output=True, env=env, timeout=120, **feed)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == b"printed before the report\n" + (path.parent / "summary.txt").read_bytes() + b"\n"
+    assert marker.read_text() == ("1\n" if source == "file" else "0\n")
 
 
 def test_calibrate_writes_the_reference_pipeline(tmp_path, capsys):
@@ -544,7 +765,8 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
     exp.write_text(EXPERIMENT + MORE_CONFIGS)  # three configs, 2 rounds of 20 attempts
     n = 13
     assert main(["sweep", "--file", str(exp), "--out", str(tmp_path / "sweep")]) == 0
-    swept = read_results(tmp_path / "sweep" / "results.csv", Collected()).batch()
+    with open(tmp_path / "sweep" / "results.csv", "rb") as fh:
+        swept = parse_results_csv(fh, Collected()).batch()
     picked = (swept.config_index == swept.names.index(config)) & (swept.round_index == 0) & (swept.attempt < n)
     columns = [f.name for f in dataclasses.fields(swept)[3:]]  # the fields after the side tables
     series = dataclasses.replace(swept, **{column: getattr(swept, column)[picked] for column in columns})
@@ -552,7 +774,8 @@ def test_every_command_addresses_a_series_as_the_sweep_does(tmp_path, monkeypatc
 
     assert main(["simulate", "--file", str(exp), "--config", config, "--attempts", str(n),
                  "--out", str(tmp_path / "sim")]) == 0
-    assert same_rows(read_results(tmp_path / "sim" / "results.csv", Collected()).batch(), series)
+    with open(tmp_path / "sim" / "results.csv", "rb") as fh:
+        assert same_rows(parse_results_csv(fh, Collected()).batch(), series)
 
     compared = []
     render = ble.render_comparison

@@ -33,11 +33,24 @@ def _foreign_private_uses(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(uses)
 
 
+# Names with a leading underscore that the standard library documents as
+# public, each with the reason a module uses it.
+DOCUMENTED = {
+    "os._exit": "a forked child ends with it, so that it flushes no file it shares and runs no caller's finally",
+}
+
+
 def test_no_module_uses_another_modules_private_names():
     found = {
         path.name: uses
         for path in sorted(PACKAGE.glob("*.py"))
-        if (uses := _foreign_private_uses(ast.parse(path.read_text(), filename=str(path))))
+        if (
+            uses := [
+                use
+                for use in _foreign_private_uses(ast.parse(path.read_text(), filename=str(path)))
+                if use[1] not in DOCUMENTED
+            ]
+        )
     }
     assert found == {}
 

@@ -41,7 +41,7 @@ from esbsim.sweep import (
     write_results,
 )
 
-from conftest import Collected, densified, same_rows, summary_of
+from conftest import Collected, densified, same_rows, summary_of, tally_fields
 
 
 # --- row-wise oracles ------------------------------------------------------------
@@ -129,8 +129,9 @@ def parse_batch(source) -> RecordBatch:
 
 
 def read_batch(path) -> RecordBatch:
-    """The records `read_results` reads from the file at `path`, in one batch."""
-    return read_results(path, Collected()).batch()
+    """The records `parse_results_csv` reads from the file at `path`, in one batch."""
+    with open(path, "rb") as fh:
+        return parse_results_csv(fh, Collected()).batch()
 
 
 def written(*batches: RecordBatch) -> str:
@@ -1148,7 +1149,8 @@ def test_reading_in_blocks_equals_reading_the_whole_text(tmp_path_factory, case,
         assert _same_parse(whole, (expected.names, expected.hashes, expected.seeds, expected))
     with mock.patch.object(sweep, "_BLOCK_BYTES", block):
         assert _same_parse(_parsed(lambda: parse_results_csv(text, Collected())), whole)
-        assert _same_parse(_parsed(lambda: read_results(path, Collected())), whole)
+        with open(path, "rb") as fh:
+            assert _same_parse(_parsed(lambda: parse_results_csv(fh, Collected())), whole)
 
 
 def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tmp_path):
@@ -1168,8 +1170,8 @@ def test_every_block_size_keeps_the_rows_and_the_line_numbers(quiet_pipeline, tm
                 with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
                     parse_results_csv(short.removesuffix(tail))
                 path.write_text(short.removesuffix(tail), encoding="utf-8", newline="")
-                with pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
-                    read_results(path, Collected())
+                with open(path, "rb") as fh, pytest.raises(SchemaError, match=f"^line {line_no}: row with 2 fields"):
+                    parse_results_csv(fh, Collected())
 
 
 @pytest.mark.parametrize("name", [f"a{brk}b" for brk in DROPPED_BREAKS[1:]])
@@ -1226,7 +1228,7 @@ def test_read_results_enters_the_parser_through_the_module_attribute(quiet_pipel
         return read(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "parse_results_csv", entered)
-    assert same_rows(read_batch(path), batch)
+    assert tally_fields(read_results(path, ConfigTally())) == tally_fields(tallied(batch))
     ((source, mode, closed, position),) = entries
     assert isinstance(source, io.BufferedReader) and os.fspath(source.name) == os.fspath(path)
     assert (mode, closed, position) == ("rb", False, 0)
@@ -1262,6 +1264,70 @@ def test_the_sweep_command_enters_run_sweep_through_the_module_attribute(tmp_pat
     assert listed == []
     assert (plan.attempts_per_round, len(plan.configs)) == (5, 1)
     assert same_rows(read_batch(tmp_path / "results.csv"), Collected(run(plan, channel, pipeline)).batch())
+
+
+# --- reading in two processes -----------------------------------------------------
+
+
+@st.composite
+def split_files(draw):
+    """The text of a results file of 1-4 configs, in rows of any order, and
+    the offset of a line boundary among its rows at which a second process
+    starts reading it: blank lines pad the shorter side, so that the
+    boundary is the middle of the data.  At the boundary, the rows of one
+    config may all lie after it, and either side may hold blank lines."""
+    records = draw(record_lists(max_size=24, names=NAMES | WIDE_NAMES, min_size=1))
+    split = draw(st.integers(0, len(records)))
+    if draw(st.booleans()):  # a config whose every row lies after the boundary
+        late = "+" * (1 + max(len(r.config_name) for r in records))
+        at = draw(st.integers(split, len(records)))
+        records.insert(at, records[draw(st.integers(0, len(records) - 1))]._replace(config_name=late))
+    end = draw(st.sampled_from(LINE_ENDS))
+    lines = written(batch_of(records)).split("\n")[:-1]
+    data_start = lines.index(",".join(CSV_COLUMNS)) + 1
+    header, rows = "".join(line + end for line in lines[:data_start]), [line + end for line in lines[data_start:]]
+    blanks = st.lists(st.sampled_from(["", " ", "\t "]).map(lambda blank: blank + end), max_size=2)
+    first = "".join(rows[:split] + draw(blanks)).encode()
+    second = "".join(draw(blanks) + rows[split:]).encode()
+    first = b"\n" * (len(second) - len(first)) + first  # none unless the first part is the shorter
+    second += b"\n" * (len(first) - len(second))
+    return header.encode() + first + second, len(header.encode()) + len(first)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=split_files(), blocks=st.integers(2, 6))
+def test_reading_in_two_parts_at_any_line_boundary_tallies_as_one_read(tmp_path_factory, case, blocks):
+    data, boundary = case
+    path = tmp_path_factory.mktemp("split") / "results.csv"
+    path.write_bytes(data)
+    starts = []
+    second_start = sweep._second_start
+
+    def spied(*args):
+        starts.append(second_start(*args))
+        return starts[-1]
+
+    serial = parse_results_csv(data.decode())  # a text is read in one process
+    block = max(1, (len(data) - boundary) // blocks)  # each part a few blocks
+    with mock.patch.object(sweep, "_BLOCK_BYTES", block), mock.patch.object(sweep, "_second_start", spied), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
+        split = read_results(path, ConfigTally())
+    assert starts == [(boundary, len(data))]
+    assert tally_fields(split) == tally_fields(serial)
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_merge_tallies_as_adding_both_tallies_batches_in_turn(pipeline):
+    def series(name, seed):
+        channel = ChannelModel(p_loss=0.3, p_corrupt=0.05)
+        return run_attempt_series(olcfg_preset(), channel, pipeline, 2000, seed=seed, config_name=name)
+
+    a, b, c = series("olcfg", 5), series("other", 6), series("olcfg", 7)
+    for first, second in (((), (a, b, c)), ((a,), (b, c)), ((a, b), (c,)), ((a, b, c), ())):
+        merged = tallied(*first)
+        merged.merge(tallied(*second))
+        assert tally_fields(merged) == tally_fields(tallied(a, b, c))
 
 
 # --- reporting block by block ----------------------------------------------------
@@ -1544,7 +1610,8 @@ class _RowCount:
 
 
 def test_reading_results_takes_a_few_blocks_whatever_the_file_size(large_results):
-    counted, peak = _traced_peak(lambda: read_results(large_results.path, _RowCount()))
+    with open(large_results.path, "rb") as fh:
+        counted, peak = _traced_peak(lambda: parse_results_csv(fh, _RowCount()))
     assert counted.rows == 100_000
     # a block of text, its offsets and its rows' columns at once, 6.6-6.9 blocks measured
     # with 256 KiB blocks, numpy 2.4: less than the file, or its columns
